@@ -66,7 +66,7 @@ fn skiplist(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 13) % 100_000;
-            black_box(list.get(i * 7919 % 1_000_003))
+            black_box(list.get(i * 7919 % 1_000_003, u64::MAX))
         })
     });
 }

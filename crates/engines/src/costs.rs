@@ -32,6 +32,12 @@ pub const OOP_BUFFER_APPEND: Cycle = 2;
 /// mechanistically from the real skip list.
 pub const LSM_INDEX_VISIT: Cycle = 3;
 
+/// Most index visits charged for one read translation: the expected
+/// height of a DRAM-cached index, whose upper levels stay hot in the CPU
+/// caches. The LSM engine's walk stops once it reaches this many visits
+/// (`SkipList::get`), so deeper walks cost no host time either.
+pub const LSM_INDEX_VISIT_CAP: u64 = 16;
+
 /// Software bookkeeping LSNVMM performs per logged store (allocation,
 /// index update).
 pub const LSM_APPEND_BOOKKEEPING: Cycle = 12;

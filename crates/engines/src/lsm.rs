@@ -231,11 +231,10 @@ impl PersistenceEngine for LsmEngine {
 
     fn on_load(&mut self, _core: CoreId, addr: PAddr, _len: u64, _now: Cycle) -> Cycle {
         // Software address translation on every read (§II-B): walk the real
-        // skip list and charge per node visited. The charge is capped at the
-        // expected height of a DRAM-cached index (upper levels stay hot in
-        // the CPU caches).
-        let (_, visits) = self.index.get(addr.line().0);
-        visits.min(16) * costs::LSM_INDEX_VISIT
+        // skip list and charge per node visited, up to the expected height
+        // of a DRAM-cached index (upper levels stay hot in the CPU caches).
+        let (_, visits) = self.index.get(addr.line().0, costs::LSM_INDEX_VISIT_CAP);
+        visits * costs::LSM_INDEX_VISIT
     }
 
     fn on_llc_miss(&mut self, _core: CoreId, line: Line, now: Cycle) -> MissFill {

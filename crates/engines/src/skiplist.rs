@@ -32,12 +32,13 @@ struct Node {
 ///
 /// Alongside the list itself, a hash index maps every key to its node. The
 /// *list* models the hardware the LSM engine charges for — [`get`]
-/// (`SkipList::get`) always performs the real walk and reports its visit
-/// count. The index only short-circuits operations whose walk is never
-/// charged: value updates of existing keys ([`insert`](SkipList::insert))
-/// and pure membership tests ([`contains`](SkipList::contains)). Neither
-/// changes the list structure a later `get` walks, so charged visit counts
-/// are unaffected.
+/// (`SkipList::get`) always performs the real walk, up to the visit cap the
+/// caller charges, and reports its visit count. The index only
+/// short-circuits what is never charged: value updates of existing keys
+/// ([`insert`](SkipList::insert)), pure membership tests
+/// ([`contains`](SkipList::contains)) and the value `get` returns. None of
+/// them changes the list structure a later `get` walks, so charged visit
+/// counts are unaffected.
 #[derive(Clone, Debug)]
 pub struct SkipList {
     head: [u32; MAX_LEVEL],
@@ -130,9 +131,15 @@ impl SkipList {
     }
 
     /// Looks up `key`, returning its value and the number of node visits the
-    /// search needed. Identical walk (and visit count) to [`find`], minus
-    /// the predecessor bookkeeping only mutation needs.
-    pub fn get(&self, key: u64) -> (Option<u64>, u64) {
+    /// search needed, counted up to `cap`.
+    ///
+    /// The walk is [`find`]'s, minus the predecessor bookkeeping only
+    /// mutation needs, and it stops as soon as it has made `cap` visits.
+    /// Visits only grow along a walk, so the count returned is exactly the
+    /// full walk's count clamped to `cap`. The value comes from the key
+    /// index, since a capped walk may stop before reaching the node.
+    pub fn get(&self, key: u64, cap: u64) -> (Option<u64>, u64) {
+        let value = self.by_key.get(key).map(|&idx| self.node(idx).value);
         let mut visits = 0u64;
         let mut cur = NIL;
         for lvl in (0..self.level).rev() {
@@ -143,21 +150,18 @@ impl SkipList {
             };
             while next != NIL && self.node(next).key < key {
                 visits += 1;
+                if visits >= cap {
+                    return (value, cap);
+                }
                 cur = next;
                 next = self.node(cur).next[lvl];
             }
             visits += 1;
+            if visits >= cap {
+                return (value, cap);
+            }
         }
-        let candidate = if cur == NIL {
-            self.head[0]
-        } else {
-            self.node(cur).next[0]
-        };
-        if candidate != NIL && self.node(candidate).key == key {
-            (Some(self.node(candidate).value), visits)
-        } else {
-            (None, visits)
-        }
+        (value, visits)
     }
 
     /// Inserts or updates `key`, returning the previous value if any.
@@ -370,9 +374,9 @@ mod tests {
         let mut s = SkipList::new();
         assert_eq!(s.insert(5, 50), None);
         assert_eq!(s.insert(5, 55), Some(50));
-        assert_eq!(s.get(5).0, Some(55));
+        assert_eq!(s.get(5, u64::MAX).0, Some(55));
         assert_eq!(s.remove(5), Some(55));
-        assert_eq!(s.get(5).0, None);
+        assert_eq!(s.get(5, u64::MAX).0, None);
         assert!(s.is_empty());
     }
 
@@ -397,7 +401,7 @@ mod tests {
             big.insert(k * 7919, k);
         }
         let avg = |s: &SkipList, n: u64| -> f64 {
-            let total: u64 = (0..n).map(|k| s.get(k * 7919).1).sum();
+            let total: u64 = (0..n).map(|k| s.get(k * 7919, u64::MAX).1).sum();
             total as f64 / n as f64
         };
         let a_small = avg(&small, 16);
@@ -411,16 +415,25 @@ mod tests {
 
     #[test]
     fn get_visits_match_find_visits() {
-        let mut s = SkipList::new();
-        for k in 0..512u64 {
-            s.insert(k * 31, k);
-        }
+        // A capped walk must count exactly the full walk's visits clamped
+        // to the cap, and still return the value; u64::MAX is uncapped.
         let mut preds = [NIL; MAX_LEVEL];
-        for probe in [0u64, 1, 31, 15 * 31, 511 * 31, 512 * 31, 99999] {
-            let (node, fv) = s.find(probe, &mut preds);
-            let (val, gv) = s.get(probe);
-            assert_eq!(fv, gv, "visit counts diverged for {probe}");
-            assert_eq!(node != NIL, val.is_some());
+        for size in [0u64, 1, 512, 4096] {
+            let mut s = SkipList::new();
+            for k in 0..size {
+                s.insert(k * 31 + 5, k);
+            }
+            // Present keys, the gaps between them, and both ends.
+            let probes = (0..size * 31 + 40).step_by(7).chain([u64::MAX - 1]);
+            for probe in probes {
+                let (node, full) = s.find(probe, &mut preds);
+                let want = (node != NIL).then(|| (probe - 5) / 31);
+                for cap in (1..=40).chain([u64::MAX]) {
+                    let (value, visits) = s.get(probe, cap);
+                    assert_eq!(visits, full.min(cap), "size {size} probe {probe} cap {cap}");
+                    assert_eq!(value, want, "size {size} probe {probe} cap {cap}");
+                }
+            }
         }
     }
 
@@ -475,7 +488,7 @@ mod tests {
                     assert_eq!(s.remove(k), m.remove(&k));
                 }
                 _ => {
-                    assert_eq!(s.get(k).0, m.get(&k).copied());
+                    assert_eq!(s.get(k, u64::MAX).0, m.get(&k).copied());
                 }
             }
         }

@@ -22,6 +22,7 @@ pub mod phashmap;
 pub mod pqueue;
 pub mod prbtree;
 pub mod pvector;
+mod shadow;
 pub mod spec;
 pub mod tpcc;
 pub mod ycsb;

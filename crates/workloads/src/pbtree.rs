@@ -5,11 +5,10 @@
 //! shifting during leaf insertion and node splits issue variable numbers of
 //! transactional stores, giving the 2-12 stores/tx spread of Table III.
 
-use std::collections::BTreeMap;
-
 use engines::system::System;
 use simcore::{CoreId, PAddr, SimRng};
 
+use crate::shadow;
 use crate::spec::WorkloadSpec;
 use crate::TxWorkload;
 
@@ -35,7 +34,8 @@ pub struct PBTree {
     root: u64,
     root_meta: PAddr,
     rng: SimRng,
-    shadow: BTreeMap<u64, u64>,
+    /// Every committed `(key, value)`, sorted by key (see the `shadow` module).
+    shadow: Vec<(u64, u64)>,
     version: u64,
 }
 
@@ -51,7 +51,7 @@ impl PBTree {
             root: 0,
             root_meta: PAddr(0),
             rng: SimRng::seed(spec.seed ^ 0xB433).fork(stream),
-            shadow: BTreeMap::new(),
+            shadow: Vec::new(),
             version: 0,
         }
     }
@@ -188,7 +188,7 @@ impl PBTree {
         }
         let root = self.root;
         self.insert_nonfull(sys, core, root, key, value);
-        self.shadow.insert(key, value);
+        shadow::upsert(&mut self.shadow, key, value);
     }
 
     fn collect_inorder(&self, sys: &System, n: u64, out: &mut Vec<(u64, u64)>) {
@@ -247,7 +247,7 @@ impl TxWorkload for PBTree {
             self.insert(sys, core, key, value);
         } else {
             let idx = self.rng.below(self.shadow.len() as u64);
-            let key = *self.shadow.keys().nth(idx as usize).expect("in range");
+            let key = self.shadow[idx as usize].0;
             self.insert(sys, core, key, value);
         }
         sys.tx_end(core, tx);
@@ -256,10 +256,9 @@ impl TxWorkload for PBTree {
     fn verify(&self, sys: &System) -> usize {
         let mut got = Vec::with_capacity(self.shadow.len());
         self.collect_inorder(sys, self.root, &mut got);
-        let want: Vec<(u64, u64)> = self.shadow.iter().map(|(k, v)| (*k, *v)).collect();
         let sorted = got.windows(2).all(|w| w[0].0 < w[1].0);
-        got.iter().zip(&want).filter(|(a, b)| a != b).count()
-            + got.len().abs_diff(want.len())
+        got.iter().zip(&self.shadow).filter(|(a, b)| a != b).count()
+            + got.len().abs_diff(self.shadow.len())
             + usize::from(!sorted)
     }
 }

@@ -6,11 +6,10 @@
 //! transactional store, so the stores-per-transaction naturally vary with
 //! rebalancing — the 2-10 range Table III lists.
 
-use std::collections::BTreeMap;
-
 use engines::system::System;
 use simcore::{CoreId, PAddr, SimRng};
 
+use crate::shadow;
 use crate::spec::WorkloadSpec;
 use crate::TxWorkload;
 
@@ -36,7 +35,8 @@ pub struct PRbTree {
     root_meta: PAddr,
     root: u64,
     rng: SimRng,
-    shadow: BTreeMap<u64, u64>,
+    /// Every committed `(key, value)`, sorted by key (see the `shadow` module).
+    shadow: Vec<(u64, u64)>,
     version: u64,
 }
 
@@ -51,7 +51,7 @@ impl PRbTree {
             root_meta: PAddr(0),
             root: NIL,
             rng: SimRng::seed(spec.seed ^ 0xB7EE).fork(stream),
-            shadow: BTreeMap::new(),
+            shadow: Vec::new(),
             version: 0,
         }
     }
@@ -187,7 +187,7 @@ impl PRbTree {
             let k = self.get(sys, core, cur, KEY);
             if k == key {
                 self.set(sys, core, cur, VALUE, value);
-                self.shadow.insert(key, value);
+                shadow::upsert(&mut self.shadow, key, value);
                 return;
             }
             parent = cur;
@@ -214,7 +214,7 @@ impl PRbTree {
             self.set(sys, core, parent, RIGHT, z);
         }
         self.insert_fixup(sys, core, z);
-        self.shadow.insert(key, value);
+        shadow::upsert(&mut self.shadow, key, value);
     }
 
     /// Checks the red-black invariants via untimed reads; returns the
@@ -280,14 +280,14 @@ impl TxWorkload for PRbTree {
         } else {
             // Update an existing key (uniform over the shadow key space).
             let idx = self.rng.below(self.shadow.len() as u64);
-            let key = *self.shadow.keys().nth(idx as usize).expect("in range");
+            let key = self.shadow[idx as usize].0;
             self.insert(sys, core, key, value);
         }
         sys.tx_end(core, tx);
     }
 
     fn verify(&self, sys: &System) -> usize {
-        // In-order traversal must reproduce the shadow map exactly.
+        // In-order traversal must reproduce the shadow model exactly.
         let mut got = Vec::with_capacity(self.shadow.len());
         let mut stack = Vec::new();
         let mut cur = self.root;
@@ -300,9 +300,8 @@ impl TxWorkload for PRbTree {
             got.push((sys.peek_u64(PAddr(n + KEY)), sys.peek_u64(PAddr(n + VALUE))));
             cur = sys.peek_u64(PAddr(n + RIGHT));
         }
-        let want: Vec<(u64, u64)> = self.shadow.iter().map(|(k, v)| (*k, *v)).collect();
-        let mismatches =
-            got.iter().zip(&want).filter(|(a, b)| a != b).count() + got.len().abs_diff(want.len());
+        let mismatches = got.iter().zip(&self.shadow).filter(|(a, b)| a != b).count()
+            + got.len().abs_diff(self.shadow.len());
         mismatches + self.check_invariants(sys)
     }
 }
