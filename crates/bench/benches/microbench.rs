@@ -149,6 +149,23 @@ fn cache_hierarchy(c: &mut Criterion) {
             )
         })
     });
+    // Eight cores stream over 4 MiB, twice the LLC: every access misses,
+    // evicts an LLC line another core filled, and back-invalidates it.
+    let mut hier = Hierarchy::new(&cfg);
+    let stream = |hier: &mut Hierarchy, i: u64| {
+        let line = Line(i & 0xFFFF);
+        hier.access(CoreId((i % 8) as u8), line, i.is_multiple_of(4), false)
+    };
+    for i in 0..0x1_0000u64 {
+        let _ = stream(&mut hier, i);
+    }
+    c.bench_function("hierarchy_access_llc_miss_8core", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            black_box(stream(&mut hier, i).evicted)
+        })
+    });
 }
 
 criterion_group!(

@@ -20,19 +20,27 @@ const INVALID: u64 = u64::MAX;
 
 const DIRTY: u64 = 1;
 const PERSISTENT: u64 = 2;
-const STAMP_SHIFT: u32 = 2;
+const SHARER_SHIFT: u32 = 2;
+const SHARERS: u64 = (u16::MAX as u64) << SHARER_SHIFT;
+const STAMP_SHIFT: u32 = 18;
+
+/// Width of a slot's sharer mask: the most cores an LLC can track.
+pub(crate) const MAX_SHARERS: usize = 16;
 
 /// Memo way value recording "this line is known absent from its set".
 const WAY_MISS: u32 = u32::MAX;
 
-/// One way of one set: the line tag plus its LRU stamp and dirty/persistent
-/// bits packed into a single word. Sixteen bytes per slot keeps a whole
-/// 4-way set in one cache line (8-way in two), and a hit updates the same
-/// line the tag scan just read — the layout the hot L1-hit path wants.
+/// One way of one set: the line tag plus its LRU stamp, sharer mask and
+/// dirty/persistent bits packed into a single word. Sixteen bytes per slot
+/// keeps a whole 4-way set in one cache line (8-way in two), and a hit
+/// updates the same line the tag scan just read — the layout the hot L1-hit
+/// path wants.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     tag: u64,
-    /// `stamp << 2 | persistent << 1 | dirty`.
+    /// `stamp << 18 | sharers << 2 | persistent << 1 | dirty`. The sharer
+    /// mask is only kept in the LLC (a set of cores whose private caches
+    /// may hold the line); it never takes part in replacement.
     meta: u64,
 }
 
@@ -151,7 +159,7 @@ impl Cache {
         match self.find_update(line) {
             Some(i) => {
                 let s = &mut self.slots[i];
-                let flags = (s.meta & (DIRTY | PERSISTENT))
+                let flags = (s.meta & (DIRTY | PERSISTENT | SHARERS))
                     | if write {
                         DIRTY | if persistent { PERSISTENT } else { 0 }
                     } else {
@@ -171,6 +179,17 @@ impl Cache {
     ///
     /// Panics in debug builds if the line is already present.
     pub fn insert(&mut self, line: Line, dirty: bool, persistent: bool) -> Option<Evicted> {
+        self.insert_shared(line, dirty, persistent).map(|(v, _)| v)
+    }
+
+    /// [`insert`](Cache::insert) that also hands back the victim's sharer
+    /// mask. The new line starts with no sharers.
+    pub(crate) fn insert_shared(
+        &mut self,
+        line: Line,
+        dirty: bool,
+        persistent: bool,
+    ) -> Option<(Evicted, u16)> {
         debug_assert!(!self.contains(line), "insert of present line");
         self.tick += 1;
         let base = self.set_base(line);
@@ -199,11 +218,14 @@ impl Cache {
         let si = self.set_index(line);
         self.memo[si] = (line.0, (victim - base) as u32);
         if old.tag != INVALID {
-            Some(Evicted {
-                line: Line(old.tag),
-                dirty: old.meta & DIRTY != 0,
-                persistent: old.meta & PERSISTENT != 0,
-            })
+            Some((
+                Evicted {
+                    line: Line(old.tag),
+                    dirty: old.meta & DIRTY != 0,
+                    persistent: old.meta & PERSISTENT != 0,
+                },
+                (old.meta >> SHARER_SHIFT) as u16,
+            ))
         } else {
             None
         }
@@ -247,6 +269,37 @@ impl Cache {
     pub fn mark_dirty(&mut self, line: Line, persistent: bool) {
         if let Some(i) = self.find_update(line) {
             self.slots[i].meta |= DIRTY | if persistent { PERSISTENT } else { 0 };
+        }
+    }
+
+    /// The sharer mask of `line`: bit `c` set when core `c`'s private caches
+    /// may hold it. 0 when the line is absent.
+    #[inline]
+    pub(crate) fn sharers(&self, line: Line) -> u16 {
+        self.find(line)
+            .map_or(0, |i| (self.slots[i].meta >> SHARER_SHIFT) as u16)
+    }
+
+    /// Adds `core` to the sharer mask of `line`, if present.
+    #[inline]
+    pub(crate) fn add_sharer(&mut self, line: Line, core: usize) {
+        if let Some(i) = self.find_update(line) {
+            self.slots[i].meta |= 1 << (SHARER_SHIFT + core as u32);
+        }
+    }
+
+    /// Replaces the sharer mask of `line` with `mask`, returning the old
+    /// one (0, and nothing stored, when the line is absent).
+    #[inline]
+    pub(crate) fn replace_sharers(&mut self, line: Line, mask: u16) -> u16 {
+        match self.find_update(line) {
+            Some(i) => {
+                let s = &mut self.slots[i];
+                let old = (s.meta >> SHARER_SHIFT) as u16;
+                s.meta = (s.meta & !SHARERS) | (u64::from(mask) << SHARER_SHIFT);
+                old
+            }
+            None => 0,
         }
     }
 
@@ -409,6 +462,92 @@ mod tests {
         for probe in 0..32 {
             assert_eq!(c.find(Line(probe)), None);
         }
+    }
+
+    #[test]
+    fn sharer_masks_never_steer_replacement() {
+        #[derive(Debug, PartialEq)]
+        enum Step {
+            Touch(bool),
+            Insert(Option<Evicted>),
+            Remove(Option<(bool, bool)>),
+            Clean(bool),
+        }
+        // One op stream, run with random sharer masks written between the
+        // ops and with none: every hit, victim and evicted state must agree.
+        fn run(with_sharers: bool) -> Vec<Step> {
+            let mut c = tiny();
+            let mut seed = 0x0bad_5eed_1234_5678u64;
+            let mut rng = move || {
+                seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                seed >> 33
+            };
+            let mut steps = Vec::new();
+            for _ in 0..5_000 {
+                let line = Line(rng() % 32);
+                let (op, write, persistent) = (rng() % 5, rng() % 2 == 0, rng() % 2 == 0);
+                let (mask, core) = (rng() as u16, (rng() % MAX_SHARERS as u64) as usize);
+                match op {
+                    0 | 1 => {
+                        let hit = c.touch(line, write, persistent);
+                        steps.push(Step::Touch(hit));
+                        if !hit {
+                            steps.push(Step::Insert(c.insert(line, write, persistent)));
+                        }
+                    }
+                    2 => steps.push(Step::Remove(c.remove(line))),
+                    3 => steps.push(Step::Clean(c.clean(line))),
+                    _ => c.mark_dirty(line, persistent),
+                }
+                if with_sharers {
+                    c.replace_sharers(line, mask);
+                    c.add_sharer(Line(rng() % 32), core);
+                } else {
+                    rng();
+                }
+            }
+            steps.extend(c.drain_valid().into_iter().map(|e| Step::Insert(Some(e))));
+            steps
+        }
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn sharer_mask_survives_state_changes_and_starts_empty() {
+        let mut c = tiny();
+        c.insert(Line(1), false, false);
+        assert_eq!(c.sharers(Line(1)), 0, "insert starts with no sharers");
+        c.add_sharer(Line(1), 3);
+        c.add_sharer(Line(1), 15);
+        let mask = 1 << 3 | 1 << 15;
+        assert_eq!(c.sharers(Line(1)), mask);
+        assert!(c.touch(Line(1), true, true));
+        assert_eq!(c.sharers(Line(1)), mask, "write touch keeps the mask");
+        assert!(c.touch(Line(1), false, false));
+        assert_eq!(c.sharers(Line(1)), mask, "read touch keeps the mask");
+        c.mark_dirty(Line(1), true);
+        assert_eq!(c.sharers(Line(1)), mask, "mark_dirty keeps the mask");
+        assert!(c.clean(Line(1)));
+        assert_eq!(c.sharers(Line(1)), mask, "clean keeps the mask");
+        assert_eq!(c.replace_sharers(Line(1), 1 << 2), mask);
+        assert_eq!(c.sharers(Line(1)), 1 << 2);
+
+        // Lines 1, 5 and 9 share a set: 9 evicts 1, the LRU line, which
+        // hands back its mask while 9 starts empty.
+        c.insert(Line(5), false, false);
+        let (victim, sharers) = c.insert_shared(Line(9), false, false).unwrap();
+        assert_eq!(victim.line, Line(1));
+        assert!(!victim.dirty && !victim.persistent);
+        assert_eq!(sharers, 1 << 2);
+        assert_eq!(c.sharers(Line(9)), 0);
+
+        // An absent line has no sharers and stores none.
+        assert_eq!(c.replace_sharers(Line(1), u16::MAX), 0);
+        c.add_sharer(Line(1), 0);
+        assert_eq!(c.sharers(Line(1)), 0);
+        assert!(!c.contains(Line(1)));
     }
 
     #[test]

@@ -4,13 +4,20 @@
 //! eviction back-invalidates every private copy and merges their dirty /
 //! persistent bits into the reported eviction, which is the event stream the
 //! persistence engines consume.
+//!
+//! Each LLC line carries a sharer mask, a superset of the cores whose L1/L2
+//! hold it: filling a core's L2 adds the core, a write steal narrows the
+//! mask to the writer, and nothing else removes a core. Back-invalidation,
+//! write steals, cleaning and flushing probe only the cores in the mask.
+//! Every core left out holds no copy, so its probe would have been a no-op
+//! and the simulated results are those of a sweep over all cores.
 
 use simcore::addr::Line;
 use simcore::config::SimConfig;
 use simcore::stats::Counter;
 use simcore::{CoreId, Cycle};
 
-use crate::cache::{Cache, Evicted};
+use crate::cache::{Cache, Evicted, MAX_SHARERS};
 
 /// Result of one hierarchy access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,8 +84,16 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Builds the hierarchy described by `cfg` (one L1/L2 pair per core).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.cores` exceeds the 16 cores an LLC sharer mask holds.
     pub fn new(cfg: &SimConfig) -> Self {
         let cores = cfg.cores as usize;
+        assert!(
+            cores <= MAX_SHARERS,
+            "{cores} cores exceed the {MAX_SHARERS}-core LLC sharer mask"
+        );
         Hierarchy {
             l1: (0..cores).map(|_| Cache::new(&cfg.l1)).collect(),
             l2: (0..cores).map(|_| Cache::new(&cfg.l2)).collect(),
@@ -120,8 +135,7 @@ impl Hierarchy {
         latency += self.l2_latency;
         if self.l2[c].touch(line, write, persistent) {
             self.stats.l2_hits.inc();
-            let evicted = self.fill_l1(c, line, write, persistent);
-            debug_assert!(evicted.is_none(), "L1 fill cannot evict from LLC");
+            self.fill_l1(c, line, write, persistent);
             return AccessResult {
                 latency,
                 llc_miss: false,
@@ -137,7 +151,7 @@ impl Hierarchy {
                 self.invalidate_private_except(c, line);
             }
             self.fill_l2(c, line);
-            let _ = self.fill_l1(c, line, write, persistent);
+            self.fill_l1(c, line, write, persistent);
             return AccessResult {
                 latency,
                 llc_miss: false,
@@ -145,14 +159,13 @@ impl Hierarchy {
             };
         }
 
-        // Full miss: fill all levels, possibly evicting from the LLC.
+        // Full miss: fill all levels, possibly evicting from the LLC. By
+        // inclusion no other core holds the line, so there is nothing to
+        // steal.
         self.stats.llc_misses.inc();
-        if write {
-            self.invalidate_private_except(c, line);
-        }
         let evicted = self.fill_llc(line, write, write && persistent);
         self.fill_l2(c, line);
-        let _ = self.fill_l1(c, line, write, persistent);
+        self.fill_l1(c, line, write, persistent);
         if evicted.is_some() {
             self.stats.dirty_evictions.inc();
         }
@@ -164,12 +177,16 @@ impl Hierarchy {
     }
 
     /// Inserts into the LLC, handling inclusion: the victim is purged from
-    /// every private cache and private dirty/persistent state is merged.
-    /// Returns the victim only if its merged state is dirty.
+    /// its sharers' private caches and their dirty/persistent state is
+    /// merged. Returns the victim only if its merged state is dirty.
     fn fill_llc(&mut self, line: Line, dirty: bool, persistent: bool) -> Option<Evicted> {
-        let victim = self.llc.insert(line, dirty, persistent)?;
+        let (victim, sharers) = self.llc.insert_shared(line, dirty, persistent)?;
+        debug_assert!(
+            self.sharers_cover(victim.line, sharers),
+            "stale sharer mask"
+        );
         let mut merged = victim;
-        for c in 0..self.l1.len() {
+        for c in cores_in(sharers) {
             if let Some((d, p)) = self.l1[c].remove(victim.line) {
                 merged.dirty |= d;
                 merged.persistent |= p;
@@ -182,9 +199,11 @@ impl Hierarchy {
         merged.dirty.then_some(merged)
     }
 
-    /// Inserts into a core's L2; a dirty L2 victim is written back into the
-    /// LLC (which must contain it, by inclusion).
+    /// Inserts into a core's L2, adding the core to the line's LLC sharers;
+    /// a dirty L2 victim is written back into the LLC (which must contain
+    /// it, by inclusion).
     fn fill_l2(&mut self, core: usize, line: Line) {
+        self.llc.add_sharer(line, core);
         // Callers only reach here after `line` missed this L2, so there is
         // no residency check to repeat.
         if let Some(v) = self.l2[core].insert(line, false, false) {
@@ -202,13 +221,7 @@ impl Hierarchy {
     }
 
     /// Inserts into a core's L1; a dirty L1 victim is written back into L2.
-    fn fill_l1(
-        &mut self,
-        core: usize,
-        line: Line,
-        write: bool,
-        persistent: bool,
-    ) -> Option<Evicted> {
+    fn fill_l1(&mut self, core: usize, line: Line, write: bool, persistent: bool) {
         // Callers only reach here after `line` missed this L1, so there is
         // no residency check to repeat.
         if let Some(v) = self.l1[core].insert(line, write, write && persistent) {
@@ -216,14 +229,16 @@ impl Hierarchy {
                 self.l2[core].mark_dirty(v.line, v.persistent);
             }
         }
-        None
     }
 
+    /// Write steal: removes `line` from every other sharer's private caches,
+    /// merging their dirty state into the LLC, and narrows the sharer mask
+    /// to `owner`.
     fn invalidate_private_except(&mut self, owner: usize, line: Line) {
-        for c in 0..self.l1.len() {
-            if c == owner {
-                continue;
-            }
+        let own = 1u16 << owner;
+        let sharers = self.llc.replace_sharers(line, own);
+        debug_assert!(self.sharers_cover(line, sharers), "stale sharer mask");
+        for c in cores_in(sharers & !own) {
             if let Some((d, p)) = self.l1[c].remove(line) {
                 if d {
                     self.llc.mark_dirty(line, p);
@@ -255,12 +270,13 @@ impl Hierarchy {
     /// Marks `line` clean in every level (its data just became durable).
     /// Returns `true` if any copy was dirty.
     pub fn clean_line(&mut self, line: Line) -> bool {
-        let mut was = false;
-        for c in 0..self.l1.len() {
+        let mut was = self.llc.clean(line);
+        let sharers = self.llc.sharers(line);
+        debug_assert!(self.sharers_cover(line, sharers), "stale sharer mask");
+        for c in cores_in(sharers) {
             was |= self.l1[c].clean(line);
             was |= self.l2[c].clean(line);
         }
-        was |= self.llc.clean(line);
         was
     }
 
@@ -269,7 +285,9 @@ impl Hierarchy {
     pub fn flush_line(&mut self, line: Line) -> FlushResult {
         let mut dirty = false;
         let mut persistent = false;
-        for c in 0..self.l1.len() {
+        let sharers = self.llc.sharers(line);
+        debug_assert!(self.sharers_cover(line, sharers), "stale sharer mask");
+        for c in cores_in(sharers) {
             if let Some((d, p)) = self.l1[c].remove(line) {
                 dirty |= d;
                 persistent |= p;
@@ -289,11 +307,10 @@ impl Hierarchy {
         }
     }
 
-    /// Returns `true` if `line` is resident anywhere in the hierarchy.
+    /// Returns `true` if `line` is resident anywhere in the hierarchy (by
+    /// inclusion, exactly when the LLC holds it).
     pub fn contains(&self, line: Line) -> bool {
         self.llc.contains(line)
-            || self.l1.iter().any(|c| c.contains(line))
-            || self.l2.iter().any(|c| c.contains(line))
     }
 
     /// Removes and returns every dirty line in the hierarchy (merging
@@ -336,6 +353,14 @@ impl Hierarchy {
         self.llc.clear();
     }
 
+    /// Whether `sharers` names every core whose private caches hold `line`
+    /// (the invariant that lets the probes skip the other cores).
+    fn sharers_cover(&self, line: Line, sharers: u16) -> bool {
+        (0..self.l1.len()).all(|c| {
+            sharers & (1 << c) != 0 || !(self.l1[c].contains(line) || self.l2[c].contains(line))
+        })
+    }
+
     /// Access statistics.
     pub fn stats(&self) -> &HierStats {
         &self.stats
@@ -345,6 +370,17 @@ impl Hierarchy {
     pub fn reset_stats(&mut self) {
         self.stats = HierStats::default();
     }
+}
+
+/// The cores named in `mask`, lowest first.
+fn cores_in(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let c = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            c
+        })
+    })
 }
 
 #[cfg(test)]
@@ -427,6 +463,35 @@ mod tests {
     }
 
     #[test]
+    fn back_invalidation_reaches_every_sharer() {
+        let mut h = small();
+        // Every core reads line 0, then core 5 dirties its L1 copy with a
+        // write hit, which leaves the other cores' copies in place.
+        for c in 0..16 {
+            h.access(CoreId(c), Line(0), false, false);
+        }
+        assert_eq!(h.access(CoreId(5), Line(0), true, true).latency, 4);
+        // Overflow LLC set 0 from core 1: line 0 is its LRU line.
+        let evicted: Vec<Evicted> = (1..=16)
+            .filter_map(|i| h.access(CoreId(1), Line(64 * i), false, false).evicted)
+            .collect();
+        assert_eq!(
+            evicted,
+            [Evicted {
+                line: Line(0),
+                dirty: true,
+                persistent: true
+            }],
+            "the eviction must merge core 5's private dirty copy"
+        );
+        for c in 0..16 {
+            let r = h.access(CoreId(c), Line(0), false, false);
+            assert!(r.llc_miss, "core {c} kept a copy of an evicted line");
+            h.flush_line(Line(0));
+        }
+    }
+
+    #[test]
     fn inclusion_back_invalidates_private_copies() {
         let mut h = small();
         // Fill an LLC set from core 0 while keeping the lines hot in L1.
@@ -452,6 +517,16 @@ mod tests {
         assert_eq!(h.stats().accesses.get(), 2);
         assert_eq!(h.stats().llc_misses.get(), 1);
         assert!((h.stats().llc_miss_ratio() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "sharer mask")]
+    fn more_cores_than_the_sharer_mask_panics() {
+        let cfg = SimConfig {
+            cores: 17,
+            ..SimConfig::small_for_tests()
+        };
+        let _ = Hierarchy::new(&cfg);
     }
 
     #[test]

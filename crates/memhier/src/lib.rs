@@ -6,6 +6,9 @@
 //! are cached, dirty, and marked with HOOP's per-line **persistent bit**
 //! (§III-G), and it reports dirty LLC evictions so the persistence engine
 //! can decide where evicted data goes (home region, log, or OOP region).
+//! Each LLC line also carries a sharer mask, a superset of the cores whose
+//! private caches hold it, so inclusion's back-invalidations, write steals,
+//! cleans and flushes probe only those cores (hence at most 16 cores).
 //! Functional data lives in the system's volatile memory image, not in the
 //! cache model.
 //!
