@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the simulator's hot paths — the host-side cost of
-//! the controller data structures (slice codec, mapping table, skip list,
-//! eviction buffer, Zipfian generator) plus the per-access substrate every
-//! engine shares (persistent store reads/writes, cache-hierarchy access).
+//! the controller data structures (slice codec and its CRC, mapping table,
+//! skip list, eviction buffer, Zipfian generator) plus the per-access
+//! substrate every engine shares (persistent store reads/writes,
+//! cache-hierarchy access).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use engines::skiplist::SkipList;
@@ -60,14 +61,36 @@ fn mapping_table(c: &mut Criterion) {
 fn skiplist(c: &mut Criterion) {
     let mut list = SkipList::new();
     for i in 0..100_000u64 {
-        list.insert(i * 7919 % 1_000_003, i);
+        list.insert(i * 7919 % 1_000_003);
     }
-    c.bench_function("skiplist_get_100k", |b| {
+    // Uncapped walks over 100k distinct keys: the memo almost never holds
+    // the key, so this is the walk plus a memo fill.
+    c.bench_function("skiplist_visits_100k", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 13) % 100_000;
-            black_box(list.get(i * 7919 % 1_000_003, u64::MAX))
+            black_box(list.visits(i * 7919 % 1_000_003, u64::MAX))
         })
+    });
+    // The same walks over 256 keys, all memoized up front on an unchanged
+    // list: every query is a memo hit.
+    for i in 0..256u64 {
+        list.visits(i * 7919 % 1_000_003, u64::MAX);
+    }
+    c.bench_function("skiplist_visits_100k_memo_hit", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 13) % 256;
+            black_box(list.visits(i * 7919 % 1_000_003, u64::MAX))
+        })
+    });
+}
+
+fn crc(c: &mut Criterion) {
+    // Every slice seal and verify hashes the first 112 bytes of a slice.
+    let buf: Vec<u8> = (0..112u32).map(|i| (i * 37 + 11) as u8).collect();
+    c.bench_function("crc32c_112", |b| {
+        b.iter(|| simcore::crc::crc32c(black_box(&buf)))
     });
 }
 
@@ -174,6 +197,7 @@ criterion_group!(
     targets = slice_codec,
     mapping_table,
     skiplist,
+    crc,
     eviction_buffer,
     zipfian,
     persistent_store,

@@ -35,7 +35,7 @@ pub const LSM_INDEX_VISIT: Cycle = 3;
 /// Most index visits charged for one read translation: the expected
 /// height of a DRAM-cached index, whose upper levels stay hot in the CPU
 /// caches. The LSM engine's walk stops once it reaches this many visits
-/// (`SkipList::get`), so deeper walks cost no host time either.
+/// (`SkipList::visits`), so deeper walks cost no host time either.
 pub const LSM_INDEX_VISIT_CAP: u64 = 16;
 
 /// Software bookkeeping LSNVMM performs per logged store (allocation,

@@ -6,6 +6,11 @@
 //! newest log location. Writes are cheap appends, but *every read* pays a
 //! software address translation that walks the index (§II-B), and a
 //! background GC migrates log data to home locations to bound log growth.
+//!
+//! The model keeps the index as a key set of home lines: what a read is
+//! charged depends only on which lines the index holds (the walk length),
+//! and a miss only asks whether its line is in the log. Where in the log a
+//! line's newest record sits is never read by any simulated path.
 
 use simcore::det::DetHashMap;
 
@@ -58,7 +63,7 @@ pub struct LsmEngine {
     committed_len: usize,
     /// Committed transactions currently represented in `log`.
     committed_txs_in_log: u64,
-    /// Volatile DRAM index: home line -> newest log sequence number.
+    /// Volatile DRAM index: the home lines with a record in the log.
     index: SkipList,
     /// Volatile: newest committed value per word address.
     newest: DetHashMap<u64, u64>,
@@ -233,8 +238,9 @@ impl PersistenceEngine for LsmEngine {
         // Software address translation on every read (§II-B): walk the real
         // skip list and charge per node visited, up to the expected height
         // of a DRAM-cached index (upper levels stay hot in the CPU caches).
-        let (_, visits) = self.index.get(addr.line().0, costs::LSM_INDEX_VISIT_CAP);
-        visits * costs::LSM_INDEX_VISIT
+        // The list's visit memo answers repeat translations of a line whose
+        // walk no insert or GC has changed since.
+        self.index.visits(addr.line().0, costs::LSM_INDEX_VISIT_CAP) * costs::LSM_INDEX_VISIT
     }
 
     fn on_llc_miss(&mut self, _core: CoreId, line: Line, now: Cycle) -> MissFill {
@@ -317,21 +323,20 @@ impl PersistenceEngine for LsmEngine {
                 self.base.san.data_persisted(tx, Line(*l), done);
             }
         }
-        let mut batch: Vec<(u64, u64)> = Vec::with_capacity(per_line.len());
+        let mut batch: Vec<u64> = Vec::with_capacity(per_line.len());
         for (l, ws) in per_line {
             clean_lines.push(Line(l));
             if self.base.crash.event(PersistEvent::Payload, None) {
-                batch.push((l, self.log.len() as u64));
+                batch.push(l);
                 self.log.push(LogRecord {
                     line: Line(l),
                     words: ws,
                 });
             }
         }
-        // One sorted sweep instead of per-line index walks (the log-seq
-        // values above were assigned in the frozen per-line order, so the
-        // resulting index is unchanged).
-        batch.sort_unstable_by_key(|&(l, _)| l);
+        // One sorted sweep instead of per-line index walks; lines already
+        // in the index cost one membership test.
+        batch.sort_unstable();
         self.index.insert_sorted_batch(&batch);
         // The same burst ends with the transaction marker — the durable
         // commit point (strictly after every payload record of the burst).
@@ -504,6 +509,27 @@ mod tests {
         assert!(
             full_cost > empty_cost + 3 * costs::LSM_INDEX_VISIT,
             "{empty_cost} -> {full_cost}"
+        );
+    }
+
+    #[test]
+    fn crash_invalidates_memoized_translations() {
+        let mut e = engine();
+        for i in 0..64u64 {
+            let tx = e.tx_begin(CoreId(0), 0);
+            e.on_store(CoreId(0), tx, PAddr(i * 64), &1u64.to_le_bytes(), 0);
+            e.tx_end(CoreId(0), tx, 0);
+        }
+        let cap = costs::LSM_INDEX_VISIT_CAP;
+        let warm = e.on_load(CoreId(0), PAddr(40 * 64), 8, 0);
+        assert!(e.index.memoized(40, cap));
+        assert_eq!(e.on_load(CoreId(0), PAddr(40 * 64), 8, 0), warm);
+        e.crash();
+        assert!(!e.index.memoized(40, cap));
+        // The rebuilt (empty) index charges a single visit.
+        assert_eq!(
+            e.on_load(CoreId(0), PAddr(40 * 64), 8, 0),
+            costs::LSM_INDEX_VISIT
         );
     }
 

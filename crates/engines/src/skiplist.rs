@@ -1,10 +1,13 @@
-//! A deterministic skip list.
+//! A deterministic skip list, used as a key set.
 //!
 //! LSNVMM keeps its address-mapping index in a tree searched in `O(log N)`
 //! memory accesses per read (§II-B); the paper's authors implement it as a
 //! skip list, and so do we. Searches report the number of node visits so the
 //! LSM engine can charge a *mechanistic* lookup cost — deeper index, slower
 //! reads — instead of a constant.
+//!
+//! The LSM engine only ever asks which lines the index holds and how long
+//! the walk to a line is, so the list stores keys and no values.
 //!
 //! Node heights are derived from a hash of the key, so a given key set
 //! always produces the same structure (determinism requirement, DESIGN.md
@@ -20,25 +23,62 @@ use simcore::LineMap;
 const MAX_LEVEL: usize = 24;
 const NIL: u32 = u32::MAX;
 
+/// log2 of the visit memo's slot count: 4096 slots of 24 bytes, 96 KiB.
+const MEMO_BITS: u32 = 12;
+
 #[derive(Clone, Debug)]
 struct Node {
     key: u64,
-    value: u64,
     next: [u32; MAX_LEVEL],
     height: u8,
 }
 
-/// A deterministic skip list mapping `u64` keys to `u64` values.
+/// One memoized walk: the walk to `key` made `visits` visits and stopped
+/// at level `stop`, cut short by its cap iff `capped`, when level `stop`'s
+/// change counter read `stamp`.
+#[derive(Clone, Copy, Debug)]
+struct MemoEntry {
+    key: u64,
+    stamp: u64,
+    visits: u32,
+    stop: u8,
+    capped: bool,
+}
+
+/// Change counters start at 1, so this entry never validates.
+const MEMO_EMPTY: MemoEntry = MemoEntry {
+    key: 0,
+    stamp: 0,
+    visits: 0,
+    stop: 0,
+    capped: false,
+};
+
+/// A deterministic skip list holding a set of `u64` keys.
 ///
 /// Alongside the list itself, a hash index maps every key to its node. The
-/// *list* models the hardware the LSM engine charges for — [`get`]
-/// (`SkipList::get`) always performs the real walk, up to the visit cap the
-/// caller charges, and reports its visit count. The index only
-/// short-circuits what is never charged: value updates of existing keys
-/// ([`insert`](SkipList::insert)), pure membership tests
-/// ([`contains`](SkipList::contains)) and the value `get` returns. None of
-/// them changes the list structure a later `get` walks, so charged visit
-/// counts are unaffected.
+/// *list* models the hardware the LSM engine charges for:
+/// [`visits`](SkipList::visits) reports the visit count of the real walk,
+/// up to the cap the caller charges. The index only short-circuits what is
+/// never charged: re-inserts of present keys and pure membership tests
+/// ([`contains`](SkipList::contains)). Neither changes the list structure a
+/// walk reads.
+///
+/// # The visit memo
+///
+/// `visits` remembers recent walks in a direct-mapped memo keyed by the
+/// searched key, and answers from it while the walk provably cannot have
+/// changed. Every level has a change counter; linking or unlinking a node of
+/// height `h` bumps levels `0..h`, and [`clear`](SkipList::clear) bumps all
+/// of them. A walk that stopped at level `L` read only links on levels
+/// `≥ L` plus `self.level`. Only nodes taller than `L` sit on those levels,
+/// and linking or unlinking such a node bumps level `L` too (a node of
+/// height `h` is on every level below `h`); so does raising `self.level`,
+/// whose new node is taller than every level a walk starts from. So the
+/// walk is unchanged exactly while level `L`'s counter is, and an entry is
+/// valid while the counter still reads its stamp. Inserting a node no
+/// taller than `L` (most of them: heights are geometric) keeps the entry.
+/// On every memo hit, debug builds check the entry against a fresh walk.
 #[derive(Clone, Debug)]
 pub struct SkipList {
     head: [u32; MAX_LEVEL],
@@ -47,6 +87,9 @@ pub struct SkipList {
     by_key: LineMap<u32>,
     len: usize,
     level: usize,
+    /// Per-level change counters (see "The visit memo").
+    changes: [u64; MAX_LEVEL],
+    memo: Vec<MemoEntry>,
 }
 
 impl Default for SkipList {
@@ -64,6 +107,11 @@ fn height_for(key: u64) -> usize {
     ((h.trailing_ones() as usize) + 1).min(MAX_LEVEL)
 }
 
+#[inline]
+fn memo_slot(key: u64) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_BITS)) as usize
+}
+
 impl SkipList {
     /// Creates an empty skip list.
     pub fn new() -> Self {
@@ -74,6 +122,8 @@ impl SkipList {
             by_key: LineMap::with_capacity(64, NIL),
             len: 0,
             level: 1,
+            changes: [1; MAX_LEVEL],
+            memo: vec![MEMO_EMPTY; 1 << MEMO_BITS],
         }
     }
 
@@ -130,16 +180,13 @@ impl SkipList {
         }
     }
 
-    /// Looks up `key`, returning its value and the number of node visits the
-    /// search needed, counted up to `cap`.
+    /// The search walk toward `key`, stopped as soon as it has made `cap`
+    /// visits: returns (visits, the level it stopped on).
     ///
     /// The walk is [`find`]'s, minus the predecessor bookkeeping only
-    /// mutation needs, and it stops as soon as it has made `cap` visits.
-    /// Visits only grow along a walk, so the count returned is exactly the
-    /// full walk's count clamped to `cap`. The value comes from the key
-    /// index, since a capped walk may stop before reaching the node.
-    pub fn get(&self, key: u64, cap: u64) -> (Option<u64>, u64) {
-        let value = self.by_key.get(key).map(|&idx| self.node(idx).value);
+    /// mutation needs. Visits only grow along a walk, so the count is
+    /// exactly the full walk's count clamped to `cap`.
+    fn walk(&self, key: u64, cap: u64) -> (u64, usize) {
         let mut visits = 0u64;
         let mut cur = NIL;
         for lvl in (0..self.level).rev() {
@@ -151,53 +198,95 @@ impl SkipList {
             while next != NIL && self.node(next).key < key {
                 visits += 1;
                 if visits >= cap {
-                    return (value, cap);
+                    return (cap, lvl);
                 }
                 cur = next;
                 next = self.node(cur).next[lvl];
             }
             visits += 1;
             if visits >= cap {
-                return (value, cap);
+                return (cap, lvl);
             }
         }
-        (value, visits)
+        (visits, 0)
     }
 
-    /// Inserts or updates `key`, returning the previous value if any.
-    pub fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
-        debug_assert_ne!(key, u64::MAX, "u64::MAX is reserved");
-        // Updates of existing keys don't change the list structure, so the
-        // predecessor walk is skipped entirely.
-        if let Some(&existing) = self.by_key.get(key) {
-            let old = self.nodes[existing as usize].value;
-            self.nodes[existing as usize].value = value;
-            return Some(old);
+    /// The memo's answer for a `cap`-capped walk to `key`, if it has one.
+    #[inline]
+    fn memo_lookup(&self, key: u64, cap: u64) -> Option<u64> {
+        let e = &self.memo[memo_slot(key)];
+        let visits = u64::from(e.visits);
+        // A capped entry knows the walk only up to its own cap.
+        (e.key == key
+            && self.changes[usize::from(e.stop)] == e.stamp
+            && (!e.capped || cap <= visits))
+            .then(|| visits.min(cap))
+    }
+
+    /// The number of node visits a search for `key` makes, counted up to
+    /// `cap`: exactly the full walk's count clamped to `cap`.
+    ///
+    /// Answered from the visit memo while the walk cannot have changed
+    /// (see the type's documentation); otherwise walks and memoizes.
+    pub fn visits(&mut self, key: u64, cap: u64) -> u64 {
+        if let Some(visits) = self.memo_lookup(key, cap) {
+            debug_assert!(self.memo_entry_is_exact(key), "stale visit memo");
+            return visits;
         }
-        let mut preds = [NIL; MAX_LEVEL];
-        let (existing, _) = self.find(key, &mut preds);
-        debug_assert_eq!(existing, NIL, "key index out of sync");
+        let (visits, stop) = self.walk(key, cap);
+        if let Ok(v) = u32::try_from(visits) {
+            self.memo[memo_slot(key)] = MemoEntry {
+                key,
+                stamp: self.changes[stop],
+                visits: v,
+                stop: stop as u8,
+                capped: visits >= cap,
+            };
+        }
+        visits
+    }
+
+    /// Debug oracle: the memo entry in `key`'s slot is what a fresh walk
+    /// with the entry's own cap reports now. This implies every answer the
+    /// entry gives, whatever the query's cap.
+    fn memo_entry_is_exact(&self, key: u64) -> bool {
+        let e = &self.memo[memo_slot(key)];
+        let cap = if e.capped {
+            u64::from(e.visits)
+        } else {
+            u64::MAX
+        };
+        self.walk(key, cap) == (u64::from(e.visits), usize::from(e.stop))
+    }
+
+    /// Marks levels `0..height` changed, invalidating every memoized walk
+    /// that read one of them.
+    #[inline]
+    fn bump(&mut self, height: usize) {
+        for c in &mut self.changes[..height] {
+            *c += 1;
+        }
+    }
+
+    /// Links a new node for `key` after `preds` (the predecessor on each
+    /// level, NIL for the head) and returns its index.
+    fn link(&mut self, key: u64, preds: &[u32; MAX_LEVEL]) -> u32 {
         let height = height_for(key);
         if height > self.level {
             self.level = height;
         }
+        let node = Node {
+            key,
+            next: [NIL; MAX_LEVEL],
+            height: height as u8,
+        };
         let idx = match self.free.pop() {
             Some(i) => {
-                self.nodes[i as usize] = Node {
-                    key,
-                    value,
-                    next: [NIL; MAX_LEVEL],
-                    height: height as u8,
-                };
+                self.nodes[i as usize] = node;
                 i
             }
             None => {
-                self.nodes.push(Node {
-                    key,
-                    value,
-                    next: [NIL; MAX_LEVEL],
-                    height: height as u8,
-                });
+                self.nodes.push(node);
                 (self.nodes.len() - 1) as u32
             }
         };
@@ -211,13 +300,29 @@ impl SkipList {
                 self.nodes[pred as usize].next[lvl] = idx;
             }
         }
+        self.bump(height);
         self.by_key.insert(key, idx);
         self.len += 1;
-        None
+        idx
     }
 
-    /// Inserts a batch of `(key, value)` pairs sorted by strictly ascending
-    /// key, in one left-to-right sweep.
+    /// Inserts `key`; returns whether it was absent.
+    pub fn insert(&mut self, key: u64) -> bool {
+        debug_assert_ne!(key, u64::MAX, "u64::MAX is reserved");
+        // Re-inserts don't change the list structure, so the predecessor
+        // walk is skipped entirely.
+        if self.by_key.contains(key) {
+            return false;
+        }
+        let mut preds = [NIL; MAX_LEVEL];
+        let (existing, _) = self.find(key, &mut preds);
+        debug_assert_eq!(existing, NIL, "key index out of sync");
+        self.link(key, &preds);
+        true
+    }
+
+    /// Inserts a batch of keys sorted strictly ascending, in one
+    /// left-to-right sweep.
     ///
     /// Instead of restarting every predecessor walk from the head (B full
     /// `O(log N)` walks for a B-key batch), the walk keeps a finger: each
@@ -226,21 +331,20 @@ impl SkipList {
     /// are sorted and clustered, so this collapses most of the per-insert
     /// walk. The resulting list structure is identical to sequential
     /// [`insert`](SkipList::insert) calls (node heights depend only on the
-    /// key), and updates of existing keys short-circuit through the key
-    /// index exactly the same way.
+    /// key), and keys already present short-circuit through the key index
+    /// exactly the same way.
     ///
     /// # Panics
     ///
     /// Debug builds assert that keys are strictly ascending.
-    pub fn insert_sorted_batch(&mut self, batch: &[(u64, u64)]) {
+    pub fn insert_sorted_batch(&mut self, batch: &[u64]) {
         let mut preds = [NIL; MAX_LEVEL];
         let mut last_key = None;
-        for &(key, value) in batch {
+        for &key in batch {
             debug_assert_ne!(key, u64::MAX, "u64::MAX is reserved");
             debug_assert!(last_key.is_none_or(|k| k < key), "batch must ascend");
             last_key = Some(key);
-            if let Some(&existing) = self.by_key.get(key) {
-                self.nodes[existing as usize].value = value;
+            if self.by_key.contains(key) {
                 continue;
             }
             // Finger search: refine from the top level down. Each level
@@ -273,57 +377,22 @@ impl SkipList {
                 preds[lvl] = cur;
                 carry = cur;
             }
-            let height = height_for(key);
-            if height > self.level {
-                self.level = height;
-            }
-            let idx = match self.free.pop() {
-                Some(i) => {
-                    self.nodes[i as usize] = Node {
-                        key,
-                        value,
-                        next: [NIL; MAX_LEVEL],
-                        height: height as u8,
-                    };
-                    i
-                }
-                None => {
-                    self.nodes.push(Node {
-                        key,
-                        value,
-                        next: [NIL; MAX_LEVEL],
-                        height: height as u8,
-                    });
-                    (self.nodes.len() - 1) as u32
-                }
-            };
-            for (lvl, pred_slot) in preds.iter_mut().enumerate().take(height) {
-                let pred = *pred_slot;
-                if pred == NIL {
-                    self.nodes[idx as usize].next[lvl] = self.head[lvl];
-                    self.head[lvl] = idx;
-                } else {
-                    let succ = self.node(pred).next[lvl];
-                    self.nodes[idx as usize].next[lvl] = succ;
-                    self.nodes[pred as usize].next[lvl] = idx;
-                }
-                // The new node is the rightmost key < any later batch key:
-                // advance the frontier onto it.
-                *pred_slot = idx;
-            }
-            self.by_key.insert(key, idx);
-            self.len += 1;
+            let idx = self.link(key, &preds);
+            // The new node is the rightmost key < any later batch key:
+            // advance the frontier onto it.
+            let height = self.node(idx).height as usize;
+            preds[..height].fill(idx);
         }
     }
 
-    /// Removes `key`, returning its value if present.
-    pub fn remove(&mut self, key: u64) -> Option<u64> {
-        self.by_key.remove(key)?;
+    /// Removes `key`; returns whether it was present.
+    pub fn remove(&mut self, key: u64) -> bool {
+        if self.by_key.remove(key).is_none() {
+            return false;
+        }
         let mut preds = [NIL; MAX_LEVEL];
         let (node, _) = self.find(key, &mut preds);
-        if node == NIL {
-            return None;
-        }
+        debug_assert_ne!(node, NIL, "key index out of sync");
         let height = self.node(node).height as usize;
         for (lvl, &pred) in preds.iter().enumerate().take(height) {
             let succ = self.node(node).next[lvl];
@@ -335,9 +404,10 @@ impl SkipList {
                 self.nodes[pred as usize].next[lvl] = succ;
             }
         }
+        self.bump(height);
         self.len -= 1;
         self.free.push(node);
-        Some(self.node(node).value)
+        true
     }
 
     /// Removes every entry.
@@ -348,10 +418,11 @@ impl SkipList {
         self.by_key.clear();
         self.len = 0;
         self.level = 1;
+        self.bump(MAX_LEVEL);
     }
 
-    /// Iterates entries in key order (for recovery verification).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    /// Iterates keys in order (for recovery verification).
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         let mut cur = self.head[0];
         std::iter::from_fn(move || {
             if cur == NIL {
@@ -359,24 +430,32 @@ impl SkipList {
             } else {
                 let n = self.node(cur);
                 cur = n.next[0];
-                Some((n.key, n.value))
+                Some(n.key)
             }
         })
+    }
+
+    /// Whether a `cap`-capped walk to `key` would be answered by the memo.
+    #[cfg(test)]
+    pub(crate) fn memoized(&self, key: u64, cap: u64) -> bool {
+        self.memo_lookup(key, cap).is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
-    fn insert_get_remove() {
+    fn insert_contains_remove() {
         let mut s = SkipList::new();
-        assert_eq!(s.insert(5, 50), None);
-        assert_eq!(s.insert(5, 55), Some(50));
-        assert_eq!(s.get(5, u64::MAX).0, Some(55));
-        assert_eq!(s.remove(5), Some(55));
-        assert_eq!(s.get(5, u64::MAX).0, None);
+        assert!(s.insert(5));
+        assert!(!s.insert(5));
+        assert!(s.contains(5));
+        assert!(s.remove(5));
+        assert!(!s.remove(5));
+        assert!(!s.contains(5));
         assert!(s.is_empty());
     }
 
@@ -384,9 +463,9 @@ mod tests {
     fn ordered_iteration() {
         let mut s = SkipList::new();
         for k in [9u64, 1, 7, 3, 5] {
-            s.insert(k, k * 10);
+            s.insert(k);
         }
-        let keys: Vec<u64> = s.iter().map(|(k, _)| k).collect();
+        let keys: Vec<u64> = s.iter().collect();
         assert_eq!(keys, vec![1, 3, 5, 7, 9]);
     }
 
@@ -395,17 +474,17 @@ mod tests {
         let mut small = SkipList::new();
         let mut big = SkipList::new();
         for k in 0..16u64 {
-            small.insert(k * 7919, k);
+            small.insert(k * 7919);
         }
         for k in 0..4096u64 {
-            big.insert(k * 7919, k);
+            big.insert(k * 7919);
         }
-        let avg = |s: &SkipList, n: u64| -> f64 {
-            let total: u64 = (0..n).map(|k| s.get(k * 7919, u64::MAX).1).sum();
+        let avg = |s: &mut SkipList, n: u64| -> f64 {
+            let total: u64 = (0..n).map(|k| s.visits(k * 7919, u64::MAX)).sum();
             total as f64 / n as f64
         };
-        let a_small = avg(&small, 16);
-        let a_big = avg(&big, 4096);
+        let a_small = avg(&mut small, 16);
+        let a_big = avg(&mut big, 4096);
         assert!(
             a_big > a_small * 1.5,
             "expected larger index to cost more: {a_small} vs {a_big}"
@@ -416,64 +495,138 @@ mod tests {
     #[test]
     fn get_visits_match_find_visits() {
         // A capped walk must count exactly the full walk's visits clamped
-        // to the cap, and still return the value; u64::MAX is uncapped.
+        // to the cap, memoized or not; u64::MAX is uncapped. Every probe is
+        // asked twice per cap, so the second answer comes from the memo.
         let mut preds = [NIL; MAX_LEVEL];
         for size in [0u64, 1, 512, 4096] {
             let mut s = SkipList::new();
             for k in 0..size {
-                s.insert(k * 31 + 5, k);
+                s.insert(k * 31 + 5);
             }
             // Present keys, the gaps between them, and both ends.
             let probes = (0..size * 31 + 40).step_by(7).chain([u64::MAX - 1]);
             for probe in probes {
                 let (node, full) = s.find(probe, &mut preds);
-                let want = (node != NIL).then(|| (probe - 5) / 31);
+                assert_eq!(node != NIL, s.contains(probe), "size {size} probe {probe}");
                 for cap in (1..=40).chain([u64::MAX]) {
-                    let (value, visits) = s.get(probe, cap);
-                    assert_eq!(visits, full.min(cap), "size {size} probe {probe} cap {cap}");
-                    assert_eq!(value, want, "size {size} probe {probe} cap {cap}");
+                    let want = full.min(cap);
+                    assert_eq!(s.walk(probe, cap).0, want, "size {size} probe {probe}");
+                    for _ in 0..2 {
+                        assert_eq!(s.visits(probe, cap), want, "size {size} probe {probe}");
+                    }
+                    assert!(
+                        s.memoized(probe, cap),
+                        "size {size} probe {probe} cap {cap}"
+                    );
                 }
             }
         }
     }
 
-    #[test]
-    fn contains_tracks_membership() {
+    /// Keys whose node height is exactly `h`, in ascending order.
+    fn keys_of_height(h: usize) -> impl Iterator<Item = u64> {
+        (0u64..).filter(move |&k| height_for(k) == h)
+    }
+
+    /// A list of 4096 keys (multiples of 8) and a probe whose capped walk
+    /// stops at level 2 or above, with that level.
+    fn list_with_high_stop() -> (SkipList, u64, u64, usize) {
         let mut s = SkipList::new();
-        assert!(!s.contains(7));
-        s.insert(7, 1);
-        assert!(s.contains(7));
-        s.insert(7, 2); // update, not re-link
-        assert!(s.contains(7));
-        s.remove(7);
-        assert!(!s.contains(7));
-        s.insert(7, 3);
+        for k in 0..4096u64 {
+            s.insert(k * 8);
+        }
+        let cap = 3;
+        let (probe, stop) = (0..4096u64)
+            .map(|k| k * 8 + 4)
+            .map(|p| (p, s.walk(p, cap).1))
+            .find(|&(_, stop)| stop >= 2)
+            .expect("some walk stops high");
+        (s, probe, cap, stop)
+    }
+
+    #[test]
+    fn short_insert_below_the_stop_level_keeps_the_entry() {
+        let (mut s, probe, cap, stop) = list_with_high_stop();
+        let before = s.visits(probe, cap);
+        assert!(s.memoized(probe, cap));
+        // Odd keys are new; height 1 links on level 0 only, below `stop`.
+        let short = keys_of_height(1)
+            .find(|k| k % 2 == 1 && *k < 4096 * 8)
+            .expect("short key");
+        assert!(s.insert(short));
+        assert!(
+            s.memoized(probe, cap),
+            "short insert invalidated a level-{stop} walk"
+        );
+        assert_eq!(s.visits(probe, cap), before);
+        assert_eq!(s.walk(probe, cap).0, before);
+    }
+
+    #[test]
+    fn tall_insert_invalidates_the_entry() {
+        let (mut s, probe, cap, stop) = list_with_high_stop();
+        s.visits(probe, cap);
+        assert!(s.memoized(probe, cap));
+        let tall = keys_of_height(stop + 1)
+            .find(|k| k % 2 == 1)
+            .expect("tall key");
+        assert!(s.insert(tall));
+        assert!(
+            !s.memoized(probe, cap),
+            "a level-{stop} node must invalidate"
+        );
+        assert_eq!(s.visits(probe, cap), s.walk(probe, cap).0);
+        // Removing it invalidates again.
+        assert!(s.memoized(probe, cap));
+        assert!(s.remove(tall));
+        assert!(!s.memoized(probe, cap));
+    }
+
+    #[test]
+    fn clear_invalidates_every_entry() {
+        let (mut s, probe, cap, _) = list_with_high_stop();
+        s.visits(probe, cap);
+        s.visits(probe + 8, u64::MAX);
         s.clear();
-        assert!(!s.contains(7));
+        assert!(!s.memoized(probe, cap));
+        assert!(!s.memoized(probe + 8, u64::MAX));
+        assert_eq!(s.visits(probe, cap), 1);
+    }
+
+    #[test]
+    fn capped_entry_answers_only_smaller_caps() {
+        let (mut s, probe, cap, _) = list_with_high_stop();
+        assert_eq!(s.visits(probe, cap), cap);
+        assert!(s.memoized(probe, 1));
+        assert!(!s.memoized(probe, cap + 1));
+        let full = s.visits(probe, u64::MAX);
+        assert!(full > cap);
+        // An uncapped entry answers every cap.
+        assert!(s.memoized(probe, 1) && s.memoized(probe, full + 7));
     }
 
     #[test]
     fn dense_reuse_after_remove() {
         let mut s = SkipList::new();
         for k in 0..100u64 {
-            s.insert(k, k);
+            s.insert(k);
         }
         for k in 0..100u64 {
             s.remove(k);
         }
         let nodes_before = s.nodes.len();
         for k in 100..200u64 {
-            s.insert(k, k);
+            s.insert(k);
         }
         assert_eq!(s.nodes.len(), nodes_before, "free list must be reused");
         assert_eq!(s.len(), 100);
     }
 
     #[test]
-    fn agrees_with_btreemap() {
-        use std::collections::BTreeMap;
+    fn agrees_with_btreeset() {
+        use std::collections::BTreeSet;
         let mut s = SkipList::new();
-        let mut m = BTreeMap::new();
+        let mut m = BTreeSet::new();
         let mut x = 12345u64;
         for _ in 0..2000 {
             x = x
@@ -481,19 +634,72 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let k = (x >> 33) % 512;
             match (x >> 1) % 3 {
-                0 => {
-                    assert_eq!(s.insert(k, x), m.insert(k, x));
-                }
-                1 => {
-                    assert_eq!(s.remove(k), m.remove(&k));
-                }
-                _ => {
-                    assert_eq!(s.get(k, u64::MAX).0, m.get(&k).copied());
-                }
+                0 => assert_eq!(s.insert(k), m.insert(k)),
+                1 => assert_eq!(s.remove(k), m.remove(&k)),
+                _ => assert_eq!(s.contains(k), m.contains(&k)),
             }
         }
-        let got: Vec<_> = s.iter().collect();
-        let want: Vec<_> = m.into_iter().collect();
-        assert_eq!(got, want);
+        assert!(s.iter().eq(m.into_iter()));
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Insert(u64),
+        Batch(Vec<u64>),
+        Remove(u64),
+        Clear,
+        Visits(u64, u64),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let key = || 0u64..600;
+        let cap = prop_oneof![9 => 1u64..=40, 1 => Just(u64::MAX)];
+        prop_oneof![
+            6 => key().prop_map(Op::Insert),
+            2 => prop::collection::vec(key(), 0..12).prop_map(Op::Batch),
+            3 => key().prop_map(Op::Remove),
+            1 => Just(Op::Clear),
+            // Half the queries revisit 16 hot keys, as a B-tree's node
+            // lines are, so memo entries live across many updates.
+            20 => (prop_oneof![(0u64..16).prop_map(|i| i * 37), key()], cap)
+                .prop_map(|(k, c)| Op::Visits(k, c)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Memoized visit counts equal a fresh walk's under any mix of
+        /// inserts, sorted batches, removes and clears, and membership and
+        /// order agree with a `BTreeSet`.
+        #[test]
+        fn memoized_visits_match_fresh_walks(ops in prop::collection::vec(op_strategy(), 1..400)) {
+            let mut s = SkipList::new();
+            let mut m = std::collections::BTreeSet::new();
+            for op in &ops {
+                match op {
+                    Op::Insert(k) => prop_assert_eq!(s.insert(*k), m.insert(*k)),
+                    Op::Batch(keys) => {
+                        let mut keys = keys.clone();
+                        keys.sort_unstable();
+                        keys.dedup();
+                        s.insert_sorted_batch(&keys);
+                        m.extend(keys);
+                    }
+                    Op::Remove(k) => prop_assert_eq!(s.remove(*k), m.remove(k)),
+                    Op::Clear => {
+                        s.clear();
+                        m.clear();
+                    }
+                    Op::Visits(k, cap) => {
+                        let fresh = s.walk(*k, *cap).0;
+                        prop_assert_eq!(s.visits(*k, *cap), fresh, "key {} cap {}", k, cap);
+                        prop_assert_eq!(s.contains(*k), m.contains(k));
+                    }
+                }
+                prop_assert_eq!(s.len(), m.len());
+            }
+            prop_assert!(s.iter().eq(m.iter().copied()));
+        }
     }
 }
