@@ -6,7 +6,7 @@
 //! `results/bench_host_quick.json` (`--quick`).
 //!
 //! ```text
-//! bench_host [--quick|--full] [--engine NAME]... [--out PATH] [--check [PATH]] [--shards N]
+//! bench_host [--quick|--full] [--engine NAME]... [--out PATH] [--check [PATH]]
 //! ```
 //!
 //! `--engine` limits the run to the named engines (repeatable,
@@ -27,7 +27,6 @@ struct Args {
     engines: Vec<String>,
     out: Option<PathBuf>,
     check: Option<Option<PathBuf>>,
-    shards: u8,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -36,7 +35,6 @@ fn parse_args() -> Result<Args, String> {
         engines: Vec::new(),
         out: None,
         check: None,
-        shards: 4,
     };
     let mut it = std::env::args().skip(1).peekable();
     while let Some(a) = it.next() {
@@ -62,14 +60,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.check = Some(path);
             }
-            "--shards" => {
-                let n = it.next().ok_or("--shards needs a positive integer")?;
-                args.shards = n
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or("--shards needs a positive integer")?;
-            }
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -82,7 +72,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("bench_host: {e}");
             eprintln!(
-                "usage: bench_host [--quick|--full] [--engine NAME]... [--out PATH] [--check [PATH]] [--shards N]"
+                "usage: bench_host [--quick|--full] [--engine NAME]... [--out PATH] [--check [PATH]]"
             );
             return ExitCode::from(2);
         }
@@ -108,7 +98,7 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    let run = hostbench::run(args.scale, &args.engines, args.shards);
+    let run = hostbench::run(args.scale, &args.engines);
     if run.engines.is_empty() {
         eprintln!("bench_host: no engine matched {:?}", args.engines);
         return ExitCode::from(2);

@@ -17,9 +17,7 @@ use workloads::driver::ENGINES;
 
 fn main() {
     let opts = RunnerOptions::from_args();
-    let mut sim = SimConfig::default();
-    opts.apply_to_sim(&mut sim);
-    let plan = ExperimentPlan::matrix("fig9", sim, opts.scale);
+    let plan = ExperimentPlan::matrix("fig9", SimConfig::default(), opts.scale);
     let cells = plan.run_and_export_opts(&opts);
     let reports: Vec<_> = cells.into_iter().map(|c| c.report).collect();
 

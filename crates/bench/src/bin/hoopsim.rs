@@ -1,8 +1,8 @@
 //! `hoopsim` — command-line front end for the HOOP simulator.
 //!
 //! ```text
-//! hoopsim run      --engine HOOP --workload ycsb --txs 20000 [--item-bytes 1024] [--sanitize] [--shards N]
-//! hoopsim compare  --workload hashmap [--txs 10000] [--shards N]
+//! hoopsim run      --engine HOOP --workload ycsb --txs 20000 [--item-bytes 1024] [--sanitize]
+//! hoopsim compare  --workload hashmap [--txs 10000]
 //! hoopsim recover  [--threads 8] [--bandwidth 25]
 //! hoopsim trace    --workload vector --txs 200 --out trace.txt
 //! hoopsim replay   --engine LAD --in trace.txt
@@ -77,17 +77,6 @@ fn spec_from(opts: &DetHashMap<String, String>) -> WorkloadSpec {
     spec
 }
 
-/// Machine configuration for a CLI run: the default Table II machine with
-/// the `--shards N` host knob applied (byte-identical output for any N).
-fn cfg_from(opts: &DetHashMap<String, String>) -> SimConfig {
-    let mut cfg = SimConfig::default();
-    if let Some(v) = opts.get("shards") {
-        cfg.shards = v.parse().expect("--shards takes a positive integer");
-        assert!(cfg.shards > 0, "--shards takes a positive integer");
-    }
-    cfg
-}
-
 fn u64_opt(opts: &DetHashMap<String, String>, key: &str, default: u64) -> u64 {
     opts.get(key)
         .map(|v| {
@@ -137,7 +126,7 @@ fn main() {
             let spec = spec_from(&opts);
             let txs = u64_opt(&opts, "txs", 10_000);
             let sanitize = opts.contains_key("sanitize");
-            let cfg = cfg_from(&opts);
+            let cfg = SimConfig::default();
             let (r, summary) = run_one_sanitized(engine, spec, txs, sanitize, &cfg);
             println!("{}", r.summary());
             println!(
@@ -160,7 +149,7 @@ fn main() {
         "compare" => {
             let spec = spec_from(&opts);
             let txs = u64_opt(&opts, "txs", 10_000);
-            let cfg = cfg_from(&opts);
+            let cfg = SimConfig::default();
             for engine in ENGINES {
                 println!("{}", run_one(engine, spec, txs, &cfg).summary());
             }

@@ -15,13 +15,12 @@
 //!   patrol scrub, retire + remap) with zero declared data loss.
 //!
 //! Output: `results/media.json` (schema-versioned) and
-//! `results/media.csv`. The document is shard-invariant — `--shards 1/2/4`
-//! produce byte-identical JSON (CI proves it by `cmp`) because the fault
-//! schedule is a pure `(seed, line, wear)` hash and all mutable media state
-//! is confined to serial phases.
+//! `results/media.csv`. The document is a pure function of the seed:
+//! the fault schedule is a `(seed, line, wear)` hash and all mutable media
+//! state is confined to serial phases.
 //!
 //! ```text
-//! media [--quick|--full] [--seed N] [--shards N]
+//! media [--quick|--full] [--seed N]
 //! ```
 
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX};
@@ -62,9 +61,10 @@ fn main() {
         .find(|w| w[0] == "--seed")
         .map_or(0, |w| w[1].parse().expect("--seed takes a number"));
     let scale = opts.scale;
-    let mut sim = SimConfig::default();
-    opts.apply_to_sim(&mut sim);
-    sim.media = stress_config(seed, scale);
+    let sim = SimConfig {
+        media: stress_config(seed, scale),
+        ..SimConfig::default()
+    };
 
     let wcfg = MATRIX[2]; // hashmap-64B: the paper's canonical fine-grained updater
     let spec = spec_for(wcfg, scale);

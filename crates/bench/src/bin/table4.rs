@@ -64,9 +64,8 @@ fn reduction_replayed(
 }
 
 fn main() {
-    let mut sim = SimConfig::default();
+    let sim = SimConfig::default();
     let opts = RunnerOptions::from_args();
-    opts.apply_to_sim(&mut sim);
     let scale = opts.scale;
     let configs = TABLE4_CONFIGS;
     let counts = table4_counts(scale);

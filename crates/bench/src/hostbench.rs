@@ -86,29 +86,6 @@ pub struct HostBenchRun {
     /// Live-vs-replay timing of the benchmark cell (absent in synthetic
     /// documents; the `--check` gate ignores it).
     pub driver_overhead: Option<DriverOverhead>,
-    /// Serial-vs-sharded timing of the benchmark cell (absent in synthetic
-    /// documents; the `--check` gate ignores it).
-    pub shard_speedup: Option<ShardSpeedup>,
-}
-
-/// Host timing of the benchmark cell serial vs intra-cell sharded
-/// (`--shards N`). The sharded run computes the byte-identical function on
-/// N host threads, so the ratio is pure host-execution speedup.
-#[derive(Clone, Debug)]
-pub struct ShardSpeedup {
-    /// Shard count of the sharded run.
-    pub shards: u8,
-    /// Wall-clock seconds of the serial (1-shard) HOOP run.
-    pub serial_seconds: f64,
-    /// Wall-clock seconds of the N-shard HOOP run.
-    pub sharded_seconds: f64,
-}
-
-impl ShardSpeedup {
-    /// `serial / sharded` (above 1 = sharding is faster on this host).
-    pub fn speedup(&self) -> f64 {
-        self.serial_seconds / self.sharded_seconds.max(f64::MIN_POSITIVE)
-    }
 }
 
 /// Times a fixed arithmetic spin (SplitMix64 chain) to normalize host
@@ -131,21 +108,7 @@ pub fn calibrate() -> f64 {
 /// runners' quick window: a cell over in 60 ms is inside host scheduler
 /// noise, and the regression gate needs the measurement to dominate it.
 pub fn time_engine(engine: &'static str, cfg: WorkloadConfig, scale: Scale) -> EngineTiming {
-    time_engine_sharded(engine, cfg, scale, 1)
-}
-
-/// Like [`time_engine`], running the cell with `shards` intra-cell host
-/// shards (the simulated result is byte-identical; only host time moves).
-pub fn time_engine_sharded(
-    engine: &'static str,
-    cfg: WorkloadConfig,
-    scale: Scale,
-    shards: u8,
-) -> EngineTiming {
-    let sim = SimConfig {
-        shards: shards.max(1),
-        ..Default::default()
-    };
+    let sim = SimConfig::default();
     let measured = match scale {
         Scale::Quick => 4 * scale.measured(),
         Scale::Full => scale.measured(),
@@ -227,38 +190,15 @@ pub fn measure_driver_overhead(scale: Scale) -> DriverOverhead {
     }
 }
 
-/// Times the benchmark cell on HOOP serial vs `shards`-way sharded (the
-/// `shard_speedup` row of the document). At quick scale each variant runs
-/// three times and keeps the minimum, like the per-engine timings.
-pub fn measure_shard_speedup(scale: Scale, shards: u8) -> ShardSpeedup {
-    let cfg = MATRIX[BENCH_CELL];
-    let repeats = match scale {
-        Scale::Quick => 3,
-        Scale::Full => 1,
-    };
-    let time_min = |n: u8| {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            best = best.min(time_engine_sharded("HOOP", cfg, scale, n).host_seconds);
-        }
-        best
-    };
-    ShardSpeedup {
-        shards: shards.max(1),
-        serial_seconds: time_min(1),
-        sharded_seconds: time_min(shards.max(1)),
-    }
-}
-
 /// Runs the full harness: calibration spin, then the benchmark cell for
 /// every engine in `filter` (all of `ENGINES` when empty), then the
-/// driver-overhead and `shards`-way shard-speedup measurements.
+/// driver-overhead measurement.
 ///
 /// Quick-scale cells finish in tens of milliseconds, where scheduler noise
 /// alone can exceed the regression threshold — so at quick scale each engine
 /// runs three times and the fastest repetition is kept (the minimum is the
 /// standard noise-robust estimator for "how fast can this code go").
-pub fn run(scale: Scale, filter: &[String], shards: u8) -> HostBenchRun {
+pub fn run(scale: Scale, filter: &[String]) -> HostBenchRun {
     let cfg = MATRIX[BENCH_CELL];
     let repeats = match scale {
         Scale::Quick => 3,
@@ -290,21 +230,12 @@ pub fn run(scale: Scale, filter: &[String], shards: u8) -> HostBenchRun {
         driver_overhead.replay_seconds,
         driver_overhead.reduction() * 100.0
     );
-    let shard_speedup = measure_shard_speedup(scale, shards);
-    eprintln!(
-        "shard_speedup shards={} serial={:.3}s sharded={:.3}s speedup=x{:.2}",
-        shard_speedup.shards,
-        shard_speedup.serial_seconds,
-        shard_speedup.sharded_seconds,
-        shard_speedup.speedup()
-    );
     HostBenchRun {
         scale,
         workload: cfg.label,
         calibration_seconds,
         engines,
         driver_overhead: Some(driver_overhead),
-        shard_speedup: Some(shard_speedup),
     }
 }
 
@@ -364,17 +295,6 @@ impl HostBenchRun {
                     ("live_seconds", Json::Num(d.live_seconds)),
                     ("replay_seconds", Json::Num(d.replay_seconds)),
                     ("reduction", Json::Num(d.reduction())),
-                ]),
-            ));
-        }
-        if let Some(s) = &self.shard_speedup {
-            fields.push((
-                "shard_speedup",
-                Json::obj([
-                    ("shards", Json::UInt(u64::from(s.shards))),
-                    ("serial_seconds", Json::Num(s.serial_seconds)),
-                    ("sharded_seconds", Json::Num(s.sharded_seconds)),
-                    ("speedup", Json::Num(s.speedup())),
                 ]),
             ));
         }
@@ -510,7 +430,6 @@ mod tests {
                 })
                 .collect(),
             driver_overhead: None,
-            shard_speedup: None,
         }
     }
 
@@ -524,21 +443,18 @@ mod tests {
     }
 
     #[test]
-    fn shard_speedup_is_serial_over_sharded() {
-        let s = ShardSpeedup {
-            shards: 4,
-            serial_seconds: 2.0,
-            sharded_seconds: 0.5,
+    fn check_ignores_rows_it_does_not_gate() {
+        // Committed baselines may carry rows from older harness versions;
+        // the gate reads only `schema_version` and `engines[].calibrated`.
+        let Json::Obj(mut fields) = fake_run(&[("HOOP", 1.0)]).to_json() else {
+            panic!("document is an object");
         };
-        assert!((s.speedup() - 4.0).abs() < 1e-12);
-        let mut run = fake_run(&[("HOOP", 1.0)]);
-        run.shard_speedup = Some(s);
-        let doc = run.to_json();
-        let row = doc.get("shard_speedup").expect("row present");
-        assert_eq!(row.get("shards").and_then(Json::as_f64), Some(4.0));
-        assert_eq!(row.get("speedup").and_then(Json::as_f64), Some(4.0));
-        // The extra row must not disturb the regression gate.
-        let baseline = fake_run(&[("HOOP", 1.0)]).to_json();
+        fields.push((
+            "retired_row".into(),
+            Json::obj([("speedup", Json::Num(4.0))]),
+        ));
+        let baseline = Json::Obj(fields);
+        let run = fake_run(&[("HOOP", 1.0)]);
         assert!(!check_against(&run, &baseline).expect("comparable").failed());
     }
 

@@ -82,18 +82,13 @@ pub struct RunnerOptions {
     /// Per-core transactions to record (record mode only). `None` sizes the
     /// depth automatically; see [`plan_depth`].
     pub depth: Option<u32>,
-    /// Intra-cell host shards (`--shards N`, default 1): each cell's bulk
-    /// phases run on this many host threads (see `simcore::shard`). A pure
-    /// host knob — results are byte-identical for every value.
-    pub shards: u8,
 }
 
 impl RunnerOptions {
     /// Parses `--quick` / `--full` / `--jobs N` (or `--jobs=N`) /
     /// `--sanitize` / `--endurance` / `--record DIR` / `--replay DIR` /
-    /// `--depth N` / `--shards N` from argv. Defaults: full scale, all
-    /// available cores, sanitizer and endurance tracking off, live mode,
-    /// 1 shard.
+    /// `--depth N` from argv. Defaults: full scale, all available cores,
+    /// sanitizer and endurance tracking off, live mode.
     pub fn from_args() -> RunnerOptions {
         let args: Vec<String> = std::env::args().collect();
         RunnerOptions {
@@ -104,7 +99,6 @@ impl RunnerOptions {
             mode: parse_mode(&args),
             depth: parse_value(&args, "--depth")
                 .map(|v| v.parse().expect("--depth needs a positive integer")),
-            shards: parse_shards(&args),
         }
     }
 
@@ -117,24 +111,8 @@ impl RunnerOptions {
             endurance: false,
             mode: RunMode::Live,
             depth: None,
-            shards: 1,
         }
     }
-
-    /// Applies the intra-cell shard count to a machine configuration (the
-    /// figure binaries call this on the `SimConfig` they hand to the plan).
-    pub fn apply_to_sim(&self, sim: &mut SimConfig) {
-        sim.shards = self.shards.max(1);
-    }
-}
-
-/// Parses `--shards N` / `--shards=N` (default 1).
-fn parse_shards(args: &[String]) -> u8 {
-    parse_value(args, "--shards").map_or(1, |v| {
-        let n: u8 = v.parse().expect("--shards needs a positive integer");
-        assert!(n > 0, "--shards needs a positive integer");
-        n
-    })
 }
 
 /// Extracts the value of `--flag VALUE` or `--flag=VALUE` from argv.

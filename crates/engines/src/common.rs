@@ -41,10 +41,6 @@ pub struct ControllerBase {
     /// event stands for; a tripped valve closes the store, so the mutation
     /// is dropped and the byte image freezes at the injected crash point.
     pub crash: CrashValve,
-    /// Host-execution shards for this cell's bulk phases (`cfg.shards`,
-    /// ≥ 1). A pure host knob: engines that shard their scans must produce
-    /// byte-identical output for every value (see `simcore::shard`).
-    pub shards: usize,
     /// Media-fault model (detached by default — a single branch per read,
     /// like the crash valve). Attached models classify every demand and
     /// recovery read against the wear-coupled error schedule.
@@ -59,9 +55,7 @@ pub struct ControllerBase {
 impl ControllerBase {
     /// Creates the base from the machine configuration.
     pub fn new(cfg: &SimConfig) -> Self {
-        let shards = (cfg.shards as usize).max(1);
         let mut device = NvmDevice::new(cfg.nvm, cfg.energy);
-        device.set_bank_groups(shards);
         let media = MediaModel::new(cfg.media);
         if media.is_attached() {
             // The error schedule scales with per-line wear, so enabling
@@ -79,7 +73,6 @@ impl ControllerBase {
             stats: EngineStats::default(),
             san: SanitizerHandle::none(),
             crash: CrashValve::detached(),
-            shards,
             media,
             scrub_period,
             next_scrub: scrub_period,

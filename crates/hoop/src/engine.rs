@@ -158,27 +158,20 @@ impl HoopEngine {
     /// (slot, txid) pairs — the durable commit points currently on media
     /// (inspection/fault-injection helper).
     pub fn commit_tail_slots(&self) -> Vec<(u32, u32)> {
-        let store = &self.base.store;
         let region = &self.region;
-        let ranges = simcore::shard::chunk_ranges(region.block_count(), self.base.shards);
-        let parts = simcore::shard::run_sharded(self.base.shards, |s| {
-            let mut out = Vec::new();
-            for b in ranges[s].clone() {
-                let block = region.block(b);
-                for local in 0..block.allocated() {
-                    let slot = b as u32 * region.slices_per_block() + local;
-                    let mut raw = [0u8; SLICE_BYTES as usize];
-                    store.read_bytes(region.slot_addr(slot), &mut raw);
-                    if let Some(d) = DataSlice::decode(&raw) {
-                        if d.commit {
-                            out.push((slot, d.tx));
-                        }
+        let mut out = Vec::new();
+        for b in 0..region.block_count() {
+            for local in 0..region.block(b).allocated() {
+                let slot = b as u32 * region.slices_per_block() + local;
+                let raw = crate::gc::read_slice_raw(&self.base.store, region, slot);
+                if let Some(d) = DataSlice::decode(&raw) {
+                    if d.commit {
+                        out.push((slot, d.tx));
                     }
                 }
             }
-            out
-        });
-        parts.into_iter().flatten().collect()
+        }
+        out
     }
 
     /// Fault injection: tears the persist of slice `slot`, keeping only the

@@ -103,115 +103,42 @@ pub(crate) struct CommitScan {
     pub scanned_slices: u64,
 }
 
-/// One commit-record sighting from the raw region scan, in (block, slot)
-/// order. The sharded scan collects these per block range and the ordered
-/// fold applies the cross-shard dedup — so the deduplicated record sequence
-/// is byte-for-byte the serial one.
-enum ScanItem {
-    /// A decoded address slice at `slot` carrying commit records.
-    Addr { slot: u32, recs: Vec<CommitRecord> },
-    /// A data slice at `slot` with the commit-tail bit set.
-    Tail { rec: CommitRecord },
-}
-
-/// Scans the blocks `range` of the region in (block, slot) order, returning
-/// every sighting plus the number of slices inspected. Pure reads — shards
-/// run this concurrently over disjoint block ranges.
-fn scan_block_range(
-    store: &PersistentStore,
-    region: &OopRegion,
-    range: std::ops::Range<usize>,
-) -> (Vec<ScanItem>, u64) {
-    let mut items = Vec::new();
-    let mut scanned = 0u64;
-    for b in range {
-        let block = region.block(b);
-        for local in 0..block.allocated() {
+/// Scans the region for committed transactions: address-slice records plus
+/// commit-tail data slices (the durable commit points). Blocks and slots are
+/// visited in (block, slot) order and each `(tx, last_slot)` record is kept
+/// at its first sighting, so a transaction whose commit tail and address
+/// record are both on media appears exactly once.
+pub(crate) fn scan_commit_records(store: &PersistentStore, region: &OopRegion) -> CommitScan {
+    let mut scan = CommitScan::default();
+    let mut seen: DetHashSet<(u32, u32)> = DetHashSet::default();
+    for b in 0..region.block_count() {
+        for local in 0..region.block(b).allocated() {
             let slot = b as u32 * region.slices_per_block() + local;
             let raw = read_slice_raw(store, region, slot);
-            scanned += 1;
+            scan.scanned_slices += 1;
             let flag = crate::slice::flag_of(&raw);
             if flag == SliceFlag::Addr as u8 {
                 if let Some(s) = AddrSlice::decode(&raw) {
-                    items.push(ScanItem::Addr {
-                        slot,
-                        recs: s.entries,
-                    });
-                }
-            } else if flag & 0x03 == SliceFlag::Data as u8 && flag & COMMIT_TAIL_BIT != 0 {
-                if let Some(d) = DataSlice::decode(&raw) {
-                    items.push(ScanItem::Tail {
-                        rec: CommitRecord {
-                            last_slot: slot,
-                            tx: d.tx,
-                        },
-                    });
-                }
-            }
-        }
-    }
-    (items, scanned)
-}
-
-/// Scans the region for committed transactions: address-slice records plus
-/// commit-tail data slices (the durable commit points). The block scan runs
-/// on `shards` host threads over disjoint block ranges; the per-shard
-/// sightings are folded in ascending shard order and the dedup runs inside
-/// the fold, so the result is byte-identical to the serial (`shards == 1`)
-/// scan for every shard count.
-pub(crate) fn scan_commit_records_sharded(
-    store: &PersistentStore,
-    region: &OopRegion,
-    shards: usize,
-) -> CommitScan {
-    let ranges = simcore::shard::chunk_ranges(region.block_count(), shards);
-    let parts = simcore::shard::run_sharded(shards, |s| {
-        scan_block_range(store, region, ranges[s].clone())
-    });
-    let mut scan = CommitScan::default();
-    let mut seen: simcore::det::DetHashSet<(u32, u32)> = simcore::det::DetHashSet::default();
-    for (items, scanned) in parts {
-        scan.scanned_slices += scanned;
-        for item in items {
-            match item {
-                ScanItem::Addr { slot, recs } => {
                     scan.addr_slots.push(slot);
-                    for rec in recs {
+                    for rec in s.entries {
                         if seen.insert((rec.tx, rec.last_slot)) {
                             scan.records.push(rec);
                         }
                     }
                 }
-                ScanItem::Tail { rec } => {
-                    if seen.insert((rec.tx, rec.last_slot)) {
-                        scan.records.push(rec);
+            } else if flag & 0x03 == SliceFlag::Data as u8 && flag & COMMIT_TAIL_BIT != 0 {
+                if let Some(d) = DataSlice::decode(&raw) {
+                    if seen.insert((d.tx, slot)) {
+                        scan.records.push(CommitRecord {
+                            last_slot: slot,
+                            tx: d.tx,
+                        });
                     }
                 }
             }
         }
     }
     scan
-}
-
-/// Walks the chains of `records[range]` (read-only), returning each chain
-/// in record order. Shards run this concurrently over disjoint record
-/// ranges; concatenated in shard order the chains line up with `records`.
-pub(crate) fn walk_chain_ranges(
-    store: &PersistentStore,
-    region: &OopRegion,
-    records: &[CommitRecord],
-    shards: usize,
-    media: &MediaModel,
-    endurance: Option<&EnduranceMap>,
-) -> Vec<Vec<DataSlice>> {
-    let ranges = simcore::shard::chunk_ranges(records.len(), shards);
-    let parts = simcore::shard::run_sharded(shards, |s| {
-        records[ranges[s].clone()]
-            .iter()
-            .map(|rec| walk_chain(store, region, rec.last_slot, rec.tx, media, endurance))
-            .collect::<Vec<_>>()
-    });
-    parts.into_iter().flatten().collect()
 }
 
 impl HoopEngine {
@@ -227,8 +154,7 @@ impl HoopEngine {
     /// across `window` cycles (background mode; §III-E "HOOP performs GC in
     /// background").
     pub fn run_gc_spread(&mut self, now: Cycle, window: Cycle) -> Cycle {
-        let shards = self.base.shards;
-        let scan = scan_commit_records_sharded(&self.base.store, &self.region, shards);
+        let scan = scan_commit_records(&self.base.store, &self.region);
         let mut records = scan.records;
         if records.is_empty() {
             self.reclaim_clean_blocks(now);
@@ -238,22 +164,18 @@ impl HoopEngine {
         // coalescing keeps only the latest version (Algorithm 1, line 7).
         records.sort_by_key(|r| std::cmp::Reverse(r.tx));
 
-        // Chain walks are pure reads; shard them across host threads and
-        // fold the per-record chains serially in record order below, so the
-        // coalescing and sanitizer-event orders stay byte-identical.
-        let chains = walk_chain_ranges(
-            &self.base.store,
-            &self.region,
-            &records,
-            shards,
-            &self.base.media,
-            self.base.device.endurance(),
-        );
-
         let mut coalesced: DetHashMap<u64, u64> = DetHashMap::default();
         let mut scanned_slices = 0u64;
         let mut touches = 0u64;
-        for (rec, chain) in records.iter().zip(&chains) {
+        for rec in &records {
+            let chain = walk_chain(
+                &self.base.store,
+                &self.region,
+                rec.last_slot,
+                rec.tx,
+                &self.base.media,
+                self.base.device.endurance(),
+            );
             scanned_slices += chain.len() as u64;
             let mut tx_lines: DetHashSet<u64> = DetHashSet::default();
             for slice in chain {
@@ -428,6 +350,27 @@ mod tests {
             e.on_store(CoreId(0), tx, PAddr(*addr), &val.to_le_bytes(), now);
         }
         e.tx_end(CoreId(0), tx, now + 10);
+    }
+
+    #[test]
+    fn commit_scan_reports_each_transaction_once_at_its_first_sighting() {
+        let mut e = engine();
+        commit_tx(&mut e, &[(0, 1)], 0);
+        commit_tx(&mut e, &[(64, 2)], 100);
+        // Layout: tx 1's commit tail at slot 0, the address slice indexing
+        // both transactions at slot 1, tx 2's commit tail at slot 2.
+        let tails = e.commit_tail_slots();
+        assert_eq!(tails.iter().map(|t| t.0).collect::<Vec<_>>(), [0, 2]);
+        let scan = scan_commit_records(&e.base.store, &e.region);
+        assert_eq!(scan.addr_slots, [1]);
+        assert_eq!(scan.scanned_slices, 3);
+        // tx 1 is first seen by its tail, tx 2 by the address slice; each
+        // comes back exactly once, in (block, slot) order of first sighting.
+        let records: Vec<CommitRecord> = tails
+            .iter()
+            .map(|&(last_slot, tx)| CommitRecord { last_slot, tx })
+            .collect();
+        assert_eq!(scan.records, records);
     }
 
     #[test]

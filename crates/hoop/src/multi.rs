@@ -252,58 +252,35 @@ impl MultiHoopEngine {
     }
 
     /// Scans every controller: (committed txids, per-controller prepared
-    /// records, record-slice slots for tombstoning). The per-controller
-    /// scans are pure reads and shard across host threads (one chunk of
-    /// controllers per shard); the fold below replays each controller's
-    /// committed-txid insertions in controller order, so the resulting
-    /// `DetHashSet` is built by exactly the serial insertion sequence.
+    /// records, record-slice slots for tombstoning, slices scanned), in
+    /// controller order.
     #[allow(clippy::type_complexity)]
     fn scan_all(&self) -> (DetHashSet<u32>, Vec<Vec<CommitRecord>>, Vec<Vec<u32>>, u64) {
-        let store = &self.base.store;
-        let ctrls = &self.ctrls;
-        let ranges = simcore::shard::chunk_ranges(ctrls.len(), self.base.shards);
-        let parts = simcore::shard::run_sharded(self.base.shards, |s| {
-            let mut out = Vec::new();
-            for ci in ranges[s].clone() {
-                let ctrl = &ctrls[ci];
-                let mut committed_txs: Vec<u32> = Vec::new();
-                let mut prepared_ci: Vec<CommitRecord> = Vec::new();
-                let mut slots_ci: Vec<u32> = Vec::new();
-                let mut scanned_ci = 0u64;
-                for b in 0..ctrl.region.block_count() {
-                    let block = ctrl.region.block(b);
-                    for local in 0..block.allocated() {
-                        let slot = b as u32 * ctrl.region.slices_per_block() + local;
-                        let raw = read_slice_raw(store, &ctrl.region, slot);
-                        scanned_ci += 1;
-                        if let Some(s) = AddrSlice::decode_with_flag(&raw, SliceFlag::Addr) {
-                            slots_ci.push(slot);
-                            for rec in s.entries {
-                                committed_txs.push(rec.tx);
-                            }
-                        } else if let Some(s) =
-                            AddrSlice::decode_with_flag(&raw, SliceFlag::Prepare)
-                        {
-                            slots_ci.push(slot);
-                            prepared_ci.extend(s.entries);
+        let mut committed = DetHashSet::default();
+        let mut prepared: Vec<Vec<CommitRecord>> = Vec::with_capacity(self.ctrls.len());
+        let mut record_slots: Vec<Vec<u32>> = Vec::with_capacity(self.ctrls.len());
+        let mut scanned = 0u64;
+        for ctrl in &self.ctrls {
+            let mut prepared_ci: Vec<CommitRecord> = Vec::new();
+            let mut slots_ci: Vec<u32> = Vec::new();
+            for b in 0..ctrl.region.block_count() {
+                for local in 0..ctrl.region.block(b).allocated() {
+                    let slot = b as u32 * ctrl.region.slices_per_block() + local;
+                    let raw = read_slice_raw(&self.base.store, &ctrl.region, slot);
+                    scanned += 1;
+                    if let Some(s) = AddrSlice::decode_with_flag(&raw, SliceFlag::Addr) {
+                        slots_ci.push(slot);
+                        for rec in s.entries {
+                            committed.insert(rec.tx);
                         }
+                    } else if let Some(s) = AddrSlice::decode_with_flag(&raw, SliceFlag::Prepare) {
+                        slots_ci.push(slot);
+                        prepared_ci.extend(s.entries);
                     }
                 }
-                out.push((committed_txs, prepared_ci, slots_ci, scanned_ci));
-            }
-            out
-        });
-        let mut committed = DetHashSet::default();
-        let mut prepared: Vec<Vec<CommitRecord>> = Vec::with_capacity(ctrls.len());
-        let mut record_slots: Vec<Vec<u32>> = Vec::with_capacity(ctrls.len());
-        let mut scanned = 0u64;
-        for (committed_txs, prepared_ci, slots_ci, scanned_ci) in parts.into_iter().flatten() {
-            for tx in committed_txs {
-                committed.insert(tx);
             }
             prepared.push(prepared_ci);
             record_slots.push(slots_ci);
-            scanned += scanned_ci;
         }
         (committed, prepared, record_slots, scanned)
     }
@@ -318,50 +295,27 @@ impl MultiHoopEngine {
     /// (the multi-controller GC / drain path).
     pub fn migrate_committed_home(&mut self) {
         let (committed, prepared, record_slots, scanned) = self.scan_all();
-        // Build the chain worklist in the serial order (controller index,
-        // then newest commit first), shard the pure-read walks, and fold the
-        // newest-wins coalescing serially in worklist order — byte-identical
-        // to walking each chain inline.
-        let mut work: Vec<(usize, CommitRecord)> = Vec::new();
+        // Walk each controller's committed chains newest commit first and
+        // keep the newest committed value of every word.
+        let mut coalesced: DetHashMap<u64, (u32, u64)> = DetHashMap::default();
         for (ci, records) in prepared.iter().enumerate() {
             let mut recs = records.clone();
             recs.sort_by_key(|r| std::cmp::Reverse(r.tx));
-            for rec in recs {
-                if committed.contains(&rec.tx) {
-                    work.push((ci, rec));
-                }
-            }
-        }
-        let store = &self.base.store;
-        let ctrls = &self.ctrls;
-        let media = &self.base.media;
-        let endurance = self.base.device.endurance();
-        let ranges = simcore::shard::chunk_ranges(work.len(), self.base.shards);
-        let chains: Vec<Vec<DataSlice>> = simcore::shard::run_sharded(self.base.shards, |s| {
-            work[ranges[s].clone()]
-                .iter()
-                .map(|(ci, rec)| {
-                    walk_chain(
-                        store,
-                        &ctrls[*ci].region,
-                        rec.last_slot,
-                        rec.tx,
-                        media,
-                        endurance,
-                    )
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        let mut coalesced: DetHashMap<u64, (u32, u64)> = DetHashMap::default();
-        for ((_, rec), chain) in work.iter().zip(&chains) {
-            for slice in chain {
-                for w in &slice.words {
-                    let e = coalesced.entry(w.home.0).or_insert((rec.tx, w.value));
-                    if rec.tx > e.0 {
-                        *e = (rec.tx, w.value);
+            for rec in recs.iter().filter(|r| committed.contains(&r.tx)) {
+                let chain = walk_chain(
+                    &self.base.store,
+                    &self.ctrls[ci].region,
+                    rec.last_slot,
+                    rec.tx,
+                    &self.base.media,
+                    self.base.device.endurance(),
+                );
+                for slice in chain {
+                    for w in &slice.words {
+                        let e = coalesced.entry(w.home.0).or_insert((rec.tx, w.value));
+                        if rec.tx > e.0 {
+                            *e = (rec.tx, w.value);
+                        }
                     }
                 }
             }

@@ -22,7 +22,7 @@ use simcore::addr::{Line, CACHE_LINE_BYTES, WORD_BYTES};
 use simcore::crashpoint::PersistEvent;
 
 use crate::engine::HoopEngine;
-use crate::gc::{scan_commit_records_sharded, walk_chain};
+use crate::gc::{scan_commit_records, walk_chain};
 use crate::slice::{CommitRecord, SLICE_BYTES};
 
 /// Per-thread scan result: newest `(tx, value)` seen per home word, plus
@@ -68,9 +68,7 @@ impl HoopEngine {
     /// the controller structures and the region.
     pub fn run_recovery(&mut self, threads: usize) -> RecoveryReport {
         let threads = threads.max(1);
-        // The raw region scan shards like GC's (byte-identical fold); the
-        // chain replay below keeps its own `threads`-way round-robin split.
-        let scan = scan_commit_records_sharded(&self.base.store, &self.region, self.base.shards);
+        let scan = scan_commit_records(&self.base.store, &self.region);
         let mut records: Vec<CommitRecord> = scan.records;
         // Sort in commit order so round-robin distribution balances load the
         // way §III-F describes.

@@ -1,8 +1,7 @@
 //! Token-aware static analyzer for the HOOP reproduction (`lintpass`).
 //!
-//! This crate replaces the regex line-scanner that used to live in
-//! `pmcheck::lint` with a real lexer ([`lexer`]) and a flow-sensitive
-//! analysis stack: [`parse`] recovers per-function bodies from the lossless
+//! The workspace's determinism and persist-order lint: a real lexer
+//! ([`lexer`]) and a flow-sensitive analysis stack: [`parse`] recovers per-function bodies from the lossless
 //! token stream, [`cfg`] builds basic-block control-flow graphs (if/else,
 //! match arms, loops with break/continue, early return, `?`), [`dataflow`]
 //! runs a forward must/may/must-zero evidence analysis over them (the dual

@@ -36,10 +36,10 @@
 //! | rule | rejects |
 //! |------|---------|
 //! | `order-sensitive-iteration` | `.iter()`/`.keys()`/`.values()`/`.drain()` on a receiver declared `DetHashMap`/`DetHashSet` in the same file, unless annotated `lint:order-frozen` |
-//! | `shard-shared-mut` | `static mut`, `thread_local!`, or interior-mutability containers (`Rc<`, `RefCell<`, `Cell<`, `UnsafeCell<`, `Mutex<`, `RwLock<`) in simulation crates — shared mutable state that the bank-group sharding split (ROADMAP direction 1) cannot partition — unless annotated `lint:shard-serial` |
+//! | `shard-shared-mut` | `static mut`, `thread_local!`, or interior-mutability containers (`Rc<`, `RefCell<`, `Cell<`, `UnsafeCell<`, `Mutex<`, `RwLock<`) in simulation crates — `--jobs` runs cells concurrently on host threads, and shared mutable state would couple one cell's result to another's schedule — unless annotated `lint:shard-serial` |
 //! | `sim-state-float` | casting a float-tainted expression to an integer/`Cycle` type |
 //! | `lossy-cycle-cast` | `as` truncation of a cycle/clock-named counter to a sub-64-bit integer |
-//! | `det-taint` | an order-sensitive value (un-frozen det-container iteration, wall-clock, float shard-merge accumulation) flowing through assignments, returns, and the call graph into a simulated-state field; flows into host-only stats are permitted (see [`crate::taint`]) |
+//! | `det-taint` | an order-sensitive value (un-frozen det-container iteration, wall-clock, fold-order float accumulation) flowing through assignments, returns, and the call graph into a simulated-state field; flows into host-only stats are permitted (see [`crate::taint`]) |
 //!
 //! The flow model errs toward **silence**: the dual loop model downgrades
 //! loop-carried dominance to an advisory rather than an error, helper
@@ -57,8 +57,8 @@
 //! `order-sensitive-iteration` sites whose iteration order is part of the
 //! frozen determinism contract, and `// lint:shard-serial` is the
 //! analogous marker for `shard-shared-mut` sites whose mutations are
-//! confined to serial phases (or are commutative set-inserts) and thus
-//! invisible to the bank-group split.
+//! confined to serial phases (or are commutative set-inserts) and whose
+//! state no other cell shares.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -95,8 +95,8 @@ const ALLOW_PREFIX: &str = "lint:allow(";
 /// iteration order at this site is frozen by the determinism contract.
 const ORDER_FROZEN: &str = "lint:order-frozen";
 /// Dedicated escape for `shard-shared-mut`: documents that the container's
-/// mutations are confined to serial (non-sharded) phases or are commutative
-/// set-inserts, so the bank-group split cannot observe a difference.
+/// mutations are confined to serial phases or are commutative set-inserts
+/// on state owned by one cell, so concurrent cells cannot observe it.
 const SHARD_SERIAL: &str = "lint:shard-serial";
 
 /// Path scope of the persistency rules (`persist-order`,
@@ -641,9 +641,9 @@ fn rule_det_taint(ctx: &mut FileCtx<'_>, taint: &TaintIndex) {
     }
 }
 
-/// Shared-mutable-state audit ahead of the bank-group sharding split:
-/// `static mut`, `thread_local!`, and interior-mutability containers used
-/// as types are flagged inside simulation crates.
+/// Shared-mutable-state audit for concurrently running cells: `static mut`,
+/// `thread_local!`, and interior-mutability containers used as types are
+/// flagged inside simulation crates.
 fn rule_shard_shared_mut(ctx: &mut FileCtx<'_>) {
     let mut hits = Vec::new();
     for i in 0..ctx.sig.len() {
@@ -929,10 +929,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "shard-shared-mut: static mut, thread_local!, or an\n\
              interior-mutability container type (Rc<, RefCell<, Cell<,\n\
              UnsafeCell<, Mutex<, RwLock<) inside the simulation crates.\n\
-             ROADMAP direction 1 shards the controller by bank group;\n\
-             shared mutable state that is not owned by exactly one shard\n\
-             either races or serializes the split. Flag it now, decide\n\
-             ownership explicitly (annotate with a reason if it must stay)."
+             --jobs runs cells concurrently on host threads; shared\n\
+             mutable state that is not owned by exactly one cell couples\n\
+             one cell's result to another's schedule. Decide ownership\n\
+             explicitly (annotate with a reason if it must stay)."
         }
         "hook-coverage" => {
             "hook-coverage: a write_burst/burst_spread/write_home_line call\n\
@@ -953,7 +953,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              receiver not frozen by lint:order-frozen (fixed seed, but\n\
              insertion-history-dependent order), Instant::now()/SystemTime\n\
              (host time), and float accumulation under += inside a fn fold\n\
-             body (shard-merge reduction order). Taint propagates through\n\
+             body (merge reduction order). Taint propagates through\n\
              assignments, let/for bindings, returns, and the workspace\n\
              call graph (tainted-returns fixpoint). Sinks are writes whose\n\
              path ends in a simulated-state name (cycle/clock/energy/seed/\n\

@@ -12,7 +12,7 @@
 //!   is insertion-history-dependent;
 //! * wall-clock reads (`Instant::now()`, `SystemTime`) — host time;
 //! * `f64`/float accumulation under a compound `+=` inside a `fn fold`
-//!   body — shard-merge reduction order changes float sums.
+//!   body — the reduction order of a merge changes float sums.
 //!
 //! **Seeded sources** are the explicit non-sources: functions whose
 //! returns are pure `(seed, identity)` hashes (the media-fault schedule
@@ -64,9 +64,9 @@ const PERMITTED_CONTAINS: &[&str] = &["host", "bench", "wall", "report"];
 const FROZEN_MARKERS: &[&str] = &["lint:order-frozen", "lint:allow(order-sensitive-iteration)"];
 
 /// Identity-seeded value sources: their returns are pure functions of
-/// `(seed, identity)` inputs — the same schedule at any shard count or
-/// execution order — so the cross-function fixpoint never treats them as
-/// taint-carrying, regardless of what their bodies do. The media-fault
+/// `(seed, identity)` inputs — the same schedule in any execution order —
+/// so the cross-function fixpoint never treats them as taint-carrying,
+/// regardless of what their bodies do. The media-fault
 /// schedule hash (`nvm::media::media_hash`, DESIGN.md §13) is the
 /// canonical case: it *is* the subsystem's RNG, but a seeded one.
 const SEEDED_SOURCES: &[&str] = &["media_hash"];
@@ -454,7 +454,7 @@ fn extract(
             let lhs = segs_rev.join(".");
             let (mut rhs, stop) = scan_rhs(toks, i + 1, end, det, raw_lines);
             if compound && prev == "+" && is_fold && rhs.float {
-                rhs.source = true; // float accumulation in a shard merge
+                rhs.source = true; // float accumulation in a merge fold
             }
             if compound {
                 rhs.vars.push(lhs.clone()); // compound also reads the lhs

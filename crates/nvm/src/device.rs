@@ -48,15 +48,6 @@ pub struct TrafficBytes {
 }
 
 impl TrafficBytes {
-    /// Adds `other`'s counters into `self` (u64 sums are associative, so
-    /// per-shard counters merge to the exact serial totals).
-    fn accumulate(&mut self, other: &TrafficBytes) {
-        for i in 0..self.read.len() {
-            self.read[i] += other.read[i];
-            self.written[i] += other.written[i];
-        }
-    }
-
     /// Bytes read for `class`.
     pub fn read(&self, class: TrafficClass) -> u64 {
         self.read[class.index()]
@@ -78,74 +69,6 @@ impl TrafficBytes {
     }
 }
 
-/// One bank group: the per-bank state a shard owns exclusively. Splitting
-/// the banked array into groups partitions the row buffers and the
-/// order-independent integer counters; the shared channel (queue model,
-/// energy sum) stays on the device, because its float accumulation order is
-/// part of the byte-identity contract.
-#[derive(Clone, Debug)]
-pub struct BankGroup {
-    /// Open row per bank of this group (indexed by within-group bank).
-    open_rows: Vec<Option<u64>>,
-    row_hits: u64,
-    row_misses: u64,
-    traffic: TrafficBytes,
-}
-
-impl BankGroup {
-    fn new(banks: usize) -> Self {
-        BankGroup {
-            open_rows: vec![None; banks],
-            row_hits: 0,
-            row_misses: 0,
-            traffic: TrafficBytes::default(),
-        }
-    }
-
-    /// Row-buffer hits observed by this group's banks.
-    pub fn row_hits(&self) -> u64 {
-        self.row_hits
-    }
-
-    /// Row-buffer misses observed by this group's banks.
-    pub fn row_misses(&self) -> u64 {
-        self.row_misses
-    }
-
-    /// Traffic attributed to this group's banks.
-    pub fn traffic(&self) -> &TrafficBytes {
-        &self.traffic
-    }
-}
-
-/// Deterministic fold of per-bank-group counters: always iterates groups in
-/// ascending index order, so merged totals are independent of how many
-/// groups exist and of host execution order.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShardMerge {
-    /// Merged per-class traffic (group counters plus untimed accounting).
-    pub traffic: TrafficBytes,
-    /// Merged row-buffer hits.
-    pub row_hits: u64,
-    /// Merged row-buffer misses.
-    pub row_misses: u64,
-}
-
-impl ShardMerge {
-    /// Folds `groups` (in index order) plus the group-less `untimed`
-    /// counters into one merged view.
-    pub fn fold(groups: &[BankGroup], untimed: &TrafficBytes) -> ShardMerge {
-        let mut m = ShardMerge::default();
-        for g in groups {
-            m.traffic.accumulate(&g.traffic);
-            m.row_hits += g.row_hits;
-            m.row_misses += g.row_misses;
-        }
-        m.traffic.accumulate(untimed);
-        m
-    }
-}
-
 /// The banked NVM device model.
 #[derive(Clone, Debug)]
 pub struct NvmDevice {
@@ -164,13 +87,11 @@ pub struct NvmDevice {
     /// Time origin / horizon for utilization accounting.
     t_origin: Cycle,
     t_max: Cycle,
-    /// Per-bank-group state (row buffers, hit/miss and traffic counters).
-    groups: Vec<BankGroup>,
-    /// `bank -> (group, within-group index)`, fixed at group setup.
-    bank_map: Vec<(u32, u32)>,
-    /// Traffic accounted without an address ([`NvmDevice::account_untimed`]),
-    /// which no bank group can own.
-    untimed: TrafficBytes,
+    /// Open row per bank (row buffer).
+    open_rows: Vec<Option<u64>>,
+    row_hits: u64,
+    row_misses: u64,
+    traffic: TrafficBytes,
     energy_pj: f64,
     /// Optional per-line endurance tracking (enabled by lifetime studies).
     endurance: Option<crate::wearlevel::EnduranceMap>,
@@ -184,7 +105,7 @@ impl NvmDevice {
         let read_fp = (simcore::CLOCK_GHZ / timing.bandwidth_gbps * 1024.0).round() as u64;
         // lint:allow(sim-state-float): as above.
         let write_fp = (simcore::CLOCK_GHZ / timing.write_bandwidth_gbps * 1024.0).round() as u64;
-        let mut dev = NvmDevice {
+        NvmDevice {
             timing,
             energy,
             read_latency: ns_to_cycles(timing.read_ns),
@@ -195,42 +116,13 @@ impl NvmDevice {
             busy_accum: 0,
             t_origin: 0,
             t_max: 0,
-            groups: Vec::new(),
-            bank_map: Vec::new(),
-            untimed: TrafficBytes::default(),
+            open_rows: vec![None; timing.banks as usize],
+            row_hits: 0,
+            row_misses: 0,
+            traffic: TrafficBytes::default(),
             energy_pj: 0.0,
             endurance: None,
-        };
-        dev.set_bank_groups(1);
-        dev
-    }
-
-    /// Splits the banks into `groups` contiguous bank groups (shards).
-    /// Purely structural: every counter folds back through [`ShardMerge`]
-    /// in fixed group order, so all observable outputs are identical for
-    /// every group count. Resets per-bank state, so call it at setup, not
-    /// mid-run.
-    pub fn set_bank_groups(&mut self, groups: usize) {
-        let banks = self.timing.banks as usize;
-        let n = groups.clamp(1, banks.max(1));
-        let mut sizes = vec![0u32; n];
-        self.bank_map = (0..banks)
-            .map(|b| {
-                let g = simcore::shard::bank_group_of(b, banks, n);
-                let idx = sizes[g];
-                sizes[g] += 1;
-                (g as u32, idx)
-            })
-            .collect();
-        self.groups = sizes
-            .into_iter()
-            .map(|s| BankGroup::new(s as usize))
-            .collect();
-    }
-
-    /// The bank groups (ascending index order — the merge order).
-    pub fn bank_groups(&self) -> &[BankGroup] {
-        &self.groups
+        }
     }
 
     /// Enables per-line endurance tracking (adds a hash update per write;
@@ -276,14 +168,12 @@ impl NvmDevice {
         class: TrafficClass,
     ) -> AccessOutcome {
         let (bank, row) = self.bank_and_row(addr);
-        let (g, idx) = self.bank_map[bank];
-        let group = &mut self.groups[g as usize];
-        let row_hit = group.open_rows[idx as usize] == Some(row);
+        let row_hit = self.open_rows[bank] == Some(row);
         if row_hit {
-            group.row_hits += 1;
+            self.row_hits += 1;
         } else {
-            group.row_misses += 1;
-            group.open_rows[idx as usize] = Some(row);
+            self.row_misses += 1;
+            self.open_rows[bank] = Some(row);
         }
 
         let device_latency = match (op, row_hit) {
@@ -324,10 +214,9 @@ impl NvmDevice {
             (Op::Write, false) => bits * self.energy.array_write_pj_per_bit,
         };
         self.energy_pj += pj;
-        let group = &mut self.groups[g as usize];
         match op {
-            Op::Read => group.traffic.read[class.index()] += bytes,
-            Op::Write => group.traffic.written[class.index()] += bytes,
+            Op::Read => self.traffic.read[class.index()] += bytes,
+            Op::Write => self.traffic.written[class.index()] += bytes,
         }
         if let (Op::Write, Some(e)) = (op, self.endurance.as_mut()) {
             for l in simcore::addr::lines_covering(addr, bytes) {
@@ -348,11 +237,11 @@ impl NvmDevice {
         let bits = bytes as f64 * 8.0;
         match op {
             Op::Read => {
-                self.untimed.read[class.index()] += bytes;
+                self.traffic.read[class.index()] += bytes;
                 self.energy_pj += bits * self.energy.array_read_pj_per_bit;
             }
             Op::Write => {
-                self.untimed.written[class.index()] += bytes;
+                self.traffic.written[class.index()] += bytes;
                 self.energy_pj += bits * self.energy.array_write_pj_per_bit;
             }
         }
@@ -364,10 +253,9 @@ impl NvmDevice {
         (self.busy_accum as f64 / elapsed as f64).min(0.95)
     }
 
-    /// Byte counters by traffic class (per-group counters merged in fixed
-    /// group order, plus untimed accounting).
+    /// Byte counters by traffic class.
     pub fn traffic(&self) -> TrafficBytes {
-        ShardMerge::fold(&self.groups, &self.untimed).traffic
+        self.traffic
     }
 
     /// Total consumed energy in picojoules.
@@ -377,12 +265,11 @@ impl NvmDevice {
 
     /// Row-buffer hit fraction observed so far (0 if no accesses).
     pub fn row_hit_ratio(&self) -> f64 {
-        let m = ShardMerge::fold(&self.groups, &self.untimed);
-        let total = m.row_hits + m.row_misses;
+        let total = self.row_hits + self.row_misses;
         if total == 0 {
             0.0
         } else {
-            m.row_hits as f64 / total as f64
+            self.row_hits as f64 / total as f64
         }
     }
 
@@ -390,12 +277,9 @@ impl NvmDevice {
     /// state (open rows stay open — a warmup boundary does not close row
     /// buffers).
     pub fn reset_counters(&mut self) {
-        for g in &mut self.groups {
-            g.traffic = TrafficBytes::default();
-            g.row_hits = 0;
-            g.row_misses = 0;
-        }
-        self.untimed = TrafficBytes::default();
+        self.traffic = TrafficBytes::default();
+        self.row_hits = 0;
+        self.row_misses = 0;
         self.energy_pj = 0.0;
         self.busy_accum = 0;
         self.t_origin = self.t_max;
@@ -504,39 +388,6 @@ mod tests {
         d.reset_counters();
         assert_eq!(d.traffic().total_written(), 0);
         assert_eq!(d.energy_pj(), 0.0);
-    }
-
-    #[test]
-    fn bank_group_count_is_observation_invariant() {
-        // Splitting the banks into groups must not change a single
-        // observable output — the byte-identity contract behind `--shards`.
-        let cfg = SimConfig::default();
-        for groups in [2usize, 4, 7, 16] {
-            let mut sharded = NvmDevice::new(cfg.nvm, cfg.energy);
-            sharded.set_bank_groups(groups);
-            let mut serial_ref = NvmDevice::new(cfg.nvm, cfg.energy);
-            for i in 0..500u64 {
-                let addr = PAddr(((i * 37) % (1 << 16)) * 64);
-                let op = if i % 3 == 0 { Op::Write } else { Op::Read };
-                let bytes = 64 + (i % 5) * 64;
-                let a = serial_ref.access(i * 3, addr, bytes, op, TrafficClass::Data);
-                let b = sharded.access(i * 3, addr, bytes, op, TrafficClass::Data);
-                assert_eq!(a, b, "outcome diverged at access {i} ({groups} groups)");
-            }
-            serial_ref.account_untimed(4096, Op::Read, TrafficClass::Recovery);
-            sharded.account_untimed(4096, Op::Read, TrafficClass::Recovery);
-            assert_eq!(
-                serial_ref.traffic().total_read(),
-                sharded.traffic().total_read()
-            );
-            assert_eq!(
-                serial_ref.traffic().total_written(),
-                sharded.traffic().total_written()
-            );
-            assert_eq!(serial_ref.row_hit_ratio(), sharded.row_hit_ratio());
-            assert_eq!(serial_ref.energy_pj(), sharded.energy_pj());
-            assert_eq!(sharded.bank_groups().len(), groups.min(16));
-        }
     }
 
     #[test]

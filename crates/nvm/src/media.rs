@@ -25,9 +25,9 @@
 //! graceful and UE lines stay faulty.
 //!
 //! Because classification never consults mutable per-read state, the fault
-//! schedule is **identity-seeded and shard-invariant by construction**: the
+//! schedule is **identity-seeded and independent of read order**: the
 //! same `(seed, line, wear)` always classifies identically, no matter which
-//! host thread reads first. The only mutable state is commutative (atomic
+//! line is read first. The only mutable state is commutative (atomic
 //! counters, set insertions) or updated exclusively on serial paths
 //! (scrubbing, retirement). Like `simcore::crashpoint`, a detached
 //! [`MediaModel`] is a single `None` branch — default runs stay
@@ -137,7 +137,7 @@ impl std::fmt::Display for MediaError {
 impl std::error::Error for MediaError {}
 
 /// Aggregate media-fault counters (all commutative sums / set sizes, so the
-/// summary is identical at every shard count).
+/// summary does not depend on the order reads happen in).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MediaSummary {
     /// Line reads classified.
@@ -218,7 +218,8 @@ struct MediaState {
     data_loss: AtomicU64,
     // lint:shard-serial — classification is a pure (seed, line, wear) hash;
     // this lock guards only commutative set-inserts on read paths and the
-    // serial scrub phase, so the bank-group split never observes it.
+    // serial scrub phase, and each cell owns its model, so cells run
+    // concurrently under `--jobs` never share it.
     tables: Mutex<MediaTables>,
 }
 
@@ -634,7 +635,7 @@ mod tests {
     fn classification_is_a_pure_function_of_seed_line_wear() {
         let a = model(MediaConfig::mild(7));
         let b = model(MediaConfig::mild(7));
-        // Read in different orders: identical verdicts (shard invariance).
+        // Read in different orders: identical verdicts.
         let fwd: Vec<ReadHealth> = (0..512).map(|l| a.read_line(Line(l), l * 31)).collect();
         let rev: Vec<ReadHealth> = (0..512)
             .rev()

@@ -1,5 +1,5 @@
-//! Analysis layer for the HOOP reproduction: a runtime **persistency
-//! sanitizer** and a hermetic **determinism lint**.
+//! Analysis layer for the HOOP reproduction: the runtime **persistency
+//! sanitizer**.
 //!
 //! The sanitizer ([`PersistencySanitizer`]) attaches to a
 //! `System` through the [`simcore::sanitize::SanitizerHandle`] plumbing and
@@ -9,18 +9,12 @@
 //! uncommitted versions, mapping entries may not dangle into reclaimed OOP
 //! blocks, recovery may replay only the committed prefix.
 //!
-//! The lint ([`lint`]) is a source-compatible facade over the token-level
-//! analyzer in the `lintpass` crate: it bans nondeterministic APIs
-//! (`RandomState` containers, wall-clock time, OS-seeded RNGs, unordered
-//! parallel iteration) and statically checks the paper's persist-ordering
-//! discipline (`persist-order`) plus determinism-sensitive iteration and
-//! numeric hygiene, with an annotated `// lint:allow(<rule>)` escape hatch.
-//! Run it via `cargo run -p xtask -- lint`.
+//! Its static complement, the determinism and persist-order lint, is the
+//! `lintpass` crate; run it via `cargo run -p xtask -- lint`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod lint;
 pub mod sanitizer;
 pub mod shadow;
 

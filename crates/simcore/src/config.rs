@@ -153,13 +153,13 @@ impl HoopConfig {
 /// [`crate::crashpoint`]). All probabilities are integer thresholds out of
 /// 2³² so the fault schedule is float-free and bit-reproducible; every draw
 /// is a pure hash of `(seed, line, wear, attempt)`, which makes the schedule
-/// identity-seeded and shard-invariant by construction.
+/// identity-seeded and independent of the order lines are read in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MediaConfig {
     /// Master switch; `false` keeps the model fully detached.
     pub enabled: bool,
-    /// Fault-schedule seed. The same seed yields the identical schedule at
-    /// any `--shards` value.
+    /// Fault-schedule seed. The same seed yields the identical schedule in
+    /// every run, whatever `--jobs` runs the cells concurrently.
     pub seed: u64,
     /// Per-bit-draw probability (out of 2³²) of a wear-coupled retention /
     /// drift error when a line's effective wear equals [`wear_scale`]
@@ -269,12 +269,6 @@ pub struct SimConfig {
     pub energy: NvmEnergyConfig,
     /// HOOP structural parameters.
     pub hoop: HoopConfig,
-    /// Host-execution shards for one cell (`--shards N`): bulk phases
-    /// (region scans, GC chain walks) run on this many host threads with a
-    /// deterministic ordered merge (see `simcore::shard`). A pure host
-    /// knob — simulated state, counters and every `results/*.json` byte
-    /// are identical for every value. Default 1 (serial).
-    pub shards: u8,
     /// Media-fault model (disabled by default; see `nvm::media`).
     pub media: MediaConfig,
 }
@@ -302,7 +296,6 @@ impl Default for SimConfig {
             nvm: NvmTimingConfig::default(),
             energy: NvmEnergyConfig::default(),
             hoop: HoopConfig::default(),
-            shards: 1,
             media: MediaConfig::default(),
         }
     }
@@ -363,12 +356,6 @@ mod tests {
         assert_eq!(h.oop_block_bytes, 2 * 1024 * 1024);
         assert_eq!(h.gc_period_cycles(), 25_000_000);
         assert_eq!(h.mapping_table_entries(), 131072);
-    }
-
-    #[test]
-    fn shards_default_serial() {
-        assert_eq!(SimConfig::default().shards, 1);
-        assert_eq!(SimConfig::small_for_tests().shards, 1);
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod ids;
 pub mod linemap;
 pub mod rng;
 pub mod sanitize;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod zipf;

@@ -579,16 +579,13 @@ fn help_for(subcommand: &str) -> Option<&'static str> {
              \n\
              Host-time benchmark of the simulator itself (release build of\n\
              bench_host). Writes results/bench_host*.json, including the\n\
-             live-vs-replay driver_overhead and serial-vs-sharded\n\
-             shard_speedup rows.\n\
+             live-vs-replay driver_overhead row.\n\
              \n\
              forwarded flags (see bench_host):\n\
              \x20 --quick|--full     scale (default full)\n\
              \x20 --engine NAME      limit to named engines (repeatable)\n\
              \x20 --out PATH         output document path\n\
              \x20 --check [PATH]     gate against a committed baseline\n\
-             \x20 --shards N         shard count for the shard_speedup row\n\
-             \x20                    (default 4; byte-identical results)\n\
              \n\
              exit codes: 0 ok, 1 regression gate failed, 2 usage/IO error"
         }
