@@ -453,8 +453,7 @@ fn blank_bytes(out: &mut String, text: &str) {
 /// Returns a view of `source` with comment and string-literal *contents*
 /// blanked out (quotes and comment markers kept, newlines preserved), built
 /// from the token stream. Byte layout is preserved, so line numbers in the
-/// masked text match the original — the token-level successor of the old
-/// regex scanner's `strip_comments_and_strings`.
+/// masked text match the original.
 pub fn mask_noncode(source: &str) -> String {
     let mut out = String::with_capacity(source.len());
     for tok in tokenize(source) {
