@@ -170,17 +170,6 @@ pub fn run_cell(engine: &str, wcfg: WorkloadConfig, sim: &SimConfig, scale: Scal
     crate::runner::run_cell_seeded(engine, wcfg, sim, scale, seed)
 }
 
-/// Runs the full engine × workload matrix serially (Fig. 7/8/9 share these
-/// runs; their binaries use [`ExperimentPlan`](crate::runner::ExperimentPlan)
-/// directly to run the same grid on worker threads).
-pub fn run_matrix(sim: &SimConfig, scale: Scale) -> Vec<RunReport> {
-    crate::runner::ExperimentPlan::matrix("matrix", *sim, scale)
-        .run(1)
-        .into_iter()
-        .map(|c| c.report)
-        .collect()
-}
-
 /// Finds the report of `engine` for `workload` in a matrix result.
 pub fn find<'a>(reports: &'a [RunReport], engine: &str, workload: &str) -> &'a RunReport {
     reports

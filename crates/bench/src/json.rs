@@ -97,8 +97,8 @@ impl Json {
 
 impl Json {
     /// Parses a JSON document (the exact dialect [`Json::pretty`] emits,
-    /// plus arbitrary whitespace). Used by the host-time regression gate to
-    /// read committed `results/bench_host*.json` baselines back in.
+    /// plus arbitrary whitespace). Used to read back perfbench's result
+    /// lines and `--json` documents, and `BENCHMARK.json`.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;

@@ -6,15 +6,15 @@
 //! figures) a schema-versioned `results/*.json` metrics document. The
 //! shared machinery — workload matrix, engine sweep, normalization — lives
 //! in [`experiments`]; parallel cell execution and structured export live
-//! in [`runner`] and [`json`]. Host-time benchmarking (the `bench_host`
-//! binary behind `cargo run -p xtask -- bench`) lives in [`hostbench`].
-//! Criterion micro/ablation benches are under `benches/`.
+//! in [`runner`] and [`json`]. Host time is measured by the separate
+//! `perfbench` package; the `perf_gate` binary A/Bs it against a base
+//! revision as CI's regression gate. Criterion micro/ablation benches are
+//! under `benches/`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod hostbench;
 pub mod json;
 pub mod runner;
 pub mod tracepack;

@@ -550,16 +550,9 @@ impl ExperimentPlan {
         results
     }
 
-    /// Runs the plan and writes `results/<name>.json`; returns the results.
-    pub fn run_and_export(&self, jobs: usize) -> Vec<CellResult> {
-        let results = self.run(jobs);
-        write_json(self.name, self.scale, &results);
-        results
-    }
-
-    /// [`run_and_export`](ExperimentPlan::run_and_export) honoring the full
-    /// option set (`--jobs`, `--sanitize`, `--record`/`--replay`,
-    /// `--depth`).
+    /// Runs the plan with the full option set (`--jobs`, `--sanitize`,
+    /// `--record`/`--replay`, `--depth`) and writes `results/<name>.json`;
+    /// returns the results.
     pub fn run_and_export_opts(&self, opts: &RunnerOptions) -> Vec<CellResult> {
         assert!(
             !opts.endurance || opts.mode == RunMode::Live,

@@ -6,7 +6,6 @@
 //!                            [--json FILE | --no-json]
 //!                            [--explain RULE] [--cfg-dot FILE:LINE|FILE:FN]
 //!                            [--callers FILE:FN]
-//! cargo run -p xtask -- bench [-- ARGS...]
 //! cargo run -p xtask -- crashtest [-- ARGS...]
 //! cargo run -p xtask -- trace [-- ARGS...]
 //! ```
@@ -46,12 +45,6 @@
 //! the audit trail stays visible in CI logs; annotations that no longer
 //! suppress anything are reported as *stale* warnings (never a failure).
 //!
-//! `bench` measures the simulator's own host time: it builds and runs the
-//! `bench_host` binary in release mode (host timing of a debug build would
-//! be meaningless) from the workspace root, passing any extra arguments
-//! through — e.g. `cargo run -p xtask -- bench -- --quick --check` is the CI
-//! regression gate against `results/bench_host_quick.json`.
-//!
 //! `crashtest` runs the deterministic crash-point fault-injection harness
 //! (the `hoop-crashtest` crate) in release mode from the workspace root,
 //! passing arguments through; the default invocation explores all engines
@@ -61,6 +54,10 @@
 //! `traces/quick/` (the `trace_pack` binary in release mode). Recording is
 //! deterministic, so an up-to-date pack regenerates byte-identically and CI
 //! gates currency with `git diff --exit-code -- traces/`.
+//!
+//! Host time has no subcommand: perfbench (`perfbench/README.md`) measures
+//! it, and `cargo run --release -p hoop-bench --bin perf_gate -- --base REV`
+//! A/Bs it against a base revision as CI's regression gate.
 //!
 //! Every subcommand answers `--help` with its flags and exit codes.
 
@@ -517,7 +514,7 @@ fn lint_main(args: &[String]) -> u8 {
 
 /// Delegates a subcommand to the release build of a workspace binary, run
 /// from the workspace root (so `results/` and `traces/` artifacts land next
-/// to the committed ones). Shared by `bench`, `crashtest` and `trace`:
+/// to the committed ones). Shared by `crashtest` and `trace`:
 /// simulation-heavy work must run optimized code, never whatever profile
 /// xtask itself uses.
 fn delegate(subcommand: &str, package: &str, bin: &str, args: &[String]) -> ExitCode {
@@ -574,21 +571,6 @@ fn help_for(subcommand: &str) -> Option<&'static str> {
              \n\
              exit codes: 0 clean/baselined, 1 new or stale findings, 2 scan/IO/usage error"
         }
-        "bench" => {
-            "usage: cargo run -p xtask -- bench [-- ARGS...]\n\
-             \n\
-             Host-time benchmark of the simulator itself (release build of\n\
-             bench_host). Writes results/bench_host*.json, including the\n\
-             live-vs-replay driver_overhead row.\n\
-             \n\
-             forwarded flags (see bench_host):\n\
-             \x20 --quick|--full     scale (default full)\n\
-             \x20 --engine NAME      limit to named engines (repeatable)\n\
-             \x20 --out PATH         output document path\n\
-             \x20 --check [PATH]     gate against a committed baseline\n\
-             \n\
-             exit codes: 0 ok, 1 regression gate failed, 2 usage/IO error"
-        }
         "crashtest" => {
             "usage: cargo run -p xtask -- crashtest [-- ARGS...]\n\
              \n\
@@ -619,8 +601,9 @@ fn help_for(subcommand: &str) -> Option<&'static str> {
 }
 
 const USAGE: &str = "usage: cargo run -p xtask -- \
-     {lint | bench | crashtest | trace} [ARGS...]\n\
-     run `cargo run -p xtask -- <subcommand> --help` for flags and exit codes";
+     {lint | crashtest | trace} [ARGS...]\n\
+     run `cargo run -p xtask -- <subcommand> --help` for flags and exit codes\n\
+     host-time regression gate: cargo run --release -p hoop-bench --bin perf_gate -- --base REV";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -636,7 +619,6 @@ fn main() -> ExitCode {
     }
     match sub {
         "lint" => ExitCode::from(lint_main(&args[1..])),
-        "bench" => delegate("bench", "hoop-bench", "bench_host", &args[1..]),
         "crashtest" => delegate("crashtest", "hoop-crashtest", "crashtest", &args[1..]),
         "trace" => delegate("trace", "hoop-bench", "trace_pack", &args[1..]),
         _ => {
