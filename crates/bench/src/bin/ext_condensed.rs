@@ -7,7 +7,7 @@
 //! feeds it to both the flat hash mapping table and the range-condensed
 //! variant — reporting how many SRAM entries condensation saves.
 
-use engines::trace::TraceEvent;
+use engines::trace::Event;
 use hoop::condensed::CondensedMappingTable;
 use hoop::mapping::MappingTable;
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX, TPCC};
@@ -35,7 +35,7 @@ fn main() {
         let mut sys = build_system("Ideal", &sim);
         let mut w = build_workload(spec, 0);
         w.setup(&mut sys, CoreId(0));
-        sys.start_recording();
+        sys.start_recording(false);
         let txs = match scale {
             Scale::Quick => 500,
             Scale::Full => 5000,
@@ -51,9 +51,9 @@ fn main() {
         let mut cond = CondensedMappingTable::new();
         let mut word_count = 0u64;
         let mut inserts = 0u64;
-        for ev in &trace.events {
-            if let TraceEvent::Store { addr, data, .. } = ev {
-                for k in 0..(data.len() as u64 / 8).max(1) {
+        for ev in &trace {
+            if let Event::StoreShape { addr, len, .. } = ev {
+                for k in 0..(u64::from(*len) / 8).max(1) {
                     let line = Line((addr + k * 8) / 64);
                     let slot = (word_count / 8) as u32;
                     flat.insert(line, slot, 0xFF);

@@ -4,19 +4,31 @@
 //! hoopsim run      --engine HOOP --workload ycsb --txs 20000 [--item-bytes 1024] [--sanitize]
 //! hoopsim compare  --workload hashmap [--txs 10000]
 //! hoopsim recover  [--threads 8] [--bandwidth 25]
-//! hoopsim trace    --workload vector --txs 200 --out trace.txt
-//! hoopsim replay   --engine LAD --in trace.txt
+//! hoopsim trace    --workload vector --txs 2000 --out vector.trace
+//! hoopsim replay   --engine LAD --in vector.trace --txs 2000
 //! hoopsim area
 //! hoopsim list
 //! ```
+//!
+//! `trace` records the workload `run` would generate into a binary trace
+//! file holding twice each core's balanced share of `--txs` plus warmup;
+//! `replay` runs that window from the file (the header carries the workload
+//! spec) and prints the same lines `run` prints for the same engine,
+//! workload and `--txs`. A run whose scheduling skews further than that
+//! (the trees at a few hundred txs) runs the trace dry and panics; record
+//! with a larger `--txs` and replay the smaller one.
 
-use engines::trace::Trace;
+use std::path::Path;
+
 use hoop::area::{area_overhead, ReferencePackage};
 use hoop::recovery::model_recovery_ms;
 use simcore::config::SimConfig;
 use simcore::det::DetHashMap;
-use simcore::CoreId;
-use workloads::driver::{build_system, build_workload, Driver, ENGINES};
+use trace::{
+    default_txs_per_core, record_workload, replay_cell, RecordOptions, ReplayWindow, TraceError,
+    TraceReader,
+};
+use workloads::driver::{build_system, Driver, RunReport, ENGINES};
 use workloads::{WorkloadKind, WorkloadSpec};
 
 fn parse_args() -> (String, DetHashMap<String, String>) {
@@ -118,21 +130,33 @@ fn run_one_sanitized(
     (report, summary)
 }
 
+/// Default `--txs` of `run`, `compare`, `trace` and `replay`.
+const DEFAULT_TXS: u64 = 10_000;
+
+fn exit_on_trace_error(path: &str, e: TraceError) -> ! {
+    eprintln!("{path}: {e}");
+    std::process::exit(1);
+}
+
+fn print_report(r: &RunReport) {
+    println!("{}", r.summary());
+    println!(
+        "  miss_ratio={:.3}  loads/miss={:.2}  gc_reduction={:.3}  verify_errors={}",
+        r.llc_miss_ratio, r.loads_per_miss, r.gc_reduction, r.verify_errors
+    );
+}
+
 fn main() {
     let (cmd, opts) = parse_args();
     match cmd.as_str() {
         "run" => {
             let engine = opts.get("engine").map(String::as_str).unwrap_or("HOOP");
             let spec = spec_from(&opts);
-            let txs = u64_opt(&opts, "txs", 10_000);
+            let txs = u64_opt(&opts, "txs", DEFAULT_TXS);
             let sanitize = opts.contains_key("sanitize");
             let cfg = SimConfig::default();
             let (r, summary) = run_one_sanitized(engine, spec, txs, sanitize, &cfg);
-            println!("{}", r.summary());
-            println!(
-                "  miss_ratio={:.3}  loads/miss={:.2}  gc_reduction={:.3}  verify_errors={}",
-                r.llc_miss_ratio, r.loads_per_miss, r.gc_reduction, r.verify_errors
-            );
+            print_report(&r);
             if let Some(s) = summary {
                 println!(
                     "  sanitizer: {} events, {} lines, {} violation(s), {} redundant flush(es)",
@@ -148,7 +172,7 @@ fn main() {
         }
         "compare" => {
             let spec = spec_from(&opts);
-            let txs = u64_opt(&opts, "txs", 10_000);
+            let txs = u64_opt(&opts, "txs", DEFAULT_TXS);
             let cfg = SimConfig::default();
             for engine in ENGINES {
                 println!("{}", run_one(engine, spec, txs, &cfg).summary());
@@ -167,51 +191,44 @@ fn main() {
         }
         "trace" => {
             let spec = spec_from(&opts);
-            let txs = u64_opt(&opts, "txs", 200);
+            let txs = u64_opt(&opts, "txs", DEFAULT_TXS);
             let out = opts
                 .get("out")
                 .cloned()
-                .unwrap_or_else(|| "trace.txt".into());
+                .unwrap_or_else(|| "hoopsim.trace".into());
             let cfg = SimConfig::default();
-            let mut sys = build_system("Ideal", &cfg);
-            let mut w = build_workload(spec, 0);
-            w.setup(&mut sys, CoreId(0));
-            sys.start_recording();
-            for _ in 0..txs {
-                w.run_tx(&mut sys, CoreId(0));
+            let record_opts = RecordOptions {
+                txs_per_core: default_txs_per_core(txs + txs / 10, u64::from(cfg.worker_threads)),
+                values: false,
+            };
+            let tf = record_workload(&spec.kind.to_string(), spec, &cfg, record_opts)
+                .unwrap_or_else(|e| exit_on_trace_error(&out, e));
+            if let Err(e) = tf.write_to(Path::new(&out)) {
+                exit_on_trace_error(&out, e);
             }
-            let trace = sys.take_trace();
-            std::fs::write(&out, trace.to_text()).expect("write trace file");
-            println!("recorded {} events over {txs} txs -> {out}", trace.len());
-            println!("note: replay needs the same --workload setup (deterministic heap)");
+            println!(
+                "recorded {} events ({} txs on each of {} cores) -> {out}",
+                tf.event_count(),
+                tf.header.txs_per_core,
+                tf.header.workers
+            );
         }
         "replay" => {
             let engine = opts.get("engine").map(String::as_str).unwrap_or("HOOP");
             let input = opts
                 .get("in")
                 .cloned()
-                .unwrap_or_else(|| "trace.txt".into());
-            let text = std::fs::read_to_string(&input).expect("read trace file");
-            let trace = Trace::from_text(&text).expect("parse trace");
-            let spec = spec_from(&opts);
-            let cfg = SimConfig::default();
-            let mut sys = build_system(engine, &cfg);
-            let mut w = build_workload(spec, 0);
-            w.setup(&mut sys, CoreId(0)); // reconstruct the recorded heap
-            let report = trace.replay(&mut sys);
-            println!(
-                "replayed {} events on {engine}: {} txs, {} stores, {} loads, {} crashes",
-                trace.len(),
-                report.txs,
-                report.stores,
-                report.loads,
-                report.crashes
-            );
-            println!(
-                "  simulated time: {:.3} ms, NVM writes: {} B",
-                simcore::time::cycles_to_ms(sys.global_time()),
-                sys.engine().device().traffic().total_written()
-            );
+                .unwrap_or_else(|| "hoopsim.trace".into());
+            let txs = u64_opt(&opts, "txs", DEFAULT_TXS);
+            let tf = TraceReader::read(Path::new(&input))
+                .unwrap_or_else(|e| exit_on_trace_error(&input, e));
+            let window = ReplayWindow {
+                warmup: txs / 10,
+                measured: txs,
+                min_cycles: 0,
+            };
+            let (r, _) = replay_cell(&tf, engine, &SimConfig::default(), window, false);
+            print_report(&r);
         }
         "area" => {
             let rep = area_overhead(&SimConfig::default(), &ReferencePackage::default());

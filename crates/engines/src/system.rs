@@ -32,7 +32,7 @@ use simcore::{CoreId, Cycle, PAddr, SimConfig, TxId};
 
 use crate::costs;
 use crate::layout;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::Event;
 use crate::traits::{PersistenceEngine, RecoveryReport};
 
 /// The simulated machine.
@@ -47,7 +47,10 @@ pub struct System {
     tx_start: Vec<Cycle>,
     heap: BumpAllocator,
     tx_latency: Histogram,
-    recording: Option<Trace>,
+    /// The events captured since [`start_recording`](System::start_recording).
+    recording: Option<Vec<Event>>,
+    /// Whether the recording keeps store and `write_initial` payloads.
+    record_values: bool,
     /// Capture-only machines skip the cache hierarchy, the engine, and all
     /// timing: loads and stores only touch the functional byte image (and
     /// the recording, if one is attached). Used by trace recording, where
@@ -86,6 +89,7 @@ impl System {
             heap,
             tx_latency: Histogram::new(),
             recording: None,
+            record_values: false,
             capture_only: false,
             next_capture_tx: 1,
             san: SanitizerHandle::none(),
@@ -93,11 +97,13 @@ impl System {
     }
 
     /// Builds a capture-only machine: same allocator, functional memory and
-    /// recording hooks as a real one, but loads/stores/transactions skip the
-    /// cache hierarchy, the persistence engine, and all timing. Workloads
-    /// run against it orders of magnitude faster than against a simulated
-    /// machine, which is exactly what trace *recording* needs — the recorded
-    /// stream depends only on workload logic, never on simulated timing.
+    /// [`start_recording`](System::start_recording) capture as a real one,
+    /// but loads/stores/transactions skip the cache hierarchy, the
+    /// persistence engine, and all timing. Workloads run against it orders
+    /// of magnitude faster than against a simulated machine, which is
+    /// exactly what trace recording (`trace::record_workload`) needs — the
+    /// recorded stream depends only on workload logic, never on simulated
+    /// timing.
     pub fn new_capture(cfg: &SimConfig) -> Self {
         let mut sys = System::new(Box::new(crate::native::NativeEngine::new(cfg)), cfg);
         sys.capture_only = true;
@@ -123,23 +129,34 @@ impl System {
         self.engine.attach_crash_valve(valve);
     }
 
-    /// Starts recording the transactional event stream (see
-    /// [`trace::Trace`](crate::trace::Trace)). Any previous recording is
-    /// discarded.
-    pub fn start_recording(&mut self) {
-        self.recording = Some(Trace::new());
+    /// Starts capturing the transactional event stream as trace
+    /// [`Event`]s. With `values` a store is captured as [`Event::Store`] and
+    /// a `write_initial` with its bytes; without, a store is captured as
+    /// [`Event::StoreShape`] and an `Init` with empty `data`, and no payload
+    /// is copied. Any previous recording is discarded.
+    pub fn start_recording(&mut self, values: bool) {
+        self.recording = Some(Vec::new());
+        self.record_values = values;
     }
 
-    /// Stops recording and returns the captured trace (empty if recording
+    /// Stops recording and returns the captured events (empty if recording
     /// was never started).
-    pub fn take_trace(&mut self) -> Trace {
+    pub fn take_trace(&mut self) -> Vec<Event> {
         self.recording.take().unwrap_or_default()
     }
 
-    fn record(&mut self, ev: TraceEvent) {
+    fn record(&mut self, ev: Event) {
         if let Some(t) = &mut self.recording {
-            t.events.push(ev);
+            t.push(ev);
         }
+    }
+
+    fn assert_not_recording(&self, op: &str) {
+        assert!(
+            self.recording.is_none(),
+            "System::{op}() while recording: a trace cannot represent power \
+             failure, so crashtest is live-only"
+        );
     }
 
     /// The machine configuration.
@@ -156,9 +173,14 @@ impl System {
     /// durable home image, bypassing caches and timing.
     pub fn write_initial(&mut self, addr: PAddr, data: &[u8]) {
         if self.recording.is_some() {
-            self.record(TraceEvent::Init {
+            self.record(Event::Init {
                 addr: addr.0,
-                data: data.to_vec(),
+                len: data.len() as u32,
+                data: if self.record_values {
+                    data.to_vec()
+                } else {
+                    Vec::new()
+                },
             });
         }
         self.volatile.write_bytes(addr, data);
@@ -208,7 +230,7 @@ impl System {
     pub fn tx_begin(&mut self, core: CoreId) -> TxId {
         let c = core.index();
         assert!(self.active_tx[c].is_none(), "nested transaction on {core}");
-        self.record(TraceEvent::TxBegin { core: core.0 });
+        self.record(Event::TxBegin { core: core.0 });
         if self.capture_only {
             let tx = TxId(self.next_capture_tx);
             self.next_capture_tx += 1;
@@ -232,7 +254,7 @@ impl System {
     pub fn tx_end(&mut self, core: CoreId, tx: TxId) {
         let c = core.index();
         assert_eq!(self.active_tx[c], Some(tx), "mismatched tx_end on {core}");
-        self.record(TraceEvent::TxEnd { core: core.0 });
+        self.record(Event::TxEnd { core: core.0 });
         if self.capture_only {
             self.active_tx[c] = None;
             return;
@@ -283,7 +305,7 @@ impl System {
     /// time.
     pub fn load_bytes(&mut self, core: CoreId, addr: PAddr, buf: &mut [u8]) {
         let c = core.index();
-        self.record(TraceEvent::Load {
+        self.record(Event::Load {
             core: core.0,
             addr: addr.0,
             len: buf.len() as u32,
@@ -320,13 +342,22 @@ impl System {
     /// data that persists only via write-back.
     pub fn store_bytes(&mut self, core: CoreId, addr: PAddr, data: &[u8]) {
         let c = core.index();
-        // Only clone the payload when a trace is actually being captured —
-        // the copy is pure overhead on every store otherwise.
+        // Only build the event when a trace is actually being captured, and
+        // clone the payload only in values mode.
         if self.recording.is_some() {
-            self.record(TraceEvent::Store {
-                core: core.0,
-                addr: addr.0,
-                data: data.to_vec(),
+            let (core, addr) = (core.0, addr.0);
+            self.record(if self.record_values {
+                Event::Store {
+                    core,
+                    addr,
+                    data: data.to_vec(),
+                }
+            } else {
+                Event::StoreShape {
+                    core,
+                    addr,
+                    len: data.len() as u32,
+                }
             });
         }
         if self.capture_only {
@@ -375,8 +406,13 @@ impl System {
     /// Simulated power loss: caches and the volatile image vanish; the
     /// engine drops its volatile controller state. Open transactions are
     /// implicitly aborted.
+    ///
+    /// # Panics
+    ///
+    /// Panics while a recording is active: a trace cannot represent power
+    /// failure.
     pub fn crash(&mut self) {
-        self.record(TraceEvent::Crash);
+        self.assert_not_recording("crash");
         self.hier.clear();
         self.volatile = PersistentStore::new();
         for t in &mut self.active_tx {
@@ -388,10 +424,12 @@ impl System {
 
     /// Runs crash recovery with `threads` parallel recovery threads and
     /// reloads the CPU-visible view from the recovered durable image.
+    ///
+    /// # Panics
+    ///
+    /// Panics while a recording is active, like [`crash`](System::crash).
     pub fn recover(&mut self, threads: usize) -> RecoveryReport {
-        self.record(TraceEvent::Recover {
-            threads: threads.min(255) as u8,
-        });
+        self.assert_not_recording("recover");
         let report = self.engine.recover(threads);
         self.volatile = self.engine.durable().clone();
         report
@@ -523,6 +561,14 @@ mod tests {
         // The native engine gives no durability guarantee: the line was
         // never evicted, so its data is gone.
         assert_eq!(s.peek_u64(a), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "crashtest is live-only")]
+    fn crash_while_recording_panics() {
+        let mut s = sys();
+        s.start_recording(false);
+        s.crash();
     }
 
     #[test]

@@ -1,35 +1,25 @@
-//! Memory-trace recording and replay.
+//! The trace vocabulary: one [`Event`] per transactional operation a
+//! workload issues.
 //!
-//! A [`Trace`] captures the exact transactional event stream a workload
-//! issued — begins, stores (with data), loads, ends, crashes, recoveries —
-//! so the *same* stream can be replayed against any persistence engine:
-//! apples-to-apples engine comparisons, regression corpora for the crash
-//! tests, and externally-captured traces all go through this type. Traces
-//! serialize to a compact line-oriented text format.
-
-use std::fmt::Write as _;
-
-use simcore::{CoreId, PAddr};
-
-use crate::system::System;
+//! [`System`](crate::system::System) captures these events while a
+//! recording is active; the `hoop-trace` crate encodes them into its binary
+//! format and replays them into any engine. Crash and recovery have no
+//! event: a benchmark trace cannot represent power failure.
 
 /// One recorded event.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// Untimed setup write (`System::write_initial`): seeds both the
-    /// volatile view and the durable home image before measurement.
-    Init {
-        /// Target address.
-        addr: u64,
-        /// Initial bytes.
-        data: Vec<u8>,
-    },
-    /// `Tx_begin` on a core.
+pub enum Event {
+    /// `Tx_begin` on `core`.
     TxBegin {
         /// Issuing core.
         core: u8,
     },
-    /// A store of `data` at `addr`.
+    /// `Tx_end` on `core`.
+    TxEnd {
+        /// Issuing core.
+        core: u8,
+    },
+    /// A store with its payload bytes.
     Store {
         /// Issuing core.
         core: u8,
@@ -38,280 +28,49 @@ pub enum TraceEvent {
         /// Stored bytes.
         data: Vec<u8>,
     },
-    /// A load of `len` bytes at `addr`.
+    /// A store with its payload elided (length only). Simulated metrics
+    /// depend on the access shape, never on payload bytes — replay writes
+    /// zeros of the recorded length.
+    StoreShape {
+        /// Issuing core.
+        core: u8,
+        /// Target address.
+        addr: u64,
+        /// Logical store length in bytes.
+        len: u32,
+    },
+    /// A load of `len` bytes.
     Load {
         /// Issuing core.
         core: u8,
         /// Source address.
         addr: u64,
-        /// Length in bytes.
+        /// Load length in bytes.
         len: u32,
     },
-    /// `Tx_end` on a core.
-    TxEnd {
-        /// Issuing core.
-        core: u8,
+    /// An untimed setup write (`System::write_initial`), possibly coalesced
+    /// from several adjacent writes. `data` is empty when the payload was
+    /// elided; `len` always holds the logical length.
+    Init {
+        /// Target address.
+        addr: u64,
+        /// Logical length in bytes.
+        len: u32,
+        /// Initial bytes (empty when elided).
+        data: Vec<u8>,
     },
-    /// Power loss.
-    Crash,
-    /// Crash recovery with `threads` threads.
-    Recover {
-        /// Recovery threads.
-        threads: u8,
-    },
 }
 
-/// Summary of a replay.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReplayReport {
-    /// Transactions committed during replay.
-    pub txs: u64,
-    /// Stores replayed.
-    pub stores: u64,
-    /// Loads replayed.
-    pub loads: u64,
-    /// Crashes replayed.
-    pub crashes: u64,
-}
-
-fn parse_hex(field: Option<&str>, err: &impl Fn(&str) -> String) -> Result<Vec<u8>, String> {
-    let hex = field.ok_or_else(|| err("missing data"))?;
-    if hex.len() % 2 != 0 {
-        return Err(err("odd hex length"));
-    }
-    (0..hex.len() / 2)
-        .map(|i| u8::from_str_radix(&hex[i * 2..i * 2 + 2], 16))
-        .collect::<Result<Vec<u8>, _>>()
-        .map_err(|_| err("bad hex"))
-}
-
-/// A recorded transactional event stream.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Trace {
-    /// The events, in issue order.
-    pub events: Vec<TraceEvent>,
-}
-
-impl Trace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Replays the trace onto `sys` (which must have the trace's data
-    /// regions allocated — typically a fresh `System` plus the same
-    /// `write_initial` setup).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is malformed (e.g. `TxEnd` without `TxBegin`),
-    /// mirroring the `System` API contracts.
-    pub fn replay(&self, sys: &mut System) -> ReplayReport {
-        let mut report = ReplayReport::default();
-        let mut open: Vec<Option<simcore::TxId>> = vec![None; 256];
-        for ev in &self.events {
-            match ev {
-                TraceEvent::Init { addr, data } => {
-                    sys.write_initial(PAddr(*addr), data);
-                }
-                TraceEvent::TxBegin { core } => {
-                    open[*core as usize] = Some(sys.tx_begin(CoreId(*core)));
-                }
-                TraceEvent::Store { core, addr, data } => {
-                    sys.store_bytes(CoreId(*core), PAddr(*addr), data);
-                    report.stores += 1;
-                }
-                TraceEvent::Load { core, addr, len } => {
-                    let _ = sys.load_vec(CoreId(*core), PAddr(*addr), *len as usize);
-                    report.loads += 1;
-                }
-                TraceEvent::TxEnd { core } => {
-                    let tx = open[*core as usize].take().expect("TxEnd without TxBegin");
-                    sys.tx_end(CoreId(*core), tx);
-                    report.txs += 1;
-                }
-                TraceEvent::Crash => {
-                    sys.crash();
-                    report.crashes += 1;
-                    open.fill(None);
-                }
-                TraceEvent::Recover { threads } => {
-                    sys.recover(*threads as usize);
-                }
-            }
+impl Event {
+    /// The issuing core (`None` for `Init`, which no core issues).
+    pub fn core(&self) -> Option<u8> {
+        match self {
+            Event::TxBegin { core }
+            | Event::TxEnd { core }
+            | Event::Store { core, .. }
+            | Event::StoreShape { core, .. }
+            | Event::Load { core, .. } => Some(*core),
+            Event::Init { .. } => None,
         }
-        report
-    }
-
-    /// Serializes to the line format (`B <core>` / `S <core> <addr> <hex>` /
-    /// `L <core> <addr> <len>` / `E <core>` / `X` / `R <threads>`).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            match ev {
-                TraceEvent::Init { addr, data } => {
-                    let mut hex = String::with_capacity(data.len() * 2);
-                    for b in data {
-                        let _ = write!(hex, "{b:02x}");
-                    }
-                    let _ = writeln!(out, "I {addr:#x} {hex}");
-                }
-                TraceEvent::TxBegin { core } => {
-                    let _ = writeln!(out, "B {core}");
-                }
-                TraceEvent::Store { core, addr, data } => {
-                    let mut hex = String::with_capacity(data.len() * 2);
-                    for b in data {
-                        let _ = write!(hex, "{b:02x}");
-                    }
-                    let _ = writeln!(out, "S {core} {addr:#x} {hex}");
-                }
-                TraceEvent::Load { core, addr, len } => {
-                    let _ = writeln!(out, "L {core} {addr:#x} {len}");
-                }
-                TraceEvent::TxEnd { core } => {
-                    let _ = writeln!(out, "E {core}");
-                }
-                TraceEvent::Crash => {
-                    let _ = writeln!(out, "X");
-                }
-                TraceEvent::Recover { threads } => {
-                    let _ = writeln!(out, "R {threads}");
-                }
-            }
-        }
-        out
-    }
-
-    /// Parses the line format produced by [`to_text`](Trace::to_text).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line.
-    pub fn from_text(text: &str) -> Result<Trace, String> {
-        let mut events = Vec::new();
-        for (no, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let kind = parts.next().expect("nonempty line");
-            let err = |m: &str| format!("line {}: {m}", no + 1);
-            let parse_u64 = |s: Option<&str>, m: &str| -> Result<u64, String> {
-                let s = s.ok_or_else(|| err(m))?;
-                let (s, radix) = match s.strip_prefix("0x") {
-                    Some(rest) => (rest, 16),
-                    None => (s, 10),
-                };
-                u64::from_str_radix(s, radix).map_err(|_| err(m))
-            };
-            match kind {
-                "B" => events.push(TraceEvent::TxBegin {
-                    core: parse_u64(parts.next(), "bad core")? as u8,
-                }),
-                "E" => events.push(TraceEvent::TxEnd {
-                    core: parse_u64(parts.next(), "bad core")? as u8,
-                }),
-                "X" => events.push(TraceEvent::Crash),
-                "R" => events.push(TraceEvent::Recover {
-                    threads: parse_u64(parts.next(), "bad threads")? as u8,
-                }),
-                "L" => events.push(TraceEvent::Load {
-                    core: parse_u64(parts.next(), "bad core")? as u8,
-                    addr: parse_u64(parts.next(), "bad addr")?,
-                    len: parse_u64(parts.next(), "bad len")? as u32,
-                }),
-                "S" => {
-                    let core = parse_u64(parts.next(), "bad core")? as u8;
-                    let addr = parse_u64(parts.next(), "bad addr")?;
-                    let data = parse_hex(parts.next(), &err)?;
-                    events.push(TraceEvent::Store { core, addr, data });
-                }
-                "I" => {
-                    let addr = parse_u64(parts.next(), "bad addr")?;
-                    let data = parse_hex(parts.next(), &err)?;
-                    events.push(TraceEvent::Init { addr, data });
-                }
-                other => return Err(err(&format!("unknown event {other}"))),
-            }
-        }
-        Ok(Trace { events })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::native::NativeEngine;
-    use simcore::SimConfig;
-
-    fn trace() -> Trace {
-        Trace {
-            events: vec![
-                TraceEvent::Init {
-                    addr: 0x40,
-                    data: vec![1, 2, 3],
-                },
-                TraceEvent::TxBegin { core: 0 },
-                TraceEvent::Store {
-                    core: 0,
-                    addr: 0x40,
-                    data: 7u64.to_le_bytes().to_vec(),
-                },
-                TraceEvent::Load {
-                    core: 0,
-                    addr: 0x40,
-                    len: 8,
-                },
-                TraceEvent::TxEnd { core: 0 },
-                TraceEvent::Crash,
-                TraceEvent::Recover { threads: 2 },
-            ],
-        }
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let t = trace();
-        let parsed = Trace::from_text(&t.to_text()).expect("roundtrip");
-        assert_eq!(parsed, t);
-    }
-
-    #[test]
-    fn comments_and_blanks_are_skipped() {
-        let t = Trace::from_text("# header\n\nB 1\nE 1\n").expect("parses");
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn malformed_lines_error_with_position() {
-        assert!(Trace::from_text("Z 1").is_err());
-        assert!(Trace::from_text("S 0 0x40 abc")
-            .unwrap_err()
-            .contains("line 1"));
-        assert!(Trace::from_text("L 0").is_err());
-    }
-
-    #[test]
-    fn replay_applies_events() {
-        let cfg = SimConfig::small_for_tests();
-        let mut sys = System::new(Box::new(NativeEngine::new(&cfg)), &cfg);
-        let _ = sys.alloc(128);
-        let report = trace().replay(&mut sys);
-        assert_eq!(report.txs, 1);
-        assert_eq!(report.stores, 1);
-        assert_eq!(report.loads, 1);
-        assert_eq!(report.crashes, 1);
     }
 }

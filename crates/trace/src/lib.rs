@@ -27,11 +27,13 @@
 //!    is deterministic, the replayed interleaving reproduces the live one
 //!    for every engine, bit for bit.
 //!
-//! Store payloads are elided by default ([`format::Event::StoreShape`]):
-//! simulated metrics depend on addresses and lengths, never on payload
-//! bytes, and eliding them keeps the committed pack small. Recording with
-//! values (`values = true`) is available for harnesses that inspect memory
-//! images (e.g. the crash tester's reproducer export).
+//! The event vocabulary is [`Event`], defined next to the machine that
+//! captures it (`engines::trace`) and re-exported here. Store payloads are
+//! elided by default ([`Event::StoreShape`]): simulated metrics depend on
+//! addresses and lengths, never on payload bytes, and eliding them keeps
+//! the committed pack small. Recording with values (`values = true`) keeps
+//! the bytes for a harness that needs real memory images, such as the
+//! cross-engine recovered-image check in `tests/trace_replay.rs`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

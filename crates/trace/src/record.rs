@@ -19,7 +19,6 @@
 //! generate under any live interleaving.
 
 use engines::system::System;
-use engines::trace::TraceEvent;
 use simcore::config::SimConfig;
 use simcore::CoreId;
 use workloads::driver::Driver;
@@ -51,9 +50,13 @@ pub fn default_txs_per_core(total: u64, workers: u64) -> u32 {
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Corrupt`] if the workload issues events the format
-/// cannot represent (crash/recovery during recording, or measured
-/// operations outside a transaction).
+/// Returns [`TraceError::Corrupt`] if a core's measured stream is not a
+/// sequence of whole transactions on that core.
+///
+/// # Panics
+///
+/// Panics if the workload crashes or recovers the machine while recording
+/// (`System::crash`): the format cannot represent power failure.
 pub fn record_workload(
     label: &str,
     spec: WorkloadSpec,
@@ -64,18 +67,17 @@ pub fn record_workload(
     let mut sys = System::new_capture(cfg);
     let mut driver = Driver::new(spec, cfg);
 
-    sys.start_recording();
+    sys.start_recording(opts.values);
     driver.setup(&mut sys);
-    let setup = convert(sys.take_trace().events, opts.values, true)?;
+    let setup = coalesce_inits(sys.take_trace());
 
     let mut per_core = Vec::with_capacity(workers as usize);
     for c in 0..workers {
-        sys.start_recording();
+        sys.start_recording(opts.values);
         for _ in 0..opts.txs_per_core {
             driver.run_one(&mut sys, CoreId(c));
         }
-        let events = convert(sys.take_trace().events, opts.values, false)?;
-        per_core.push(split_transactions(events, c)?);
+        per_core.push(split_transactions(sys.take_trace(), c)?);
     }
 
     Ok(TraceFile {
@@ -90,65 +92,32 @@ pub fn record_workload(
     })
 }
 
-/// Converts the system's raw capture into format events, optionally eliding
-/// store payloads and (for the setup section) coalescing adjacent
-/// `write_initial` runs into single records.
-fn convert(raw: Vec<TraceEvent>, values: bool, coalesce: bool) -> Result<Vec<Event>, TraceError> {
+/// Coalesces `write_initial` runs over contiguous addresses into single
+/// `Init` records (setup seeds whole structures word by word — one record
+/// per region keeps the committed pack small).
+fn coalesce_inits(raw: Vec<Event>) -> Vec<Event> {
     let mut out: Vec<Event> = Vec::with_capacity(raw.len());
     for ev in raw {
-        let ev = match ev {
-            TraceEvent::TxBegin { core } => Event::TxBegin { core },
-            TraceEvent::TxEnd { core } => Event::TxEnd { core },
-            TraceEvent::Store { core, addr, data } => {
-                if values {
-                    Event::Store { core, addr, data }
-                } else {
-                    Event::StoreShape {
-                        core,
-                        addr,
-                        len: data.len() as u32,
-                    }
-                }
-            }
-            TraceEvent::Load { core, addr, len } => Event::Load { core, addr, len },
-            TraceEvent::Init { addr, data } => Event::Init {
-                addr,
-                len: data.len() as u32,
-                data: if values { data } else { Vec::new() },
-            },
-            TraceEvent::Crash | TraceEvent::Recover { .. } => {
-                return Err(TraceError::Corrupt(
-                    "workload crashed/recovered during recording; benchmark traces \
-                     cannot represent power failures"
-                        .into(),
-                ))
-            }
-        };
-        // Coalesce `write_initial` runs over contiguous addresses (setup
-        // seeds whole structures word by word — one record per region keeps
-        // the committed pack small).
-        if coalesce {
-            if let (
-                Some(Event::Init {
-                    addr: pa,
-                    len: pl,
-                    data: pd,
-                }),
-                Event::Init { addr, len, data },
-            ) = (out.last_mut(), &ev)
-            {
-                let contiguous = *pa + u64::from(*pl) == *addr;
-                let same_mode = pd.is_empty() == data.is_empty();
-                if contiguous && same_mode && u64::from(*pl) + u64::from(*len) <= u32::MAX as u64 {
-                    *pl += *len;
-                    pd.extend_from_slice(data);
-                    continue;
-                }
+        if let (
+            Some(Event::Init {
+                addr: pa,
+                len: pl,
+                data: pd,
+            }),
+            Event::Init { addr, len, data },
+        ) = (out.last_mut(), &ev)
+        {
+            let contiguous = *pa + u64::from(*pl) == *addr;
+            let same_mode = pd.is_empty() == data.is_empty();
+            if contiguous && same_mode && u64::from(*pl) + u64::from(*len) <= u32::MAX as u64 {
+                *pl += *len;
+                pd.extend_from_slice(data);
+                continue;
             }
         }
         out.push(ev);
     }
-    Ok(out)
+    out
 }
 
 /// Splits a single core's flat event stream into whole transactions,

@@ -113,8 +113,8 @@ impl<'a> Cursors<'a> {
         let Some(tx) = self.trace.per_core[c].get(t) else {
             panic!(
                 "trace '{}' ran dry: core {c} needs transaction {t} but only {} were \
-                 recorded per core; regenerate the pack with a deeper stream \
-                 (`cargo run -p xtask -- trace`)",
+                 recorded per core; record a deeper stream (a larger \
+                 `hoopsim trace --txs`, or `cargo run -p xtask -- trace` for the pack)",
                 self.trace.header.label, self.trace.header.txs_per_core
             );
         };

@@ -1,6 +1,7 @@
 //! Cross-engine durable equivalence: after the same committed workload and
-//! a drain, every engine must hold the same durable home image — different
-//! persistence mechanisms, identical semantics.
+//! a drain, every engine must hold the same durable home image, and must
+//! recover that image after a crash — different persistence mechanisms,
+//! identical semantics.
 
 use hoop_repro::prelude::*;
 use hoop_repro::workloads::driver::build_workload;
@@ -9,7 +10,16 @@ const ALL: [&str; 8] = [
     "Ideal", "Opt-Redo", "Opt-Undo", "OSP", "LSM", "LAD", "HOOP", "HOOP-MC2",
 ];
 
-fn durable_image(engine: &str, kind: WorkloadKind, txs: u64) -> Vec<u8> {
+/// The home region as `read` sees it, one line at a time.
+fn home_image(read: impl Fn(simcore::PAddr) -> Vec<u8>) -> Vec<u8> {
+    (0..(1u64 << 12))
+        .flat_map(|i| read(simcore::PAddr(4096 + i * 64)))
+        .collect()
+}
+
+/// The durable home image after a drain, and the CPU-visible image after a
+/// crash and a two-thread recovery from that drained state.
+fn durable_images(engine: &str, kind: WorkloadKind, txs: u64) -> (Vec<u8>, Vec<u8>) {
     let cfg = SimConfig::small_for_tests();
     let mut sys = build_system(engine, &cfg);
     let mut w = build_workload(
@@ -26,28 +36,29 @@ fn durable_image(engine: &str, kind: WorkloadKind, txs: u64) -> Vec<u8> {
     sys.drain();
     assert_eq!(w.verify(&sys), 0, "{engine}/{kind} volatile diverged");
     // After drain every engine has pushed all committed data home.
-    (0..(1u64 << 12))
-        .flat_map(|i| {
-            sys.engine()
-                .durable()
-                .read_vec(simcore::PAddr(4096 + i * 64), 64)
-        })
-        .collect()
+    let drained = home_image(|a| sys.engine().durable().read_vec(a, 64));
+    sys.crash_and_recover(2);
+    (drained, home_image(|a| sys.peek_vec(a, 64)))
 }
 
 #[test]
 fn all_engines_drain_to_the_same_home_image() {
     for kind in [
         WorkloadKind::Vector,
+        WorkloadKind::Hashmap,
         WorkloadKind::Queue,
         WorkloadKind::Ycsb,
     ] {
-        let reference = durable_image("Ideal", kind, 80);
+        let (drained, recovered) = durable_images("Ideal", kind, 80);
         for engine in ALL {
-            let img = durable_image(engine, kind, 80);
+            let (img, rec) = durable_images(engine, kind, 80);
             assert_eq!(
-                img, reference,
+                img, drained,
                 "{engine}/{kind}: durable home image differs from Ideal's"
+            );
+            assert_eq!(
+                rec, recovered,
+                "{engine}/{kind}: recovered image differs from Ideal's"
             );
         }
     }

@@ -1,113 +1,124 @@
-//! Trace record/replay: a workload's event stream captured on one engine
-//! replays identically on every other engine, and the text format
-//! round-trips.
+//! Trace record/replay: a hashmap workload recorded once (with payloads)
+//! and sent through the binary trace format replays into every engine; after
+//! a crash each engine recovers the image of its own live run, and every
+//! crash-consistent engine recovers the same image.
 
-use hoop_repro::engines::trace::Trace;
+use hoop_repro::engines::trace::Event;
 use hoop_repro::prelude::*;
-use hoop_repro::workloads::driver::build_workload;
+use trace::{record_workload, RecordOptions, TraceFile, TraceReader};
 
-fn record_reference() -> (Trace, Vec<(u64, Vec<u8>)>) {
-    // Record a hashmap workload on the Ideal engine, capturing the initial
-    // image so replays can reconstruct the same starting state.
-    let cfg = SimConfig::small_for_tests();
-    let mut sys = build_system("Ideal", &cfg);
-    let mut w = build_workload(
-        WorkloadSpec {
-            items: 64,
-            ..WorkloadSpec::small(WorkloadKind::Hashmap)
-        },
-        11,
-    );
-    w.setup(&mut sys, CoreId(0));
-    // Snapshot the populated region for replay setup.
-    let base_image: Vec<(u64, Vec<u8>)> = (0..1024u64)
-        .map(|i| {
-            (
-                4096 + i * 64,
-                sys.peek_vec(simcore::PAddr(4096 + i * 64), 64),
-            )
-        })
-        .collect();
-    sys.start_recording();
-    for _ in 0..80 {
-        w.run_tx(&mut sys, CoreId(0));
+const TXS_PER_CORE: u32 = 40;
+
+fn spec() -> WorkloadSpec {
+    WorkloadSpec {
+        items: 64,
+        ..WorkloadSpec::small(WorkloadKind::Hashmap)
     }
-    (sys.take_trace(), base_image)
 }
 
-fn replay_on(engine: &str, trace: &Trace, image: &[(u64, Vec<u8>)]) -> Vec<u8> {
-    let cfg = SimConfig::small_for_tests();
-    let mut sys = build_system(engine, &cfg);
-    let _ = sys.alloc(1 << 20); // cover the recorded address range
-    for (addr, bytes) in image {
-        sys.write_initial(simcore::PAddr(*addr), bytes);
-    }
-    let report = trace.replay(&mut sys);
-    assert!(report.txs > 0 && report.stores > 0);
-    // Crash + recover, then dump the durable image for comparison.
+/// The lines the trace touches, as `(first, end)` addresses.
+fn touched_span(trace: &TraceFile) -> (u64, u64) {
+    let events = trace
+        .setup
+        .iter()
+        .chain(trace.per_core.iter().flatten().flatten());
+    events
+        .filter_map(|ev| match ev {
+            Event::Init { addr, len, .. } => Some((*addr, *len as u64)),
+            Event::Store { addr, data, .. } => Some((*addr, data.len() as u64)),
+            _ => None,
+        })
+        .fold((u64::MAX, 0), |(lo, hi), (a, n)| (lo.min(a), hi.max(a + n)))
+}
+
+/// The CPU-visible bytes of `span` after a crash and a two-thread recovery.
+fn recovered_image(sys: &mut System, (lo, hi): (u64, u64)) -> Vec<u8> {
     sys.crash_and_recover(2);
-    (0..1024u64)
-        .flat_map(|i| sys.peek_vec(simcore::PAddr(4096 + i * 64), 64))
-        .collect()
+    sys.peek_vec(PAddr(lo), (hi - lo) as usize)
+}
+
+/// The recovered image of the live run a recording stands for, with the
+/// cores' transactions issued in the same per-core order as [`replay_on`].
+fn live_image(engine: &str, cfg: &SimConfig, span: (u64, u64)) -> Vec<u8> {
+    let mut sys = build_system(engine, cfg);
+    let mut driver = Driver::new(spec(), cfg);
+    driver.setup(&mut sys);
+    for c in 0..cfg.worker_threads {
+        for _ in 0..TXS_PER_CORE {
+            driver.run_one(&mut sys, CoreId(c));
+        }
+    }
+    recovered_image(&mut sys, span)
+}
+
+/// Applies a recorded setup stream, then every core's transactions, core
+/// by core in recorded order.
+fn replay_on(engine: &str, trace: &TraceFile, cfg: &SimConfig) -> System {
+    let mut sys = build_system(engine, cfg);
+    let mut open = None;
+    let txs = trace.per_core.iter().flatten().flatten();
+    for ev in trace.setup.iter().chain(txs) {
+        match ev {
+            Event::Init { addr, data, .. } => sys.write_initial(PAddr(*addr), data),
+            Event::TxBegin { core } => open = Some(sys.tx_begin(CoreId(*core))),
+            Event::TxEnd { core } => sys.tx_end(CoreId(*core), open.take().expect("open tx")),
+            Event::Store { core, addr, data } => sys.store_bytes(CoreId(*core), PAddr(*addr), data),
+            Event::Load { core, addr, len } => {
+                let mut buf = vec![0; *len as usize];
+                sys.load_bytes(CoreId(*core), PAddr(*addr), &mut buf);
+            }
+            Event::StoreShape { .. } => panic!("a values-mode trace holds no StoreShape"),
+        }
+    }
+    sys
 }
 
 #[test]
 fn trace_replays_identically_on_all_engines() {
-    let (trace, image) = record_reference();
-    assert!(trace.len() > 100, "trace too small: {}", trace.len());
-    let reference = replay_on("HOOP", &trace, &image);
-    for engine in ["Opt-Redo", "Opt-Undo", "OSP", "LSM", "LAD", "HOOP-MC2"] {
-        let got = replay_on(engine, &trace, &image);
-        assert_eq!(
-            got, reference,
-            "{engine} diverged from HOOP on the same trace"
-        );
-    }
-}
-
-#[test]
-fn text_serialization_roundtrips_a_real_trace() {
-    let (trace, _) = record_reference();
-    let text = trace.to_text();
-    let parsed = Trace::from_text(&text).expect("parse back");
-    assert_eq!(parsed, trace);
-    // Spot-check the format is line-oriented and greppable.
-    assert!(text.lines().count() == trace.len());
-    assert!(text.contains("B 0"));
-    assert!(text.contains("E 0"));
-}
-
-#[test]
-fn replay_with_mid_trace_crash_keeps_committed_prefix() {
     let cfg = SimConfig::small_for_tests();
-    let mut sys = build_system("HOOP", &cfg);
-    let base = sys.alloc(256);
-    sys.start_recording();
-    for i in 0..4u64 {
-        let tx = sys.tx_begin(CoreId(0));
-        sys.store_u64(CoreId(0), base.offset(i * 64), i + 1);
-        sys.tx_end(CoreId(0), tx);
-    }
-    sys.crash();
-    sys.recover(1);
-    let mut trace = sys.take_trace();
-    assert!(matches!(
-        trace.events[trace.events.len() - 2],
-        hoop_repro::engines::trace::TraceEvent::Crash
-    ));
+    let recorded = record_workload(
+        "hashmap",
+        spec(),
+        &cfg,
+        RecordOptions {
+            txs_per_core: TXS_PER_CORE,
+            values: true,
+        },
+    )
+    .expect("record");
+    let trace = TraceReader::decode(&recorded.encode()).expect("decode");
+    assert_eq!(
+        trace, recorded,
+        "binary format must round-trip a real trace"
+    );
+    let stores = trace
+        .per_core
+        .iter()
+        .flatten()
+        .flatten()
+        .filter(|ev| matches!(ev, Event::Store { .. }))
+        .count();
+    assert!(stores > 100, "trace too small: {stores} stores");
 
-    // Replay on a fresh HOOP machine: same committed state.
-    let mut replayed = build_system("HOOP", &cfg);
-    let rbase = replayed.alloc(256);
-    assert_eq!(rbase, base, "heap layout is deterministic");
-    trace.replay(&mut replayed);
-    for i in 0..4u64 {
-        assert_eq!(replayed.peek_u64(base.offset(i * 64)), i + 1);
+    let span = touched_span(&trace);
+    let reference = live_image("HOOP", &cfg, span);
+    assert!(
+        reference.iter().any(|&b| b != 0),
+        "reference image is blank"
+    );
+    for engine in ENGINES {
+        let replayed = recovered_image(&mut replay_on(engine, &trace, &cfg), span);
+        assert_eq!(
+            replayed,
+            live_image(engine, &cfg, span),
+            "{engine}: recovered image after replay differs from the live run"
+        );
+        // Ideal guarantees no persistence, so only its own live run binds it.
+        if engine != "Ideal" {
+            assert_eq!(
+                replayed, reference,
+                "{engine}: recovered image differs from HOOP's"
+            );
+        }
     }
-    // Appending junk keeps the parser honest.
-    trace
-        .events
-        .push(hoop_repro::engines::trace::TraceEvent::Crash);
-    let text = trace.to_text();
-    assert!(Trace::from_text(&text).is_ok());
 }
