@@ -10,13 +10,14 @@
 //! tree, and runs [`PAIRS`] pairs of each of [`WORKLOADS`] at `--seconds`
 //! [`SECONDS`]: the base runs first in even pairs, the change in odd ones.
 //! Each run's `--json` document is kept under `target/perf-gate/runs/`. It
-//! prints one table per workload (per pair: both sides' `host_s` and every
-//! engine cell's change/base time ratio) and fails when
+//! prints one table per workload (per pair: both sides' `host_s`, the
+//! change in `peak_rss_mib` and every engine cell's change/base time ratio)
+//! and fails when
 //!
 //! - a change-side run reports `failed > 0` or exits non-zero;
-//! - on a workload, the change's median `host_s` exceeds the base's by more
-//!   than the `host_s` bound of `BENCHMARK.json`, and the change is slower
-//!   in most pairs;
+//! - on a workload, the change's median `host_s` or `peak_rss_mib` exceeds
+//!   the base's by more than that metric's bound in `BENCHMARK.json`, and
+//!   the change is worse in most pairs;
 //! - on an engine cell, the median of the change/base time ratios exceeds
 //!   1 + 2 × bound, and the change is slower in most pairs.
 //!
@@ -37,12 +38,13 @@ use hoop_bench::json::Json;
 
 /// Alternating pairs per workload.
 const PAIRS: usize = 5;
-/// The perfbench workloads the gate runs: the engine write path and the
-/// cache-hit path.
-const WORKLOADS: [&str; 2] = ["write-hashmap", "tree-btree"];
+/// The perfbench workloads the gate runs: the engine write path, the
+/// LLC-miss path and the cache-hit path.
+const WORKLOADS: [&str; 3] = ["write-hashmap", "read-ycsb", "tree-btree"];
 /// `--seconds` per run: one full pass over the seven cells.
 const SECONDS: &str = "3";
-/// The benchmark declaration; its `host_s` bound is the gate's threshold.
+/// The benchmark declaration; its `host_s` and `peak_rss_mib` bounds are
+/// the gate's thresholds.
 const BENCHMARK: &str = include_str!("../../../../BENCHMARK.json");
 
 const USAGE: &str = "usage: perf_gate --base REV";
@@ -56,6 +58,8 @@ struct Run {
     failed: u64,
     /// End-to-end host seconds at the reference speed.
     host_s: f64,
+    /// Peak resident set size in MiB.
+    peak_rss_mib: f64,
     /// Per engine cell, the median over its samples of `run_s` in units of
     /// the reference measured around it.
     cells: Vec<(String, f64)>,
@@ -100,23 +104,37 @@ fn median(mut values: Vec<f64>) -> f64 {
     }
 }
 
-/// `end_to_end[host_s].bound` of a benchmark declaration.
-fn host_s_bound(benchmark: &str) -> Result<f64, String> {
+/// The bounds of the end-to-end metrics the gate compares.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Bounds {
+    host_s: f64,
+    peak_rss_mib: f64,
+}
+
+/// `end_to_end[metric].bound` of a benchmark declaration.
+fn bound(benchmark: &str, metric: &str) -> Result<f64, String> {
     let doc = Json::parse(benchmark).map_err(|e| format!("BENCHMARK.json: {e}"))?;
     doc.get("end_to_end")
         .and_then(Json::as_arr)
         .and_then(|metrics| {
             metrics
                 .iter()
-                .find(|m| m.get("name").and_then(Json::as_str) == Some("host_s"))
+                .find(|m| m.get("name").and_then(Json::as_str) == Some(metric))
         })
         .and_then(|m| m.get("bound"))
         .and_then(Json::as_f64)
-        .ok_or_else(|| "BENCHMARK.json: no end_to_end host_s bound".into())
+        .ok_or_else(|| format!("BENCHMARK.json: no end_to_end {metric} bound"))
 }
 
-/// Reads one run: `failed` and `host_s` from the last line of its stdout,
-/// the cells' samples from its `--json` document.
+fn bounds(benchmark: &str) -> Result<Bounds, String> {
+    Ok(Bounds {
+        host_s: bound(benchmark, "host_s")?,
+        peak_rss_mib: bound(benchmark, "peak_rss_mib")?,
+    })
+}
+
+/// Reads one run: `failed`, `host_s` and `peak_rss_mib` from the last line
+/// of its stdout, the cells' samples from its `--json` document.
 fn parse_run(stdout: &str, doc: &str, exited_ok: bool) -> Result<Run, String> {
     let line = stdout.lines().rev().find(|l| !l.trim().is_empty());
     let result = Json::parse(line.unwrap_or("")).map_err(|e| format!("last stdout line: {e}"))?;
@@ -124,12 +142,16 @@ fn parse_run(stdout: &str, doc: &str, exited_ok: bool) -> Result<Run, String> {
         .get("failed")
         .and_then(Json::as_f64)
         .ok_or("last stdout line: no `failed`")?;
-    let host_s = result
-        .get("metrics")
-        .and_then(|m| m.get("host_s"))
-        .and_then(|m| m.get("value"))
-        .and_then(Json::as_f64)
-        .ok_or("last stdout line: no `host_s`")?;
+    let metric = |name: &str| {
+        result
+            .get("metrics")
+            .and_then(|m| m.get(name))
+            .and_then(|m| m.get("value"))
+            .and_then(Json::as_f64)
+            .ok_or(format!("last stdout line: no `{name}`"))
+    };
+    let host_s = metric("host_s")?;
+    let peak_rss_mib = metric("peak_rss_mib")?;
     let doc = Json::parse(doc).map_err(|e| format!("--json document: {e}"))?;
     let mut cells = Vec::new();
     for cell in doc
@@ -159,6 +181,7 @@ fn parse_run(stdout: &str, doc: &str, exited_ok: bool) -> Result<Run, String> {
         exited_ok,
         failed: failed as u64,
         host_s,
+        peak_rss_mib,
         cells,
     })
 }
@@ -177,13 +200,39 @@ fn cell_ratios(pairs: &[Pair], engine: &str) -> Vec<f64> {
     pairs.iter().filter_map(|p| p.cell_ratio(engine)).collect()
 }
 
-/// Whether the change is slower in most of `ratios` (change/base).
+/// Whether the change is worse in most of `ratios` (change/base, lower is
+/// better).
 fn slower_in_most(ratios: &[f64]) -> bool {
     2 * ratios.iter().filter(|&&r| r > 1.0).count() > ratios.len()
 }
 
+/// Why an end-to-end metric (lower is better) fails on one workload: the
+/// change's median exceeds the base's by more than `bound`, and the change
+/// is worse in most pairs.
+fn metric_verdict(
+    workload: &str,
+    pairs: &[Pair],
+    (name, unit): (&str, &str),
+    bound: f64,
+    value: fn(&Run) -> f64,
+) -> Option<String> {
+    let base = median(pairs.iter().map(|p| value(&p.base)).collect());
+    let change = median(pairs.iter().map(|p| value(&p.change)).collect());
+    let ratios: Vec<f64> = pairs
+        .iter()
+        .map(|p| value(&p.change) / value(&p.base))
+        .collect();
+    (change > base * (1.0 + bound) && slower_in_most(&ratios)).then(|| {
+        format!(
+            "{workload}: median {name} {change:.3} {unit} against the base's {base:.3} {unit} ({}, bound {:.0} %)",
+            percent(change / base),
+            bound * 100.0
+        )
+    })
+}
+
 /// Why one workload's pairs fail the gate; empty when they pass.
-fn verdict(workload: &str, pairs: &[Pair], bound: f64) -> Vec<String> {
+fn verdict(workload: &str, pairs: &[Pair], bounds: Bounds) -> Vec<String> {
     let failed: Vec<String> = pairs
         .iter()
         .enumerate()
@@ -203,27 +252,28 @@ fn verdict(workload: &str, pairs: &[Pair], bound: f64) -> Vec<String> {
     if !failed.is_empty() {
         return failed;
     }
-    let mut why = Vec::new();
-    let base = median(pairs.iter().map(|p| p.base.host_s).collect());
-    let change = median(pairs.iter().map(|p| p.change.host_s).collect());
-    let ratios: Vec<f64> = pairs
-        .iter()
-        .map(|p| p.change.host_s / p.base.host_s)
-        .collect();
-    if change > base * (1.0 + bound) && slower_in_most(&ratios) {
-        why.push(format!(
-            "{workload}: median host_s {change:.3} s against the base's {base:.3} s ({}, bound {:.0} %)",
-            percent(change / base),
-            bound * 100.0
-        ));
-    }
+    let mut why: Vec<String> = [
+        metric_verdict(workload, pairs, ("host_s", "s"), bounds.host_s, |r| {
+            r.host_s
+        }),
+        metric_verdict(
+            workload,
+            pairs,
+            ("peak_rss_mib", "MiB"),
+            bounds.peak_rss_mib,
+            |r| r.peak_rss_mib,
+        ),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    let limit = 1.0 + 2.0 * bounds.host_s;
     for engine in engines(pairs) {
         let ratios = cell_ratios(pairs, engine);
         let ratio = median(ratios.clone());
-        if ratio > 1.0 + 2.0 * bound && slower_in_most(&ratios) {
+        if ratio > limit && slower_in_most(&ratios) {
             why.push(format!(
-                "{workload}: {engine} cell median time ratio {ratio:.2} (limit {:.2})",
-                1.0 + 2.0 * bound
+                "{workload}: {engine} cell median time ratio {ratio:.2} (limit {limit:.2})"
             ));
         }
     }
@@ -240,20 +290,23 @@ fn percent(ratio: f64) -> String {
 }
 
 /// The per-pair table of one workload: both sides' `host_s`, its change,
-/// and each engine cell's change in time; the last row holds the medians.
+/// the change in `peak_rss_mib`, and each engine cell's change in time; the
+/// last row holds the medians.
 fn table(workload: &str, pairs: &[Pair]) -> String {
     let engines = engines(pairs);
     let mut out = format!(
-        "{workload}\n{:<6} {:<6} {:>9} {:>9} {:>9}",
-        "pair", "first", "base", "change", "host_s"
+        "{workload}\n{:<6} {:<6} {:>9} {:>9} {:>9} {:>9}",
+        "pair", "first", "base", "change", "host_s", "rss"
     );
     for e in &engines {
         out.push_str(&format!(" {e:>9}"));
     }
-    let mut row = |label: String, first: &str, base: f64, change: f64, cells: Vec<f64>| {
+    let mut row = |label: String, first: &str, host_s: [f64; 2], rss: f64, cells: Vec<f64>| {
+        let [base, change] = host_s;
         out.push_str(&format!(
-            "\n{label:<6} {first:<6} {base:>9.3} {change:>9.3} {:>9}",
-            percent(change / base)
+            "\n{label:<6} {first:<6} {base:>9.3} {change:>9.3} {:>9} {:>9}",
+            percent(change / base),
+            percent(rss)
         ));
         for r in cells {
             out.push_str(&format!(" {:>9}", percent(r)));
@@ -265,13 +318,21 @@ fn table(workload: &str, pairs: &[Pair]) -> String {
             .map(|e| p.cell_ratio(e).unwrap_or(f64::NAN))
             .collect();
         let first = if i % 2 == 0 { "base" } else { "change" };
-        row(i.to_string(), first, p.base.host_s, p.change.host_s, cells);
+        let rss = p.change.peak_rss_mib / p.base.peak_rss_mib;
+        row(
+            i.to_string(),
+            first,
+            [p.base.host_s, p.change.host_s],
+            rss,
+            cells,
+        );
     }
+    let side = |f: fn(&Pair) -> f64| median(pairs.iter().map(f).collect());
     row(
         "median".into(),
         "",
-        median(pairs.iter().map(|p| p.base.host_s).collect()),
-        median(pairs.iter().map(|p| p.change.host_s).collect()),
+        [side(|p| p.base.host_s), side(|p| p.change.host_s)],
+        side(|p| p.change.peak_rss_mib) / side(|p| p.base.peak_rss_mib),
         engines
             .iter()
             .map(|e| median(cell_ratios(pairs, e)))
@@ -372,6 +433,7 @@ fn run(bin: &Path, tree: &Path, workload: &str, json: &Path, change: bool) -> Re
             exited_ok: false,
             failed: 0,
             host_s: 0.0,
+            peak_rss_mib: 0.0,
             cells: Vec::new(),
         }),
         parsed => parsed.map_err(|e| format!("{}: {e}", json.display())),
@@ -380,7 +442,7 @@ fn run(bin: &Path, tree: &Path, workload: &str, json: &Path, change: bool) -> Re
 
 /// The whole A/B: the failures of every workload, empty when it passes.
 fn gate(rev: &str) -> Result<Vec<String>, String> {
-    let bound = host_s_bound(BENCHMARK)?;
+    let bounds = bounds(BENCHMARK)?;
     let root = output(
         Command::new("git").args(["rev-parse", "--show-toplevel"]),
         "git rev-parse",
@@ -408,8 +470,9 @@ fn gate(rev: &str) -> Result<Vec<String>, String> {
                 (base()?, c)
             };
             eprintln!(
-                "perf_gate: {workload} pair {i}: host_s base {:.3} change {:.3}",
-                base.host_s, change.host_s
+                "perf_gate: {workload} pair {i}: host_s base {:.3} change {:.3}, \
+                 peak_rss_mib base {:.1} change {:.1}",
+                base.host_s, change.host_s, base.peak_rss_mib, change.peak_rss_mib
             );
             let stop = !change.passed();
             done.push(Pair { base, change });
@@ -424,7 +487,7 @@ fn gate(rev: &str) -> Result<Vec<String>, String> {
     let mut why = Vec::new();
     for (workload, pairs) in WORKLOADS.iter().zip(&pairs) {
         println!("{}\n", table(workload, pairs));
-        why.extend(verdict(workload, pairs, bound));
+        why.extend(verdict(workload, pairs, bounds));
     }
     Ok(why)
 }
@@ -460,6 +523,7 @@ mod tests {
             exited_ok: true,
             failed: 0,
             host_s,
+            peak_rss_mib: 200.0,
             cells: cells.iter().map(|&(e, s)| (e.to_string(), s)).collect(),
         }
     }
@@ -475,13 +539,20 @@ mod tests {
             .collect()
     }
 
-    const BOUND: f64 = 0.25;
+    const BOUND: Bounds = Bounds {
+        host_s: 0.25,
+        peak_rss_mib: 0.1,
+    };
 
     #[test]
-    fn the_bound_comes_from_the_benchmark_declaration() {
-        let bound = host_s_bound(BENCHMARK).expect("BENCHMARK.json declares host_s");
-        assert!(bound > 0.0 && bound < 1.0);
-        assert!(host_s_bound("{\"end_to_end\": []}").is_err());
+    fn the_bounds_come_from_the_benchmark_declaration() {
+        let b = bounds(BENCHMARK).expect("BENCHMARK.json declares both bounds");
+        for bound in [b.host_s, b.peak_rss_mib] {
+            assert!(bound > 0.0 && bound < 1.0);
+        }
+        assert!(bounds("{\"end_to_end\": []}").is_err());
+        let host_s_only = r#"{"end_to_end": [{"name": "host_s", "bound": 0.25}]}"#;
+        assert!(bounds(host_s_only).is_err_and(|e| e.contains("peak_rss_mib")));
     }
 
     #[test]
@@ -549,6 +620,28 @@ mod tests {
     }
 
     #[test]
+    fn peak_rss_past_its_bound_in_most_pairs_fails() {
+        let mut p = pairs(&[("HOOP", 1.0)], &[("HOOP", 1.0)]);
+        // +8 % in every pair: inside the 10 % bound.
+        p.iter_mut().for_each(|p| p.change.peak_rss_mib = 216.0);
+        assert!(verdict("w", &p, BOUND).is_empty());
+        // +15 % in every pair.
+        p.iter_mut().for_each(|p| p.change.peak_rss_mib = 230.0);
+        let why = verdict("w", &p, BOUND);
+        assert_eq!(why.len(), 1, "{why:?}");
+        assert!(why[0].contains("peak_rss_mib") && why[0].contains("+15.0 %"));
+        assert!(table("w", &p).contains("+15.0 %"));
+        // The medians are 200 and 230 MiB again, but the change is worse
+        // only in pairs 0 and 1.
+        let base = [200.0, 200.0, 200.0, 300.0, 300.0];
+        let change = [230.0, 230.0, 190.0, 290.0, 290.0];
+        for ((p, b), c) in p.iter_mut().zip(base).zip(change) {
+            (p.base.peak_rss_mib, p.change.peak_rss_mib) = (b, c);
+        }
+        assert!(verdict("w", &p, BOUND).is_empty());
+    }
+
+    #[test]
     fn a_failed_change_run_fails() {
         let mut p = pairs(&[("HOOP", 1.0)], &[("HOOP", 1.0)]);
         p[3].change.failed = 1;
@@ -575,9 +668,12 @@ mod tests {
     fn a_run_is_read_from_its_last_line_and_its_cells() {
         let stdout = "host cpu\nmetric host_s 2.5 s\n\
             {\"correct\": true, \"attempted\": 9, \"failed\": 0, \
-            \"metrics\": {\"host_s\": {\"value\": 2.5, \"unit\": \"s\"}}}\n";
+            \"metrics\": {\"host_s\": {\"value\": 2.5, \"unit\": \"s\"}, \
+            \"peak_rss_mib\": {\"value\": 200.0, \"unit\": \"MiB\"}}}\n";
         let r = parse_run(stdout, DOC, true).expect("well-formed run");
         assert_eq!(r, run(2.5, &[("HOOP", 8.0)]));
+        let no_rss = stdout.replace("peak_rss_mib", "rss");
+        assert!(parse_run(&no_rss, DOC, true).is_err());
     }
 
     #[test]

@@ -98,10 +98,7 @@ impl FixtureBase {
         self.stats.misses_served.inc();
         self.stats.miss_memory_loads.inc();
         self.stats.miss_service_cycles.add(latency);
-        MissFill {
-            latency,
-            fill_dirty: false,
-        }
+        MissFill { latency }
     }
 
     /// Evictions of transactional (persistent-bit) lines are swallowed —

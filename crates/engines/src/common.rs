@@ -106,10 +106,7 @@ impl ControllerBase {
         self.stats.misses_served.inc();
         self.stats.miss_memory_loads.inc();
         self.stats.miss_service_cycles.add(latency);
-        MissFill {
-            latency,
-            fill_dirty: false,
-        }
+        MissFill { latency }
     }
 
     /// Classifies a demand line read against the media model, returning the

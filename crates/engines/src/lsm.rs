@@ -274,10 +274,7 @@ impl PersistenceEngine for LsmEngine {
                 latency = home.complete.saturating_sub(now);
             }
             self.base.stats.miss_service_cycles.add(latency);
-            MissFill {
-                latency,
-                fill_dirty: false,
-            }
+            MissFill { latency }
         } else {
             self.base.serve_miss_from_home(line, now)
         }

@@ -101,10 +101,7 @@ impl PersistenceEngine for NativeEngine {
         self.stats.misses_served.inc();
         self.stats.miss_memory_loads.inc();
         self.stats.miss_service_cycles.add(latency);
-        MissFill {
-            latency,
-            fill_dirty: false,
-        }
+        MissFill { latency }
     }
 
     fn on_evict_dirty(&mut self, line: Line, _persistent: bool, line_data: &[u8], now: Cycle) {
@@ -193,7 +190,6 @@ mod tests {
         let mut e = NativeEngine::new(&cfg);
         let fill = e.on_llc_miss(CoreId(0), Line(1), 0);
         assert!(fill.latency >= 125);
-        assert!(!fill.fill_dirty);
         assert_eq!(e.stats().loads_per_miss(), 1.0);
     }
 

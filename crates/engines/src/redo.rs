@@ -191,10 +191,7 @@ impl PersistenceEngine for OptRedoEngine {
             self.base.stats.misses_served.inc();
             self.base.stats.miss_memory_loads.inc();
             self.base.stats.miss_service_cycles.add(latency);
-            MissFill {
-                latency,
-                fill_dirty: false,
-            }
+            MissFill { latency }
         } else {
             self.base.serve_miss_from_home(line, now)
         }

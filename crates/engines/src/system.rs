@@ -285,9 +285,6 @@ impl System {
                     .engine
                     .on_llc_miss(core, line, self.clocks[c] + latency);
                 latency += fill.latency;
-                if fill.fill_dirty {
-                    self.hier.mark_dirty(core, line, true);
-                }
             }
             if let Some(ev) = res.evicted {
                 let mut data = [0u8; CACHE_LINE_BYTES as usize];

@@ -54,9 +54,6 @@ pub struct EngineProperties {
 pub struct MissFill {
     /// Memory-side latency of serving the miss (added to cache latency).
     pub latency: Cycle,
-    /// The filled line is newer than its home copy (e.g. HOOP served it from
-    /// the OOP region), so the cache must treat it as dirty + persistent.
-    pub fill_dirty: bool,
 }
 
 /// Result of committing a transaction.

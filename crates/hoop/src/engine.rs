@@ -418,25 +418,18 @@ impl PersistenceEngine for HoopEngine {
             }
             latency += complete.saturating_sub(issue) + costs::SLICE_UNPACK;
             self.base.stats.miss_service_cycles.add(latency);
-            return MissFill {
-                latency,
-                fill_dirty: false,
-            };
+            return MissFill { latency };
         }
         latency += costs::EVICTION_BUFFER_LOOKUP;
         if self.evict_buf.contains(line) {
             // Served from controller SRAM.
             self.base.stats.misses_served.inc();
             self.base.stats.miss_service_cycles.add(latency);
-            return MissFill {
-                latency,
-                fill_dirty: false,
-            };
+            return MissFill { latency };
         }
         let fill = self.base.serve_miss_from_home(line, now + latency);
         MissFill {
             latency: latency + fill.latency,
-            fill_dirty: false,
         }
     }
 

@@ -489,15 +489,11 @@ impl PersistenceEngine for MultiHoopEngine {
             }
             latency += complete.saturating_sub(issue) + costs::SLICE_UNPACK;
             self.base.stats.miss_service_cycles.add(latency);
-            return MissFill {
-                latency,
-                fill_dirty: false,
-            };
+            return MissFill { latency };
         }
         let fill = self.base.serve_miss_from_home(line, now + latency);
         MissFill {
             latency: latency + fill.latency,
-            fill_dirty: false,
         }
     }
 

@@ -252,21 +252,6 @@ impl Hierarchy {
         }
     }
 
-    /// Marks a line resident in `core`'s L1 as dirty (and optionally
-    /// persistent) without a full access. HOOP uses this when an LLC miss is
-    /// served from the OOP region: the filled line differs from its home
-    /// copy, so it must not be silently dropped on a clean eviction.
-    pub fn mark_dirty(&mut self, core: CoreId, line: Line, persistent: bool) {
-        let c = core.index();
-        if self.l1[c].contains(line) {
-            self.l1[c].mark_dirty(line, persistent);
-        } else if self.l2[c].contains(line) {
-            self.l2[c].mark_dirty(line, persistent);
-        } else {
-            self.llc.mark_dirty(line, persistent);
-        }
-    }
-
     /// Marks `line` clean in every level (its data just became durable).
     /// Returns `true` if any copy was dirty.
     pub fn clean_line(&mut self, line: Line) -> bool {

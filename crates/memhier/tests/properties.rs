@@ -268,16 +268,6 @@ impl SweepHierarchy {
         }
     }
 
-    fn mark_dirty(&mut self, c: usize, line: Line, persistent: bool) {
-        if self.l1[c].contains(line) {
-            self.l1[c].mark_dirty(line, persistent);
-        } else if self.l2[c].contains(line) {
-            self.l2[c].mark_dirty(line, persistent);
-        } else {
-            self.llc.mark_dirty(line, persistent);
-        }
-    }
-
     fn clean_line(&mut self, line: Line) -> bool {
         let mut was = false;
         for c in 0..self.l1.len() {
@@ -330,26 +320,6 @@ impl SweepHierarchy {
     }
 }
 
-/// An op of the differential property: a shared op, or the out-of-band
-/// `mark_dirty` HOOP issues after an LLC miss served from its OOP region.
-#[derive(Clone, Debug)]
-enum DiffOp {
-    Op(Op),
-    MarkDirty {
-        core: u8,
-        line: u64,
-        persistent: bool,
-    },
-}
-
-fn diff_op_strategy() -> impl Strategy<Value = DiffOp> {
-    prop_oneof![
-        10 => op_strategy().prop_map(DiffOp::Op),
-        1 => (0u8..CORES, line_strategy(), any::<bool>())
-            .prop_map(|(core, line, persistent)| DiffOp::MarkDirty { core, line, persistent }),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -359,31 +329,26 @@ proptest! {
     /// line, and equal drained dirty residue.
     #[test]
     fn sharer_masks_match_the_full_sweep(
-        ops in prop::collection::vec(diff_op_strategy(), 1..400)
+        ops in prop::collection::vec(op_strategy(), 1..400)
     ) {
         let cfg = SimConfig::small_for_tests();
         let mut h = Hierarchy::new(&cfg);
         let mut reference = SweepHierarchy::new(&cfg);
         for op in &ops {
             let line = match *op {
-                DiffOp::Op(Op::Access { line, .. } | Op::Clean { line } | Op::Flush { line })
-                | DiffOp::MarkDirty { line, .. } => line,
+                Op::Access { line, .. } | Op::Clean { line } | Op::Flush { line } => line,
             };
             match *op {
-                DiffOp::Op(Op::Access { core, line, write, persistent }) => {
+                Op::Access { core, line, write, persistent } => {
                     let got = h.access(CoreId(core), Line(line), write, persistent);
                     let want = reference.access(core as usize, Line(line), write, persistent);
                     prop_assert_eq!(got, want, "access of line {} by core {}", line, core);
                 }
-                DiffOp::Op(Op::Clean { line }) => {
+                Op::Clean { line } => {
                     prop_assert_eq!(h.clean_line(Line(line)), reference.clean_line(Line(line)));
                 }
-                DiffOp::Op(Op::Flush { line }) => {
+                Op::Flush { line } => {
                     prop_assert_eq!(h.flush_line(Line(line)), reference.flush_line(Line(line)));
-                }
-                DiffOp::MarkDirty { core, line, persistent } => {
-                    h.mark_dirty(CoreId(core), Line(line), persistent);
-                    reference.mark_dirty(core as usize, Line(line), persistent);
                 }
             }
             prop_assert_eq!(h.contains(Line(line)), reference.contains(Line(line)));

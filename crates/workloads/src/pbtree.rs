@@ -288,4 +288,26 @@ mod tests {
         assert_eq!(w.verify(&s), 0);
         assert!(w.next_node > 10, "splits must have happened");
     }
+
+    #[test]
+    fn verify_counts_one_corrupt_value() {
+        let cfg = SimConfig::small_for_tests();
+        let mut s = System::new(Box::new(NativeEngine::new(&cfg)), &cfg);
+        let mut w = PBTree::new(
+            WorkloadSpec {
+                items: 256,
+                ..WorkloadSpec::small(crate::WorkloadKind::BTree)
+            },
+            5,
+        );
+        w.setup(&mut s, CoreId(0));
+        for _ in 0..300 {
+            w.run_tx(&mut s, CoreId(0));
+        }
+        // The root's first value; its key, and so the order, stays intact.
+        let addr = PAddr(w.root + VALUES);
+        let want = s.peek_u64(addr);
+        s.write_initial(addr, &(!want).to_le_bytes());
+        assert_eq!(w.verify(&s), 1);
+    }
 }

@@ -215,6 +215,27 @@ mod tests {
     }
 
     #[test]
+    fn verify_counts_one_corrupt_word() {
+        let cfg = SimConfig::small_for_tests();
+        let mut s = System::new(Box::new(NativeEngine::new(&cfg)), &cfg);
+        let mut w = PHashmap::new(
+            WorkloadSpec {
+                items: 64,
+                ..WorkloadSpec::small(crate::WorkloadKind::Hashmap)
+            },
+            1,
+        );
+        w.setup(&mut s, CoreId(0));
+        for _ in 0..100 {
+            w.run_tx(&mut s, CoreId(0));
+        }
+        let bucket = w.inserted[0];
+        let want = w.shadow[bucket as usize].as_ref().expect("occupied").words[0];
+        s.write_initial(w.bucket_addr(bucket).offset(8), &(!want).to_le_bytes());
+        assert_eq!(w.verify(&s), 1);
+    }
+
+    #[test]
     fn updates_are_sparse() {
         // An update transaction touches four distinct entries with two
         // adjacent words each (the fine-granularity pattern of §III-C).

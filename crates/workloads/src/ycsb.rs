@@ -19,6 +19,14 @@ use crate::TxWorkload;
 /// `WorkloadSpec::update_fraction` for mix sweeps.
 pub const UPDATE_FRACTION: f64 = 0.8;
 
+/// `Ycsb::slot` entry of a row no update has written.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// Word `w` of row `row` as `setup` writes it.
+fn initial_word(row: u64, w: u64) -> u64 {
+    (row + 1).wrapping_mul(w + 1)
+}
+
 /// The YCSB benchmark.
 #[derive(Debug)]
 pub struct Ycsb {
@@ -26,8 +34,12 @@ pub struct Ycsb {
     table: Option<Table>,
     rng: SimRng,
     zipf: Zipfian,
-    /// Shadow: per record, per field-word, the expected value.
-    shadow: Vec<Vec<u64>>,
+    /// Shadow index: per row, its index in `touched` in whole rows, or
+    /// [`UNTOUCHED`] while the row still holds its [`initial_word`]s.
+    slot: Vec<u32>,
+    /// Shadow arena: the expected words of every row an update wrote, one
+    /// whole row each, in order of first update.
+    touched: Vec<u64>,
     version: u64,
     field_words: u64,
 }
@@ -42,7 +54,8 @@ impl Ycsb {
             table: None,
             rng: SimRng::seed(spec.seed ^ 0x9C5B).fork(stream),
             zipf: Zipfian::new(spec.items, spec.zipf_theta),
-            shadow: Vec::new(),
+            slot: Vec::new(),
+            touched: Vec::new(),
             version: 0,
             field_words,
         }
@@ -50,6 +63,28 @@ impl Ycsb {
 
     fn words_per_record(&self) -> u64 {
         self.spec.item_bytes / 8
+    }
+
+    /// The expected value of word `w` of row `row`.
+    fn expected(&self, row: u64, w: u64) -> u64 {
+        match self.slot[row as usize] {
+            UNTOUCHED => initial_word(row, w),
+            i => self.touched[(u64::from(i) * self.words_per_record() + w) as usize],
+        }
+    }
+
+    /// The offset of `row`'s expected words in `touched`, copying the row
+    /// into the arena on its first update.
+    fn touch(&mut self, row: u64) -> usize {
+        let words = self.words_per_record();
+        let mut i = self.slot[row as usize];
+        if i == UNTOUCHED {
+            i = (self.touched.len() as u64 / words) as u32;
+            self.slot[row as usize] = i;
+            self.touched
+                .extend((0..words).map(|w| initial_word(row, w)));
+        }
+        (u64::from(i) * words) as usize
     }
 }
 
@@ -59,19 +94,21 @@ impl TxWorkload for Ycsb {
     }
 
     fn setup(&mut self, sys: &mut System, _core: CoreId) {
+        assert!(
+            self.spec.items < u64::from(UNTOUCHED),
+            "row index fits a slot"
+        );
         let mut table = Table::create(sys, "usertable", self.spec.items, self.spec.item_bytes);
         let words = self.words_per_record();
+        let mut row = Vec::with_capacity(self.spec.item_bytes as usize);
         for key in 0..self.spec.items {
-            let mut row = Vec::with_capacity(self.spec.item_bytes as usize);
-            let mut shadow_row = Vec::with_capacity(words as usize);
+            row.clear();
             for w in 0..words {
-                let v = (key + 1).wrapping_mul(w + 1);
-                row.extend_from_slice(&v.to_le_bytes());
-                shadow_row.push(v);
+                row.extend_from_slice(&initial_word(key, w).to_le_bytes());
             }
             table.insert_initial(sys, key + 1, &row);
-            self.shadow.push(shadow_row);
         }
+        self.slot = vec![UNTOUCHED; self.spec.items as usize];
         self.table = Some(table);
     }
 
@@ -87,11 +124,12 @@ impl TxWorkload for Ycsb {
             // record (field deltas, version stamps, index metadata) rather
             // than one contiguous memcpy — Table III's "8-32 stores/tx".
             let words = self.words_per_record();
+            let shadow = self.touch(key_idx);
             self.version += 1;
             // A version stamp at the record head...
             let vstamp = self.version.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             sys.store_u64(core, addr, vstamp);
-            self.shadow[key_idx as usize][0] = vstamp;
+            self.touched[shadow] = vstamp;
             // ...plus short runs at several scattered field offsets.
             let runs = 3 + self.field_words / 4;
             for r in 0..runs {
@@ -100,7 +138,7 @@ impl TxWorkload for Ycsb {
                 for w in 0..run {
                     let v = vstamp ^ (r << 8 | w);
                     sys.store_u64(core, addr.offset((start + w) * 8), v);
-                    self.shadow[key_idx as usize][(start + w) as usize] = v;
+                    self.touched[shadow + (start + w) as usize] = v;
                 }
             }
         } else {
@@ -108,7 +146,7 @@ impl TxWorkload for Ycsb {
             // Sanity: the record must match the shadow.
             debug_assert_eq!(
                 u64::from_le_bytes(row[..8].try_into().expect("8 bytes")),
-                self.shadow[key_idx as usize][0]
+                self.expected(key_idx, 0)
             );
             let _ = row;
         }
@@ -117,11 +155,12 @@ impl TxWorkload for Ycsb {
 
     fn verify(&self, sys: &System) -> usize {
         let table = self.table.as_ref().expect("setup ran");
+        let words = self.words_per_record();
         let mut bad = 0;
-        for (k, row) in self.shadow.iter().enumerate() {
-            let addr = table.row_addr(k as u64);
-            for (w, want) in row.iter().enumerate() {
-                if sys.peek_u64(addr.offset(w as u64 * 8)) != *want {
+        for row in 0..self.slot.len() as u64 {
+            let addr = table.row_addr(row);
+            for w in 0..words {
+                if sys.peek_u64(addr.offset(w * 8)) != self.expected(row, w) {
                     bad += 1;
                 }
             }
@@ -154,6 +193,41 @@ mod tests {
             w.run_tx(&mut s, CoreId(0));
         }
         assert_eq!(w.verify(&s), 0);
+    }
+
+    #[test]
+    fn verify_counts_one_corrupt_word_in_a_touched_or_untouched_row() {
+        let cfg = SimConfig::small_for_tests();
+        let mut s = System::new(Box::new(NativeEngine::new(&cfg)), &cfg);
+        let mut w = Ycsb::new(
+            WorkloadSpec {
+                items: 64,
+                item_bytes: 512,
+                ..WorkloadSpec::small(crate::WorkloadKind::Ycsb)
+            },
+            0,
+        );
+        w.setup(&mut s, CoreId(0));
+        for _ in 0..100 {
+            w.run_tx(&mut s, CoreId(0));
+        }
+        let untouched = w.slot.iter().position(|&i| i == UNTOUCHED);
+        let touched = w.slot.iter().position(|&i| i != UNTOUCHED);
+        for row in [untouched, touched] {
+            let row = row.expect("100 Zipfian txs leave rows of both kinds") as u64;
+            let word = w.words_per_record() - 1;
+            let addr = w
+                .table
+                .as_ref()
+                .expect("setup ran")
+                .row_addr(row)
+                .offset(word * 8);
+            let want = w.expected(row, word);
+            s.write_initial(addr, &(!want).to_le_bytes());
+            assert_eq!(w.verify(&s), 1, "row {row}");
+            s.write_initial(addr, &want.to_le_bytes());
+            assert_eq!(w.verify(&s), 0);
+        }
     }
 
     #[test]
