@@ -119,8 +119,8 @@ fn run_one_sanitized(
 ) {
     let mut sys = build_system(engine, cfg);
     let san = sanitize.then(|| {
-        let (san, handle) = pmcheck::PersistencySanitizer::shared();
-        sys.attach_sanitizer(handle);
+        let (san, probe) = pmcheck::PersistencySanitizer::shared();
+        sys.attach_probe(probe);
         san
     });
     let mut driver = Driver::new(spec, cfg);

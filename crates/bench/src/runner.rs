@@ -714,8 +714,8 @@ pub fn run_cell_seeded_instrumented(
         sys.enable_endurance_tracking();
     }
     let san = sanitize.then(|| {
-        let (san, handle) = PersistencySanitizer::shared();
-        sys.attach_sanitizer(handle);
+        let (san, probe) = PersistencySanitizer::shared();
+        sys.attach_probe(probe);
         san
     });
     let mut driver = Driver::new(spec, sim);

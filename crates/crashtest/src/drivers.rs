@@ -12,7 +12,7 @@
 //! cutoff, nested offset) in `results/crashtest.json`.
 
 use hoop_bench::json::Json;
-use simcore::crashpoint::PersistEvent;
+use simcore::persist::Kind;
 use simcore::SimRng;
 
 use crate::harness::{CrashOutcome, Harness, NestedCrash};
@@ -36,7 +36,7 @@ pub struct Reproducer {
     /// Whether `cutoff` is the shrunk minimum (vs. the raw first hit).
     pub shrunk: bool,
     /// Kind of the event the crash landed on.
-    pub trip_kind: Option<PersistEvent>,
+    pub trip_kind: Option<Kind>,
     /// First oracle violation, rendered.
     pub violation: String,
     /// Total violations at this crash point.
@@ -175,7 +175,7 @@ impl EngineSummary {
     /// JSON form for `results/crashtest.json`.
     pub fn to_json(&self) -> Json {
         let kinds = Json::Obj(
-            PersistEvent::ALL
+            Kind::ALL
                 .iter()
                 .map(|k| {
                     (

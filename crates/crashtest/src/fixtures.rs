@@ -33,7 +33,7 @@ use engines::traits::{
 use nvm::{MediaModel, NvmDevice, Op, PersistentStore, TrafficClass};
 use simcore::addr::CACHE_LINE_BYTES;
 use simcore::config::MediaConfig;
-use simcore::crashpoint::{CrashValve, PersistEvent};
+use simcore::persist::{Event, Probe};
 use simcore::{CoreId, Cycle, DetHashMap, DetHashSet, Line, PAddr, SimConfig, TxId};
 
 use crate::harness::Harness;
@@ -48,7 +48,7 @@ struct FixtureBase {
     device: NvmDevice,
     store: PersistentStore,
     stats: EngineStats,
-    crash: CrashValve,
+    probe: Probe,
     next_tx: u64,
     /// Volatile write buffer of open transactions (lost on crash).
     active: DetHashMap<u64, Vec<(u64, Vec<u8>)>>,
@@ -64,7 +64,7 @@ impl FixtureBase {
             device: NvmDevice::new(cfg.nvm, cfg.energy),
             store: PersistentStore::new(),
             stats: EngineStats::default(),
-            crash: CrashValve::detached(),
+            probe: Probe::detached(),
             next_tx: 1,
             active: DetHashMap::default(),
             log: Vec::new(),
@@ -115,7 +115,7 @@ impl FixtureBase {
             Op::Write,
             TrafficClass::Data,
         );
-        if self.crash.event(PersistEvent::Home, None) {
+        if self.probe.emit(Event::Home, now) {
             self.store.write_bytes(line.base(), line_data);
         }
     }
@@ -137,7 +137,7 @@ impl FixtureBase {
             }
             replayed.insert(*tx);
             written += data.len() as u64;
-            if self.crash.event(PersistEvent::Recovery, None) {
+            if self.probe.emit(Event::Recovery, 0) {
                 self.store.write_bytes(PAddr(*addr), data);
             }
         }
@@ -150,9 +150,9 @@ impl FixtureBase {
         }
     }
 
-    fn attach_valve(&mut self, valve: CrashValve) {
-        self.store.attach_valve(valve.clone());
-        self.crash = valve;
+    fn attach_probe(&mut self, probe: Probe) {
+        self.store.attach_valve(probe.clone());
+        self.probe = probe;
     }
 }
 
@@ -209,8 +209,8 @@ macro_rules! delegate_fixture_common {
             &self.base.stats
         }
 
-        fn attach_crash_valve(&mut self, valve: CrashValve) {
-            self.base.attach_valve(valve);
+        fn attach_probe(&mut self, probe: Probe) {
+            self.base.attach_probe(probe);
         }
 
         fn reset_counters(&mut self) {
@@ -261,16 +261,16 @@ impl PersistenceEngine for CommitFirstEngine {
         0
     }
 
-    fn tx_end(&mut self, _core: CoreId, tx: TxId, _now: Cycle) -> CommitOutcome {
+    fn tx_end(&mut self, _core: CoreId, tx: TxId, now: Cycle) -> CommitOutcome {
         let writes = self.base.active.remove(&tx.0).unwrap_or_default();
         // THE BUG: the commit record is persisted first; the payload log
         // records follow. A crash between the two durabilizes a commit
         // whose effects are gone.
-        if self.base.crash.event(PersistEvent::Commit, Some(tx)) {
+        if self.base.probe.emit(Event::CommitRecord(tx), now) {
             self.base.committed.push(tx.0);
         }
         for (addr, data) in writes {
-            if self.base.crash.event(PersistEvent::Payload, None) {
+            if self.base.probe.emit(Event::Payload, now) {
                 self.base.log.push((tx.0, addr, data));
             }
         }
@@ -309,35 +309,28 @@ impl PersistenceEngine for EagerGcEngine {
         "EagerGc"
     }
 
-    fn on_store(
-        &mut self,
-        _core: CoreId,
-        tx: TxId,
-        addr: PAddr,
-        data: &[u8],
-        _now: Cycle,
-    ) -> Cycle {
+    fn on_store(&mut self, _core: CoreId, tx: TxId, addr: PAddr, data: &[u8], now: Cycle) -> Cycle {
         self.base.buffer_store(tx, addr, data);
         // THE BUG: an over-eager garbage collector migrates the still-
         // uncommitted value straight to its home address. A crash before
         // this transaction's commit record leaves the value visible with no
         // way to roll it back.
-        if self.base.crash.event(PersistEvent::Gc, None) {
+        if self.base.probe.emit(Event::Gc, now) {
             self.base.store.write_bytes(addr, data);
         }
         0
     }
 
-    fn tx_end(&mut self, _core: CoreId, tx: TxId, _now: Cycle) -> CommitOutcome {
+    fn tx_end(&mut self, _core: CoreId, tx: TxId, now: Cycle) -> CommitOutcome {
         let writes = self.base.active.remove(&tx.0).unwrap_or_default();
         // Payload-before-commit ordering is correct here; only the eager
         // home migration above is wrong.
         for (addr, data) in writes {
-            if self.base.crash.event(PersistEvent::Payload, None) {
+            if self.base.probe.emit(Event::Payload, now) {
                 self.base.log.push((tx.0, addr, data));
             }
         }
-        if self.base.crash.event(PersistEvent::Commit, Some(tx)) {
+        if self.base.probe.emit(Event::CommitRecord(tx), now) {
             self.base.committed.push(tx.0);
         }
         self.base.stats.committed_txs.inc();
@@ -438,7 +431,7 @@ impl PersistenceEngine for MediaBlindEngine {
         for (addr, data) in writes {
             let log_addr = BLIND_LOG_BASE + self.next_log * CACHE_LINE_BYTES;
             self.next_log += 1;
-            if self.base.crash.event(PersistEvent::Payload, None) {
+            if self.base.probe.emit(Event::Payload, now) {
                 self.base.store.write_bytes(PAddr(log_addr), &data);
                 self.base.device.access(
                     now,
@@ -455,14 +448,14 @@ impl PersistenceEngine for MediaBlindEngine {
                 });
             }
         }
-        if self.base.crash.event(PersistEvent::Commit, Some(tx)) {
+        if self.base.probe.emit(Event::CommitRecord(tx), now) {
             self.base.committed.push(tx.0);
         }
         self.base.stats.committed_txs.inc();
         CommitOutcome::default()
     }
 
-    fn drain(&mut self, _now: Cycle) {
+    fn drain(&mut self, now: Cycle) {
         // Checkpoint: migrate committed payloads home from the volatile
         // copy, then truncate the log — but only once every home write of
         // this pass actually persisted, so a crash mid-drain leaves the
@@ -473,13 +466,13 @@ impl PersistenceEngine for MediaBlindEngine {
             if !committed.contains(&r.tx) {
                 continue;
             }
-            if self.base.crash.event(PersistEvent::Home, None) {
+            if self.base.probe.emit(Event::Home, now) {
                 self.base.store.write_bytes(PAddr(r.home), &r.data);
             } else {
                 all_home = false;
             }
         }
-        if all_home && self.base.crash.event(PersistEvent::Reclaim, None) {
+        if all_home && self.base.probe.emit(Event::Reclaim, now) {
             self.records.retain(|r| !committed.contains(&r.tx));
         }
     }
@@ -507,7 +500,7 @@ impl PersistenceEngine for MediaBlindEngine {
             replayed.insert(r.tx);
             scanned += CACHE_LINE_BYTES;
             written += buf.len() as u64;
-            if self.base.crash.event(PersistEvent::Recovery, None) {
+            if self.base.probe.emit(Event::Recovery, 0) {
                 self.base.store.write_bytes(PAddr(r.home), &buf);
             }
         }
@@ -569,8 +562,8 @@ impl PersistenceEngine for MediaBlindEngine {
         &self.base.stats
     }
 
-    fn attach_crash_valve(&mut self, valve: CrashValve) {
-        self.base.attach_valve(valve);
+    fn attach_probe(&mut self, probe: Probe) {
+        self.base.attach_probe(probe);
     }
 
     fn reset_counters(&mut self) {

@@ -1,8 +1,8 @@
 //! Drives one workload to a chosen crash point and checks the recovery.
 //!
 //! A [`Harness`] owns an engine factory and a configuration; each
-//! [`Harness::run`] builds a fresh system, attaches an armed
-//! [`CrashValve`], replays the workload until the valve trips (or to
+//! [`Harness::run`] builds a fresh system, subscribes an armed [`Valve`] to
+//! its persist-event stream, replays the workload until the valve trips (or to
 //! completion for dry runs), crashes, optionally injects a *nested* crash
 //! partway through recovery, recovers fully, and hands the recovered
 //! durable image to the [oracle](crate::oracle). The golden cross-check
@@ -13,7 +13,7 @@ use engines::system::System;
 use engines::traits::RecoveryReport;
 use nvm::MediaSummary;
 use simcore::config::MediaConfig;
-use simcore::crashpoint::{CrashValve, PersistEvent};
+use simcore::persist::{Kind, Valve};
 use simcore::{DetHashMap, PAddr, SimConfig};
 use workloads::driver::build_system;
 
@@ -42,8 +42,8 @@ pub struct CrashOutcome {
     /// Whether the valve actually closed.
     pub tripped: bool,
     /// Kind of the event the crash landed on.
-    pub trip_kind: Option<PersistEvent>,
-    /// Per-kind event counts in [`PersistEvent::ALL`] order.
+    pub trip_kind: Option<Kind>,
+    /// Per-kind event counts in [`Kind::ALL`] order.
     pub kind_counts: [u64; 7],
     /// Plan indices whose commit records were durable, in commit order.
     pub committed: Vec<usize>,
@@ -88,6 +88,53 @@ impl CrashOutcome {
             "pass"
         }
     }
+}
+
+/// Lays out `wl`'s words on `sys`, then drives its plans (draining every
+/// `drain_every` transactions and at the end) until `tripped` reports the
+/// crash. Returns the words' base address and the issue-order `TxId` of each
+/// plan that began, for mapping durable commit records back to plans.
+pub fn drive(
+    sys: &mut System,
+    wl: &CrashWorkload,
+    tripped: impl Fn() -> bool,
+) -> (PAddr, Vec<Option<u64>>) {
+    let base = sys.alloc(wl.total_words * 8);
+    for w in 0..wl.total_words {
+        sys.write_initial(
+            base.offset(w * 8),
+            &CrashWorkload::initial_value(w).to_le_bytes(),
+        );
+    }
+    let mut tx_of_plan: Vec<Option<u64>> = vec![None; wl.plans.len()];
+    'drive: for (i, plan) in wl.plans.iter().enumerate() {
+        // Once the valve trips nothing further persists; stop driving
+        // exactly as a real machine would stop at power loss. This also
+        // keeps engines from exhausting out-of-place space they can no
+        // longer reclaim (reclamation is a gated durable event).
+        if tripped() {
+            break;
+        }
+        let tx = sys.tx_begin(plan.core);
+        tx_of_plan[i] = Some(tx.0);
+        for &(w, v) in &plan.writes {
+            if tripped() {
+                break 'drive;
+            }
+            sys.store_u64(plan.core, base.offset(w * 8), v);
+        }
+        if tripped() {
+            break;
+        }
+        sys.tx_end(plan.core, tx);
+        if !tripped() && (i + 1) % wl.spec.drain_every == 0 {
+            sys.drain();
+        }
+    }
+    if !tripped() {
+        sys.drain();
+    }
+    (base, tx_of_plan)
 }
 
 /// Factory + policy for crash experiments against one engine.
@@ -173,61 +220,25 @@ impl Harness {
         threads: usize,
     ) -> CrashOutcome {
         let mut sys = (self.make)(&self.cfg);
-        let valve = CrashValve::armed(cutoff);
-        sys.attach_crash_valve(valve.clone());
+        let (shared, probe) = Valve::shared(cutoff);
+        sys.attach_probe(probe);
+        let valve = || shared.lock().expect("valve poisoned");
 
-        let base = sys.alloc(wl.total_words * 8);
-        for w in 0..wl.total_words {
-            sys.write_initial(
-                base.offset(w * 8),
-                &CrashWorkload::initial_value(w).to_le_bytes(),
-            );
-        }
+        let (base, tx_of_plan) = drive(&mut sys, wl, || valve().tripped());
 
-        // Issue-order TxId of each plan, for mapping the valve's durable
-        // commit records back to plan indices.
-        let mut tx_of_plan: Vec<Option<u64>> = vec![None; wl.plans.len()];
-        'drive: for (i, plan) in wl.plans.iter().enumerate() {
-            // Once the valve trips nothing further persists; stop driving
-            // exactly as a real machine would stop at power loss. This also
-            // keeps engines from exhausting out-of-place space they can no
-            // longer reclaim (reclamation is a gated durable event).
-            if valve.tripped() {
-                break;
-            }
-            let tx = sys.tx_begin(plan.core);
-            tx_of_plan[i] = Some(tx.0);
-            for &(w, v) in &plan.writes {
-                if valve.tripped() {
-                    break 'drive;
-                }
-                sys.store_u64(plan.core, base.offset(w * 8), v);
-            }
-            if valve.tripped() {
-                break;
-            }
-            sys.tx_end(plan.core, tx);
-            if !valve.tripped() && (i + 1) % wl.spec.drain_every == 0 {
-                sys.drain();
-            }
-        }
-        if !valve.tripped() {
-            sys.drain();
-        }
-
-        let events_at_crash = valve.total();
+        let events_at_crash = valve().total();
         // `rearm`/`open_fully` reset trip state; capture it first.
-        let tripped = valve.tripped();
-        let trip_kind = valve.trip_kind();
+        let tripped = valve().tripped();
+        let trip_kind = valve().trip_kind();
         sys.crash();
         if let Some(n) = nested {
             // Let recovery persist `extra` more events, then pull the plug
             // again. The final recovery below must still converge.
-            valve.rearm(n.extra);
+            valve().rearm(n.extra);
             let _ = sys.recover(1);
             sys.crash();
         }
-        valve.open_fully();
+        valve().open_fully();
         let report = sys.recover(threads);
 
         // The valve records (tx, event index) pairs in durable order; map
@@ -239,9 +250,9 @@ impl Harness {
             .filter_map(|(i, t)| t.map(|t| (t, i)))
             .collect();
         let mut committed = Vec::new();
-        for (t, _) in valve.committed() {
+        for (t, _) in valve().committed() {
             let i = *tx_to_plan
-                .get(&t)
+                .get(t)
                 .expect("valve recorded a commit for an unknown transaction");
             if !committed.contains(&i) {
                 committed.push(i);
@@ -260,14 +271,18 @@ impl Harness {
             violations.extend(self.golden_check(wl, base, durable, &committed));
         }
 
+        let (total_events, kind_counts) = {
+            let v = valve();
+            (v.total(), v.kind_counts())
+        };
         CrashOutcome {
             engine: self.name.clone(),
             cutoff,
             events_at_crash,
-            total_events: valve.total(),
+            total_events,
             tripped,
             trip_kind,
-            kind_counts: valve.kind_counts(),
+            kind_counts,
             committed,
             violations,
             report,

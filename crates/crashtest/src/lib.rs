@@ -1,10 +1,13 @@
 //! Deterministic crash-point fault injection with an atomic-durability
 //! oracle.
 //!
-//! The simulator's engines tick a [`CrashValve`](simcore::crashpoint) on
-//! every persist-ordering event. This crate arms that valve: it drives a
-//! fully known [workload](workload) to a chosen event index, truncates
-//! durability there, runs the engine's recovery, and checks the recovered
+//! The simulator's engines emit every durable action once into a
+//! persist-event [`Probe`](simcore::persist::Probe). This crate subscribes
+//! an armed crash [`Valve`](simcore::persist::Valve) to that stream (the
+//! sanitizer is the stream's other subscriber): it drives a fully known
+//! [workload](workload) to a chosen index among the events that carry a
+//! crash-point kind, truncates durability there, runs the engine's
+//! recovery, and checks the recovered
 //! image against an [oracle](oracle) that knows exactly which transactions'
 //! commit records survived — so *every* crash point of *every* engine can
 //! be proven survivable (or shrunk to a minimal failing reproducer).

@@ -12,8 +12,7 @@ use nvm::media::{MediaError, MediaModel, ReadHealth};
 use nvm::{NvmDevice, Op, PersistentStore, TrafficClass};
 use simcore::addr::{Line, CACHE_LINE_BYTES};
 use simcore::config::SimConfig;
-use simcore::crashpoint::{CrashValve, PersistEvent};
-use simcore::sanitize::SanitizerHandle;
+use simcore::persist::{Event, Probe};
 use simcore::time::ms_to_cycles;
 use simcore::{Cycle, PAddr, TxId};
 
@@ -32,17 +31,14 @@ pub struct ControllerBase {
     pub store: PersistentStore,
     /// Common counters.
     pub stats: EngineStats,
-    /// Persistency-sanitizer hooks (detached by default; engines report
-    /// their durability events — persists, home writes, commit records —
-    /// through this handle).
-    pub san: SanitizerHandle,
-    /// Crash-point valve (detached by default). Engines tick it once per
-    /// persist-ordering event, immediately before the durable mutation the
-    /// event stands for; a tripped valve closes the store, so the mutation
-    /// is dropped and the byte image freezes at the injected crash point.
-    pub crash: CrashValve,
+    /// Persist-event probe (detached by default). Engines emit each
+    /// durable action once, immediately before the durable mutation it
+    /// stands for, and gate that mutation on the returned verdict; a
+    /// tripped crash valve also closes the store, so the byte image freezes
+    /// at the injected crash point.
+    pub probe: Probe,
     /// Media-fault model (detached by default — a single branch per read,
-    /// like the crash valve). Attached models classify every demand and
+    /// like the probe). Attached models classify every demand and
     /// recovery read against the wear-coupled error schedule.
     pub media: MediaModel,
     /// Patrol-scrub period in cycles (0 = scrubbing off).
@@ -71,8 +67,7 @@ impl ControllerBase {
             device,
             store: PersistentStore::new(),
             stats: EngineStats::default(),
-            san: SanitizerHandle::none(),
-            crash: CrashValve::detached(),
+            probe: Probe::detached(),
             media,
             scrub_period,
             next_scrub: scrub_period,
@@ -80,10 +75,11 @@ impl ControllerBase {
         }
     }
 
-    /// Attaches a crash valve to the controller and its durable store.
-    pub fn attach_crash_valve(&mut self, valve: CrashValve) {
-        self.store.attach_valve(valve.clone());
-        self.crash = valve;
+    /// Attaches the persist-event probe to the controller and, as the
+    /// crash kill switch, to its durable store.
+    pub fn attach_probe(&mut self, probe: Probe) {
+        self.store.attach_valve(probe.clone());
+        self.probe = probe;
     }
 
     /// Allocates the next transaction id.
@@ -182,9 +178,8 @@ impl ControllerBase {
         debug_assert_eq!(data.len(), CACHE_LINE_BYTES as usize);
         self.device
             .access(now, line.base(), CACHE_LINE_BYTES, Op::Write, class);
-        self.crash.event(PersistEvent::Home, None);
+        self.probe.emit(Event::HomeWrite(line), now);
         self.store.write_bytes(line.base(), data);
-        self.san.home_write(line, now);
     }
 
     /// Issues a pipelined write burst of `bytes` at `base` and returns the

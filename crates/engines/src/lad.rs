@@ -13,7 +13,7 @@ use simcore::det::{DetHashMap, DetHashSet};
 use nvm::{NvmDevice, PersistentStore, TrafficClass};
 use simcore::addr::{lines_covering, Line, CACHE_LINE_BYTES};
 use simcore::config::SimConfig;
-use simcore::crashpoint::PersistEvent;
+use simcore::persist::Event;
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
 use crate::common::{read_line_image, to_line_image, ControllerBase, LineImage};
@@ -148,10 +148,12 @@ impl PersistenceEngine for LadEngine {
             .map(|l| Line(*l).base())
             .unwrap_or(PAddr(0));
         let done = self.base.write_burst(first, bytes, now, TrafficClass::Data);
-        if self.base.san.is_active() {
+        if self.base.probe.is_attached() {
             for l in lines.keys() {
                 // The ordered home burst makes every queued line durable.
-                self.base.san.data_persisted(tx, Line(*l), done);
+                self.base
+                    .probe
+                    .emit(Event::DataPersisted(tx, Line(*l)), done);
             }
         }
         // Commit completes when the controller handshake acknowledges the
@@ -159,10 +161,10 @@ impl PersistenceEngine for LadEngine {
         // write set into the ADR-domain queue; the home writes below drain
         // that queue in the same protected step, so no persist event
         // separates them from the acceptance.
-        let accepted = self.base.crash.event(PersistEvent::Commit, Some(tx));
-        self.base
-            .san
-            .commit_record(tx, done + COMMIT_PROTOCOL_CYCLES);
+        let accepted = self
+            .base
+            .probe
+            .emit(Event::CommitRecord(tx), done + COMMIT_PROTOCOL_CYCLES);
         let mut clean_lines = Vec::with_capacity(lines.len());
         if accepted {
             for (l, img) in &lines {
@@ -216,13 +218,13 @@ impl PersistenceEngine for LadEngine {
         let mut bytes_written = 0;
         let mut txs: DetHashSet<u64> = DetHashSet::default();
         for q in &self.queue {
-            self.base.crash.event(PersistEvent::Recovery, None);
+            self.base.probe.emit(Event::Recovery, 0);
             self.base.store.write_bytes(Line(q.line).base(), &q.image);
             bytes_written += CACHE_LINE_BYTES;
             txs.insert(q.tx);
         }
         let txs_replayed = txs.len() as u64;
-        if self.base.crash.event(PersistEvent::Reclaim, None) {
+        if self.base.probe.emit(Event::Reclaim, 0) {
             self.queue.clear();
         }
         let bw = self.base.device.timing().bandwidth_gbps;
@@ -257,12 +259,8 @@ impl PersistenceEngine for LadEngine {
         self.base.media.clone()
     }
 
-    fn attach_sanitizer(&mut self, handle: simcore::sanitize::SanitizerHandle) {
-        self.base.san = handle;
-    }
-
-    fn attach_crash_valve(&mut self, valve: simcore::crashpoint::CrashValve) {
-        self.base.attach_crash_valve(valve);
+    fn attach_probe(&mut self, probe: simcore::persist::Probe) {
+        self.base.attach_probe(probe);
     }
 
     fn reset_counters(&mut self) {

@@ -17,7 +17,7 @@ use simcore::det::DetHashMap;
 use nvm::{NvmDevice, Op, PersistentStore, TrafficClass};
 use simcore::addr::{Line, CACHE_LINE_BYTES, WORD_BYTES};
 use simcore::config::SimConfig;
-use simcore::crashpoint::PersistEvent;
+use simcore::persist::Event;
 use simcore::time::ms_to_cycles;
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
@@ -100,7 +100,7 @@ impl LsmEngine {
 
     fn gc(&mut self, now: Cycle) {
         if self.newest.is_empty() {
-            if !self.log.is_empty() && self.base.crash.event(PersistEvent::Reclaim, None) {
+            if !self.log.is_empty() && self.base.probe.emit(Event::Reclaim, now) {
                 self.log.clear();
                 self.committed_len = 0;
                 self.committed_txs_in_log = 0;
@@ -149,13 +149,13 @@ impl LsmEngine {
         );
         let _ = t;
         for (l, img) in lines {
-            self.base.crash.event(PersistEvent::Gc, None);
+            self.base.probe.emit(Event::Gc, now);
             self.base.store.write_bytes(Line(l).base(), &img);
         }
         // Log truncation is one durable pointer update, ordered strictly
         // after the migration writes — a crash in between leaves the log
         // intact and recovery simply replays it (idempotent re-writes).
-        if self.base.crash.event(PersistEvent::Reclaim, None) {
+        if self.base.probe.emit(Event::Reclaim, now) {
             self.log.clear();
             self.committed_len = 0;
             self.committed_txs_in_log = 0;
@@ -310,20 +310,12 @@ impl PersistenceEngine for LsmEngine {
         self.log_head = (self.log_head + bytes) % (1 << 34);
         let done = self.base.write_burst(slot, bytes, now, TrafficClass::Log);
         let mut clean_lines = Vec::with_capacity(per_line.len());
-        if self.base.san.is_active() {
-            // lint:order-frozen: sanitizer notifications all carry the same
-            // timestamp; delivery order is immaterial.
-            for l in per_line.keys() {
-                // The log append carries every word update durably; the
-                // burst completing is when each line's payload is
-                // persistent.
-                self.base.san.data_persisted(tx, Line(*l), done);
-            }
-        }
         let mut batch: Vec<u64> = Vec::with_capacity(per_line.len());
         for (l, ws) in per_line {
             clean_lines.push(Line(l));
-            if self.base.crash.event(PersistEvent::Payload, None) {
+            // The log append carries every word update durably; the burst
+            // completing is when each line's payload is persistent.
+            if self.base.probe.emit(Event::PayloadWrite(tx, Line(l)), done) {
                 batch.push(l);
                 self.log.push(LogRecord {
                     line: Line(l),
@@ -337,11 +329,10 @@ impl PersistenceEngine for LsmEngine {
         self.index.insert_sorted_batch(&batch);
         // The same burst ends with the transaction marker — the durable
         // commit point (strictly after every payload record of the burst).
-        if self.base.crash.event(PersistEvent::Commit, Some(tx)) {
+        if self.base.probe.emit(Event::CommitRecord(tx), done) {
             self.committed_len = self.log.len();
             self.committed_txs_in_log += 1;
         }
-        self.base.san.commit_record(tx, done);
         for (w, v) in words {
             self.newest.insert(w, v);
         }
@@ -389,7 +380,7 @@ impl PersistenceEngine for LsmEngine {
         // a crash injected mid-recovery leaves it for the next pass.
         let mut log_off = 0u64;
         for rec in &self.log[..committed] {
-            self.base.crash.event(PersistEvent::Recovery, None);
+            self.base.probe.emit(Event::Recovery, 0);
             let rec_bytes = ENTRY_HEADER_BYTES + rec.words.len() as u64 * WORD_BYTES;
             let rec_addr = self.log_region.offset(log_off);
             log_off += rec_bytes;
@@ -407,7 +398,7 @@ impl PersistenceEngine for LsmEngine {
             }
         }
         let txs_replayed = self.committed_txs_in_log;
-        if self.base.crash.event(PersistEvent::Reclaim, None) {
+        if self.base.probe.emit(Event::Reclaim, 0) {
             self.log.clear();
             self.committed_len = 0;
             self.committed_txs_in_log = 0;
@@ -448,12 +439,8 @@ impl PersistenceEngine for LsmEngine {
         self.base.media.clone()
     }
 
-    fn attach_sanitizer(&mut self, handle: simcore::sanitize::SanitizerHandle) {
-        self.base.san = handle;
-    }
-
-    fn attach_crash_valve(&mut self, valve: simcore::crashpoint::CrashValve) {
-        self.base.attach_crash_valve(valve);
+    fn attach_probe(&mut self, probe: simcore::persist::Probe) {
+        self.base.attach_probe(probe);
     }
 
     fn reset_counters(&mut self) {

@@ -9,7 +9,7 @@ use nvm::media::{MediaModel, ReadHealth};
 use nvm::{NvmDevice, Op, PersistentStore, TrafficClass};
 use simcore::addr::{Line, CACHE_LINE_BYTES};
 use simcore::config::SimConfig;
-use simcore::crashpoint::{CrashValve, PersistEvent};
+use simcore::persist::{Event, Probe};
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
 use crate::common::MEDIA_RETRY_CYCLES;
@@ -24,7 +24,7 @@ pub struct NativeEngine {
     device: NvmDevice,
     store: PersistentStore,
     stats: EngineStats,
-    crash: CrashValve,
+    probe: Probe,
     media: MediaModel,
     next_tx: u64,
 }
@@ -41,7 +41,7 @@ impl NativeEngine {
             device,
             store: PersistentStore::new(),
             stats: EngineStats::default(),
-            crash: CrashValve::detached(),
+            probe: Probe::detached(),
             media,
             next_tx: 1,
         }
@@ -112,7 +112,9 @@ impl PersistenceEngine for NativeEngine {
             Op::Write,
             TrafficClass::Data,
         );
-        self.crash.event(PersistEvent::Home, None);
+        // Valve-only: the sanitizer does not shadow Ideal, which offers no
+        // crash guarantee to check.
+        self.probe.emit(Event::Home, now);
         self.store.write_bytes(line.base(), line_data);
     }
 
@@ -159,9 +161,9 @@ impl PersistenceEngine for NativeEngine {
         self.media.clone()
     }
 
-    fn attach_crash_valve(&mut self, valve: CrashValve) {
-        self.store.attach_valve(valve.clone());
-        self.crash = valve;
+    fn attach_probe(&mut self, probe: Probe) {
+        self.store.attach_valve(probe.clone());
+        self.probe = probe;
     }
 
     fn reset_counters(&mut self) {

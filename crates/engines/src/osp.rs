@@ -13,7 +13,7 @@ use simcore::det::{DetHashMap, DetHashSet};
 use nvm::{NvmDevice, PersistentStore, TrafficClass};
 use simcore::addr::{lines_covering, Line, CACHE_LINE_BYTES};
 use simcore::config::SimConfig;
-use simcore::crashpoint::PersistEvent;
+use simcore::persist::Event;
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
 use crate::common::{read_line_image, to_line_image, ControllerBase, LineImage};
@@ -149,7 +149,7 @@ impl PersistenceEngine for OspEngine {
             let t = entry.get_mut(&l).expect("just inserted");
             t.persisted_at = done;
             let image = t.image;
-            if self.base.crash.event(PersistEvent::Payload, None) {
+            if self.base.probe.emit(Event::Payload, now) {
                 self.shadow_log.push(ShadowRecord {
                     tx: tx.0,
                     line: l,
@@ -186,7 +186,7 @@ impl PersistenceEngine for OspEngine {
                     .base
                     .write_burst(shadow, CACHE_LINE_BYTES, now, TrafficClass::Data);
                 // One shadow-region re-persist covers every tracking tx.
-                if self.base.crash.event(PersistEvent::Payload, None) {
+                if self.base.probe.emit(Event::Payload, now) {
                     for rec in self.shadow_log.iter_mut() {
                         if rec.line == line.0 && refreshed_txs.contains(&rec.tx) {
                             rec.image = to_line_image(line_data);
@@ -216,18 +216,17 @@ impl PersistenceEngine for OspEngine {
         for t in lines.values() {
             done = done.max(t.persisted_at);
         }
-        // Every shadow line is durable once the waits resolve — strictly
-        // before the committed-bit flip below.
-        if self.base.san.is_active() {
-            for l in lines.keys() {
-                self.base.san.data_persisted(tx, Line(*l), done);
-            }
-        }
         // The commit waits above model the final shadow flushes: refresh
         // this transaction's durable shadow records to the flushed images
-        // (one persist-ordering event per write-set line).
+        // (one persist-ordering event per write-set line). Every shadow line
+        // is durable once the waits resolve — strictly before the
+        // committed-bit flip below.
         for (l, t) in &lines {
-            if self.base.crash.event(PersistEvent::Payload, None) {
+            if self
+                .base
+                .probe
+                .emit(Event::PayloadWrite(tx, Line(*l)), done)
+            {
                 self.shadow_log.retain(|r| !(r.tx == tx.0 && r.line == *l));
                 self.shadow_log.push(ShadowRecord {
                     tx: tx.0,
@@ -245,10 +244,9 @@ impl PersistenceEngine for OspEngine {
         // The committed-bit metadata write is the durable commit point. The
         // home-view flip below is the same mutation seen through the home
         // addresses, so no persist event separates them.
-        if self.base.crash.event(PersistEvent::Commit, Some(tx)) {
+        if self.base.probe.emit(Event::CommitRecord(tx), done) {
             self.commit_log.push(tx.0);
         }
-        self.base.san.commit_record(tx, done);
         // lint:allow(sim-state-float): fractional scaling of one constant
         // cost — exact in f64, identical on every host.
         let shootdown = (costs::TLB_SHOOTDOWN as f64 * SHOOTDOWN_FRACTION) as Cycle;
@@ -275,7 +273,7 @@ impl PersistenceEngine for OspEngine {
                 done,
                 TrafficClass::Gc,
             );
-            if self.base.crash.event(PersistEvent::Reclaim, None) {
+            if self.base.probe.emit(Event::Reclaim, now) {
                 let committed: DetHashSet<u64> = self.commit_log.iter().copied().collect();
                 self.shadow_log.retain(|r| !committed.contains(&r.tx));
                 self.commit_log.clear();
@@ -315,7 +313,7 @@ impl PersistenceEngine for OspEngine {
         // a crash injected mid-recovery leaves the log for the next pass.
         for (i, rec) in self.shadow_log.iter().enumerate() {
             if committed.contains(&rec.tx) {
-                self.base.crash.event(PersistEvent::Recovery, None);
+                self.base.probe.emit(Event::Recovery, 0);
                 // The shadow copy is the only durable source of this
                 // committed image; if the media lost it, home keeps the
                 // pre-transaction bytes — a classified loss, not garbage.
@@ -337,7 +335,7 @@ impl PersistenceEngine for OspEngine {
             }
         }
         let txs_replayed = committed.len() as u64;
-        if self.base.crash.event(PersistEvent::Reclaim, None) {
+        if self.base.probe.emit(Event::Reclaim, 0) {
             self.shadow_log.clear();
             self.commit_log.clear();
         }
@@ -373,12 +371,8 @@ impl PersistenceEngine for OspEngine {
         self.base.media.clone()
     }
 
-    fn attach_sanitizer(&mut self, handle: simcore::sanitize::SanitizerHandle) {
-        self.base.san = handle;
-    }
-
-    fn attach_crash_valve(&mut self, valve: simcore::crashpoint::CrashValve) {
-        self.base.attach_crash_valve(valve);
+    fn attach_probe(&mut self, probe: simcore::persist::Probe) {
+        self.base.attach_probe(probe);
     }
 
     fn reset_counters(&mut self) {

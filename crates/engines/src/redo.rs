@@ -13,8 +13,8 @@ use simcore::det::DetHashMap;
 use nvm::{NvmDevice, Op, PersistentStore, TrafficClass};
 use simcore::addr::{lines_covering, Line, CACHE_LINE_BYTES};
 use simcore::config::SimConfig;
-use simcore::crashpoint::PersistEvent;
 use simcore::det::DetHashSet;
+use simcore::persist::Event;
 use simcore::time::ms_to_cycles;
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
@@ -84,7 +84,7 @@ impl OptRedoEngine {
 
     fn checkpoint(&mut self, now: Cycle) {
         if self.pending.is_empty() {
-            if !self.log.is_empty() && self.base.crash.event(PersistEvent::Reclaim, None) {
+            if !self.log.is_empty() && self.base.probe.emit(Event::Reclaim, now) {
                 self.log.clear();
                 self.committed_len = 0;
             }
@@ -103,14 +103,14 @@ impl OptRedoEngine {
             TrafficClass::Checkpoint,
         );
         for (l, img) in lines {
-            self.base.crash.event(PersistEvent::Gc, None);
+            self.base.probe.emit(Event::Gc, now);
             self.base.store.write_bytes(Line(l).base(), &img);
         }
         // Truncate the log: everything checkpointed is now home. The
         // truncation is one durable pointer update, ordered strictly after
         // the checkpoint writes — a crash in between leaves the log intact
         // and recovery simply replays it (idempotent re-writes).
-        if self.base.crash.event(PersistEvent::Reclaim, None) {
+        if self.base.probe.emit(Event::Reclaim, now) {
             self.log.clear();
             self.committed_len = 0;
         }
@@ -215,8 +215,7 @@ impl PersistenceEngine for OptRedoEngine {
         let mut clean_lines = Vec::with_capacity(lines.len());
         for (l, img) in lines {
             clean_lines.push(Line(l));
-            self.base.san.data_persisted(tx, Line(l), now);
-            if self.base.crash.event(PersistEvent::Payload, None) {
+            if self.base.probe.emit(Event::PayloadWrite(tx, Line(l)), now) {
                 self.log.push(RedoRecord {
                     tx,
                     line: Line(l),
@@ -227,10 +226,9 @@ impl PersistenceEngine for OptRedoEngine {
         }
         // The burst carries data + metadata; its completion is the durable
         // commit point (redo data is persistent strictly before then).
-        if self.base.crash.event(PersistEvent::Commit, Some(tx)) {
+        if self.base.probe.emit(Event::CommitRecord(tx), done) {
             self.committed_len = self.log.len();
         }
-        self.base.san.commit_record(tx, done);
         let latency = done.saturating_sub(now);
         self.base.stats.commit_stall_cycles.add(latency);
         self.base.stats.committed_txs.inc();
@@ -264,7 +262,7 @@ impl PersistenceEngine for OptRedoEngine {
         let mut bytes_written = 0;
         let mut txs: DetHashSet<u64> = DetHashSet::default();
         for (i, rec) in self.log[..committed].iter().enumerate() {
-            self.base.crash.event(PersistEvent::Recovery, None);
+            self.base.probe.emit(Event::Recovery, 0);
             // The media may have lost the durable log copy of this record.
             // A redo record is the only source of the committed image, so an
             // uncorrectable record cannot be re-derived: skip the replay and
@@ -287,7 +285,7 @@ impl PersistenceEngine for OptRedoEngine {
         // Truncate the replayed log (and drop any torn suffix beyond the
         // committed watermark). Ordered after the replay writes: a nested
         // crash in between keeps the log for the next recovery pass.
-        if self.base.crash.event(PersistEvent::Reclaim, None) {
+        if self.base.probe.emit(Event::Reclaim, 0) {
             self.log.clear();
             self.committed_len = 0;
         }
@@ -323,12 +321,8 @@ impl PersistenceEngine for OptRedoEngine {
         self.base.media.clone()
     }
 
-    fn attach_sanitizer(&mut self, handle: simcore::sanitize::SanitizerHandle) {
-        self.base.san = handle;
-    }
-
-    fn attach_crash_valve(&mut self, valve: simcore::crashpoint::CrashValve) {
-        self.base.attach_crash_valve(valve);
+    fn attach_probe(&mut self, probe: simcore::persist::Probe) {
+        self.base.attach_probe(probe);
     }
 
     fn reset_counters(&mut self) {

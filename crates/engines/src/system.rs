@@ -26,7 +26,7 @@ use memhier::Hierarchy;
 use nvm::PersistentStore;
 use simcore::addr::{lines_covering, CACHE_LINE_BYTES};
 use simcore::alloc::BumpAllocator;
-use simcore::sanitize::SanitizerHandle;
+use simcore::persist::{self, Probe};
 use simcore::stats::Histogram;
 use simcore::{CoreId, Cycle, PAddr, SimConfig, TxId};
 
@@ -57,7 +57,7 @@ pub struct System {
     /// workload *generation* is wanted without paying for simulation.
     capture_only: bool,
     next_capture_tx: u64,
-    san: SanitizerHandle,
+    probe: Probe,
 }
 
 impl std::fmt::Debug for System {
@@ -92,7 +92,7 @@ impl System {
             record_values: false,
             capture_only: false,
             next_capture_tx: 1,
-            san: SanitizerHandle::none(),
+            probe: Probe::detached(),
         }
     }
 
@@ -110,23 +110,18 @@ impl System {
         sys
     }
 
-    /// Attaches a persistency sanitizer to the machine *and* its engine:
-    /// the system reports the architectural event stream (transactional
-    /// stores, evictions, transaction boundaries, crashes) while the engine
-    /// reports its protocol-level durability events. Detached by default —
-    /// un-sanitized runs are byte-identical to builds without the hooks.
-    pub fn attach_sanitizer(&mut self, handle: SanitizerHandle) {
-        handle.set_engine(self.engine.name());
-        self.san = handle.clone();
-        self.engine.attach_sanitizer(handle);
-    }
-
-    /// Attaches a crash-point valve to the engine for fault injection. Only
-    /// the engine (and its durable store) are gated — the volatile CPU view
+    /// Attaches a persist-event probe (a sanitizer or a crash valve) to
+    /// the machine *and* its engine: the system emits the architectural
+    /// events (transactional stores, evictions, transaction boundaries,
+    /// crashes) while the engine emits its durable actions. Only the engine
+    /// (and its durable store) are gated by a valve — the volatile CPU view
     /// keeps tracking program execution, exactly as DRAM contents would
-    /// until the power actually fails.
-    pub fn attach_crash_valve(&mut self, valve: simcore::crashpoint::CrashValve) {
-        self.engine.attach_crash_valve(valve);
+    /// until the power actually fails. Detached by default — runs without a
+    /// probe are byte-identical to builds without the events.
+    pub fn attach_probe(&mut self, probe: Probe) {
+        probe.emit(persist::Event::Engine(self.engine.name()), 0);
+        self.probe = probe.clone();
+        self.engine.attach_probe(probe);
     }
 
     /// Starts capturing the transactional event stream as trace
@@ -239,7 +234,8 @@ impl System {
         }
         self.clocks[c] += costs::TX_BEGIN_OVERHEAD;
         let tx = self.engine.tx_begin(core, self.clocks[c]);
-        self.san.tx_begin(core, tx, self.clocks[c]);
+        self.probe
+            .emit(persist::Event::TxBegin(core, tx), self.clocks[c]);
         self.active_tx[c] = Some(tx);
         self.tx_start[c] = self.clocks[c];
         tx
@@ -265,7 +261,8 @@ impl System {
         for line in outcome.clean_lines {
             self.hier.clean_line(line);
         }
-        self.san.tx_committed(tx, self.clocks[c]);
+        self.probe
+            .emit(persist::Event::TxCommitted(tx), self.clocks[c]);
         self.active_tx[c] = None;
         self.tx_latency.record(self.clocks[c] - self.tx_start[c]);
         // Give background machinery (GC, checkpointing) a chance to run; any
@@ -289,8 +286,10 @@ impl System {
             if let Some(ev) = res.evicted {
                 let mut data = [0u8; CACHE_LINE_BYTES as usize];
                 self.volatile.read_bytes(ev.line.base(), &mut data);
-                self.san
-                    .evict_dirty(ev.line, ev.persistent, self.clocks[c] + latency);
+                self.probe.emit(
+                    persist::Event::EvictDirty(ev.line, ev.persistent),
+                    self.clocks[c] + latency,
+                );
                 self.engine
                     .on_evict_dirty(ev.line, ev.persistent, &data, self.clocks[c] + latency);
             }
@@ -365,13 +364,14 @@ impl System {
         let lat = self.access_lines(core, addr, data.len() as u64, true);
         self.clocks[c] += lat;
         self.volatile.write_bytes(addr, data);
-        if self.san.is_active() {
+        if self.probe.is_attached() {
             let tx = self.active_tx[c];
             for line in lines_covering(addr, data.len() as u64) {
-                match tx {
-                    Some(tx) => self.san.tx_store(tx, line, self.clocks[c]),
-                    None => self.san.volatile_store(line, self.clocks[c]),
-                }
+                let ev = match tx {
+                    Some(tx) => persist::Event::TxStore(tx, line),
+                    None => persist::Event::VolatileStore(line),
+                };
+                self.probe.emit(ev, self.clocks[c]);
             }
         }
         if let Some(tx) = self.active_tx[c] {
@@ -393,7 +393,8 @@ impl System {
         for ev in self.hier.drain_dirty() {
             let mut data = [0u8; CACHE_LINE_BYTES as usize];
             self.volatile.read_bytes(ev.line.base(), &mut data);
-            self.san.evict_dirty(ev.line, ev.persistent, now);
+            self.probe
+                .emit(persist::Event::EvictDirty(ev.line, ev.persistent), now);
             self.engine
                 .on_evict_dirty(ev.line, ev.persistent, &data, now);
         }
@@ -415,7 +416,7 @@ impl System {
         for t in &mut self.active_tx {
             *t = None;
         }
-        self.san.crash();
+        self.probe.emit(persist::Event::Crash, 0);
         self.engine.crash();
     }
 

@@ -10,8 +10,7 @@
 use nvm::media::MediaModel;
 use nvm::{NvmDevice, PersistentStore};
 use simcore::addr::Line;
-use simcore::crashpoint::CrashValve;
-use simcore::sanitize::SanitizerHandle;
+use simcore::persist::Probe;
 use simcore::stats::Counter;
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
@@ -224,21 +223,29 @@ pub trait PersistenceEngine: Send {
         MediaModel::detached()
     }
 
-    /// Attaches a persistency sanitizer. Engines that support auditing
-    /// store the handle (usually in their `ControllerBase`) and report
-    /// durability events through it; the default drops the handle, so the
-    /// sanitizer simply sees no engine-side events.
-    fn attach_sanitizer(&mut self, handle: SanitizerHandle) {
-        let _ = handle;
+    /// Attaches the persist-event probe (a sanitizer or a crash valve).
+    /// Engines that report durability store it (usually in their
+    /// `ControllerBase`, which also hands it to the durable store as the
+    /// crash kill switch) and emit every durable action through it once;
+    /// the default drops the probe, so subscribers see no engine events.
+    fn attach_probe(&mut self, probe: Probe) {
+        let _ = probe;
     }
 
-    /// Attaches a crash-point valve for fault injection. Engines that
-    /// support deterministic crash testing store the valve (usually in
-    /// their `ControllerBase`, also forwarding it to their durable store)
-    /// and tick it on every persist-ordering event; the default drops the
-    /// valve, so crash injection simply sees no events.
-    fn attach_crash_valve(&mut self, valve: CrashValve) {
-        let _ = valve;
+    /// Former name of [`attach_probe`](PersistenceEngine::attach_probe),
+    /// kept because the separate `perfbench` package's forwarding engine
+    /// implements it.
+    #[doc(hidden)]
+    fn attach_sanitizer(&mut self, probe: Probe) {
+        self.attach_probe(probe);
+    }
+
+    /// Former name of [`attach_probe`](PersistenceEngine::attach_probe),
+    /// kept for the same reason as
+    /// [`attach_sanitizer`](PersistenceEngine::attach_sanitizer).
+    #[doc(hidden)]
+    fn attach_crash_valve(&mut self, probe: Probe) {
+        self.attach_probe(probe);
     }
 
     /// Resets statistics and device counters (e.g. after warmup).

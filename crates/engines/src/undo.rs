@@ -13,8 +13,8 @@ use simcore::det::DetHashMap;
 use nvm::{NvmDevice, PersistentStore, TrafficClass};
 use simcore::addr::{lines_covering, Line, CACHE_LINE_BYTES};
 use simcore::config::SimConfig;
-use simcore::crashpoint::PersistEvent;
 use simcore::det::DetHashSet;
+use simcore::persist::Event;
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
 use crate::common::{read_line_image, to_line_image, ControllerBase, LineImage};
@@ -135,7 +135,7 @@ impl PersistenceEngine for OptUndoEngine {
             let done = self
                 .base
                 .write_burst(slot, UNDO_RECORD_BYTES, now, TrafficClass::Log);
-            if self.base.crash.event(PersistEvent::Payload, None) {
+            if self.base.probe.emit(Event::Payload, now) {
                 self.log.push(rec);
             }
             let entry = self.active.get_mut(&tx).expect("store outside tx");
@@ -201,14 +201,16 @@ impl PersistenceEngine for OptUndoEngine {
         let done = self
             .base
             .write_burst(first, to_write, start, TrafficClass::Data);
+        // All write-set data (ordered burst now, or an earlier steal
+        // write-back) is durably home by `done`.
         for (l, t) in entry.lines {
-            if !t.evicted {
-                self.base.crash.event(PersistEvent::Payload, None);
-                self.base.store.write_bytes(Line(l).base(), &t.image);
+            let line = Line(l);
+            if t.evicted {
+                self.base.probe.emit(Event::DataPersisted(tx, line), done);
+            } else {
+                self.base.probe.emit(Event::PayloadWrite(tx, line), done);
+                self.base.store.write_bytes(line.base(), &t.image);
             }
-            // All write-set data (ordered burst now, or an earlier steal
-            // write-back) is durably home by `done`.
-            self.base.san.data_persisted(tx, Line(l), done);
         }
         let marker_done = self.base.write_burst(
             self.log_region,
@@ -221,10 +223,9 @@ impl PersistenceEngine for OptUndoEngine {
         // records only if the marker became durable — otherwise recovery
         // must still roll the transaction back (ATOM's log management runs
         // in the controller off the critical path).
-        if self.base.crash.event(PersistEvent::Commit, Some(tx)) {
+        if self.base.probe.emit(Event::CommitRecord(tx), marker_done) {
             self.log.retain(|r| r.tx != tx);
         }
-        self.base.san.commit_record(tx, marker_done);
         let latency = done.saturating_sub(now);
         self.base.stats.commit_stall_cycles.add(latency);
         self.base.stats.committed_txs.inc();
@@ -254,7 +255,7 @@ impl PersistenceEngine for OptUndoEngine {
         // must leave the records in place so the next recovery pass can
         // redo the (idempotent) rollback.
         for (i, rec) in self.log.iter().enumerate().rev() {
-            self.base.crash.event(PersistEvent::Recovery, None);
+            self.base.probe.emit(Event::Recovery, 0);
             // An uncorrectable undo record cannot roll its line back: the
             // home line keeps the in-flight new bytes. Declare the
             // classified loss instead of writing a garbage "old" image.
@@ -271,7 +272,7 @@ impl PersistenceEngine for OptUndoEngine {
             bytes_written += CACHE_LINE_BYTES;
             rolled_back.insert(rec.tx.0);
         }
-        if self.base.crash.event(PersistEvent::Reclaim, None) {
+        if self.base.probe.emit(Event::Reclaim, 0) {
             self.log.clear();
         }
         let bw = self.base.device.timing().bandwidth_gbps;
@@ -306,12 +307,8 @@ impl PersistenceEngine for OptUndoEngine {
         self.base.media.clone()
     }
 
-    fn attach_sanitizer(&mut self, handle: simcore::sanitize::SanitizerHandle) {
-        self.base.san = handle;
-    }
-
-    fn attach_crash_valve(&mut self, valve: simcore::crashpoint::CrashValve) {
-        self.base.attach_crash_valve(valve);
+    fn attach_probe(&mut self, probe: simcore::persist::Probe) {
+        self.base.attach_probe(probe);
     }
 
     fn reset_counters(&mut self) {

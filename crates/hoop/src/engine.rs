@@ -23,7 +23,7 @@ use engines::traits::{
 use nvm::{NvmDevice, Op, PersistentStore, TrafficClass};
 use simcore::addr::{Line, CACHE_LINE_BYTES, WORD_BYTES};
 use simcore::config::{HoopConfig, SimConfig};
-use simcore::crashpoint::PersistEvent;
+use simcore::persist::Event;
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
 use crate::evict_buffer::EvictionBuffer;
@@ -247,15 +247,6 @@ impl HoopEngine {
         } else {
             (8 * slice.words.len() as u64 + 64 + 15) & !15
         };
-        // One slice persist = one crash point. A tail slice atomically
-        // carries payload and commit flag (its CRC seals both), so it ticks
-        // as a commit event; crashing *at* it drops the whole slice.
-        if commit {
-            self.base.crash.event(PersistEvent::Commit, Some(txid));
-        } else {
-            self.base.crash.event(PersistEvent::Payload, None);
-        }
-        self.base.store.write_bytes(addr, &slice.encode());
         let done = self
             .base
             .write_burst(addr, flush, now + stall, TrafficClass::Log);
@@ -263,19 +254,23 @@ impl HoopEngine {
         for w in &slice.words {
             self.mapping
                 .insert(w.home.line(), slot, 1 << w.home.word_in_line());
-            if self.base.san.is_active() {
-                // The slice burst completing is when these words' newest
-                // versions are durable out of place.
-                self.base.san.data_persisted(txid, w.home.line(), done);
-                self.base.san.map_insert(w.home.line(), block as u32, done);
-            }
         }
-        if commit {
-            // The tail slice's commit flag is the durable commit point
-            // (§III-C); it must be announced before any GC the mapping-table
-            // pressure check below may trigger.
-            self.base.san.commit_record(txid, done);
-        }
+        // One slice persist = one crash point, emitted at `done`: the slice
+        // burst completing is when these words' newest versions are durable
+        // out of place. A tail slice atomically carries payload and commit
+        // flag (its CRC seals both), so it is the durable commit point
+        // (§III-C) and ticks as a commit event; crashing *at* it drops the
+        // whole slice. It must be announced before any GC the mapping-table
+        // pressure check below may trigger.
+        let lines: Vec<Line> = if self.base.probe.is_attached() {
+            slice.words.iter().map(|w| w.home.line()).collect()
+        } else {
+            Vec::new()
+        };
+        self.base
+            .probe
+            .emit(Event::Slice(txid, block as u32, &lines, commit), done);
+        self.base.store.write_bytes(addr, &slice.encode());
         self.region.block_mut(block).add_uncommitted(1);
         let c = &mut self.cores[core];
         c.builder.recycle(slice.words);
@@ -308,7 +303,7 @@ impl HoopEngine {
         let encoded = encode_records(&self.addr_entries, SliceFlag::Addr);
         // Asynchronous index append — an accelerator for GC/recovery scans,
         // not the commit point (that is the tail slice's flag).
-        self.base.crash.event(PersistEvent::Meta, None);
+        self.base.probe.emit(Event::Meta, 0);
         self.base.store.write_bytes(addr, &encoded);
         let done = self.base.write_burst(
             addr,
@@ -385,11 +380,10 @@ impl PersistenceEngine for HoopEngine {
         let mut latency = costs::MAPPING_TABLE_LOOKUP;
         if let Some(entry) = self.mapping.remove(line) {
             self.base.stats.misses_served.inc();
-            if self.base.san.is_active() {
-                let block = self.region.slot_block(entry.slot) as u32;
-                self.base.san.redirected_read(line, block, now);
-                self.base.san.map_remove(line, now);
-            }
+            let block = self.region.slot_block(entry.slot) as u32;
+            self.base
+                .probe
+                .emit(Event::RedirectedRead(line, block), now);
             // Redirected read: fetch the newest slice; when the cumulative
             // word coverage is partial, the home line is read in parallel to
             // reconstruct the full line (§III-G, step 4/5).
@@ -464,17 +458,14 @@ impl PersistenceEngine for HoopEngine {
             let mut raw = [0u8; SLICE_BYTES as usize];
             self.base.store.read_bytes(addr, &mut raw);
             set_commit_tail(&mut raw, true);
-            // The tail-flag metadata write is the durable commit point for
-            // this path.
-            self.base.crash.event(PersistEvent::Commit, Some(tx));
-            self.base.store.write_bytes(addr, &raw);
             let issue = self.cores[ci].outstanding.max(now);
             done = self
                 .base
                 .write_burst(addr, COMMIT_APPEND_BYTES, issue, TrafficClass::Metadata);
             // Setting the tail flag on the already-durable slice is the
             // commit point for this path.
-            self.base.san.commit_record(tx, done);
+            self.base.probe.emit(Event::CommitRecord(tx), done);
+            self.base.store.write_bytes(addr, &raw);
         }
         let last_slot = self.cores[ci].prev_slot;
         if last_slot != NO_LINK {
@@ -558,7 +549,7 @@ impl PersistenceEngine for HoopEngine {
     fn crash(&mut self) {
         // Power loss: every SRAM structure in the controller vanishes. The
         // OOP region contents and block headers are NVM-resident and stay.
-        self.base.san.mapping_cleared(0);
+        self.base.probe.emit(Event::MappingCleared, 0);
         self.mapping.clear();
         self.evict_buf.clear();
         for c in &mut self.cores {
@@ -610,12 +601,8 @@ impl PersistenceEngine for HoopEngine {
         self.base.media.clone()
     }
 
-    fn attach_sanitizer(&mut self, handle: simcore::sanitize::SanitizerHandle) {
-        self.base.san = handle;
-    }
-
-    fn attach_crash_valve(&mut self, valve: simcore::crashpoint::CrashValve) {
-        self.base.attach_crash_valve(valve);
+    fn attach_probe(&mut self, probe: simcore::persist::Probe) {
+        self.base.attach_probe(probe);
     }
 
     fn reset_counters(&mut self) {

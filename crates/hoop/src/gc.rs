@@ -15,7 +15,7 @@ use simcore::det::{DetHashMap, DetHashSet};
 use nvm::media::MediaModel;
 use nvm::{EnduranceMap, PersistentStore, TrafficClass};
 use simcore::addr::{Line, CACHE_LINE_BYTES};
-use simcore::crashpoint::PersistEvent;
+use simcore::persist::Event;
 use simcore::Cycle;
 
 use crate::engine::HoopEngine;
@@ -183,7 +183,8 @@ impl HoopEngine {
                     if tx_lines.insert(w.home.line().0) {
                         // GC may only migrate versions of the committed
                         // prefix; announce each migrated (tx, line) pair.
-                        self.base.san.gc_migrate(rec.tx, w.home.line(), now);
+                        let migrate = Event::GcMigrate(rec.tx, w.home.line());
+                        self.base.probe.emit(migrate, now);
                     }
                     coalesced.entry(w.home.0).or_insert(w.value);
                 }
@@ -238,14 +239,15 @@ impl HoopEngine {
             );
         }
         for (l, img) in &lines {
-            self.base.crash.event(PersistEvent::Gc, None);
-            self.base.store.write_bytes(Line(*l).base(), img);
+            let line = Line(*l);
+            // Algorithm 1, lines 22-23: the home write drops the mapping
+            // entry.
+            self.base.probe.emit(Event::GcHome(line), t);
+            self.base.store.write_bytes(line.base(), img);
             // Migrated lines enter the eviction buffer so racing LLC misses
             // never read a stale home copy (§III-C).
-            self.evict_buf.insert(Line(*l), *img);
-            // Algorithm 1, lines 22-23: drop the mapping entry.
-            self.mapping.remove(Line(*l));
-            self.base.san.map_remove(Line(*l), t);
+            self.evict_buf.insert(line, *img);
+            self.mapping.remove(line);
         }
         self.base.stats.gc_bytes_out.add(out_bytes);
 
@@ -257,7 +259,7 @@ impl HoopEngine {
                 entries: Vec::new(),
             }
             .encode();
-            self.base.crash.event(PersistEvent::Meta, None);
+            self.base.probe.emit(Event::Meta, now);
             self.base
                 .store
                 .write_bytes(self.region.slot_addr(*slot), &empty);
@@ -283,7 +285,7 @@ impl HoopEngine {
             if crate::slice::flag_of(&raw) & COMMIT_TAIL_BIT != 0 {
                 had_bit.insert(rec.last_slot);
                 crate::slice::set_commit_tail(&mut raw, false);
-                self.base.crash.event(PersistEvent::Meta, None);
+                self.base.probe.emit(Event::Meta, now);
                 self.base.store.write_bytes(addr, &raw);
             }
         }
@@ -312,11 +314,9 @@ impl HoopEngine {
                 // dropped by an injected crash the block simply stays
                 // allocated (its slices are already tombstoned) and the
                 // next pass reclaims it.
-                if self.base.crash.event(PersistEvent::Reclaim, None) {
+                // Every mapping entry into this block must be gone by now.
+                if self.base.probe.emit(Event::BlockReclaim(i as u32), t) {
                     self.region.reclaim_block(i);
-                    // Every mapping entry into this block must be gone by
-                    // now.
-                    self.base.san.block_reclaim(i as u32, t);
                     let header = self.region.header_word(i);
                     self.base
                         .store

@@ -32,7 +32,7 @@ use engines::traits::{
 use nvm::{NvmDevice, Op, PersistentStore, TrafficClass};
 use simcore::addr::{Line, CACHE_LINE_BYTES, WORD_BYTES};
 use simcore::config::SimConfig;
-use simcore::crashpoint::PersistEvent;
+use simcore::persist::Event;
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
 use crate::gc::{read_slice_raw, walk_chain};
@@ -173,7 +173,7 @@ impl MultiHoopEngine {
         };
         let addr = self.ctrls[ctrl].region.slot_addr(slot.slot);
         let flush = crate::slice::flush_bytes(slice.words.len());
-        self.base.crash.event(PersistEvent::Payload, None);
+        self.base.probe.emit(Event::Payload, now);
         self.base.store.write_bytes(addr, &slice.encode());
         let done = self.base.write_burst(addr, flush, now, TrafficClass::Log);
         for w in &slice.words {
@@ -237,18 +237,20 @@ impl MultiHoopEngine {
         };
         let addr = self.ctrls[ctrl].region.slot_addr(slot);
         let encoded = AddrSlice { entries: snapshot }.encode_with_flag(kind);
-        if is_prepare {
-            // A prepare record is ordering metadata; only the coordinator's
-            // Addr record below is a transaction's durable commit point.
-            self.base.crash.event(PersistEvent::Meta, None);
+        let done = self
+            .base
+            .write_burst(addr, 16, issue, TrafficClass::Metadata);
+        // A prepare record is ordering metadata; only the coordinator's Addr
+        // record is a transaction's durable commit point, acknowledged one
+        // message after its burst (§III-I).
+        let ev = if is_prepare {
+            Event::Meta
         } else {
-            self.base
-                .crash
-                .event(PersistEvent::Commit, Some(TxId(u64::from(rec.tx))));
-        }
+            Event::CommitRecord(TxId(u64::from(rec.tx)))
+        };
+        self.base.probe.emit(ev, done + TWO_PHASE_MSG);
         self.base.store.write_bytes(addr, &encoded);
-        self.base
-            .write_burst(addr, 16, issue, TrafficClass::Metadata)
+        done
     }
 
     /// Scans every controller: (committed txids, per-controller prepared
@@ -336,7 +338,7 @@ impl MultiHoopEngine {
             img[off..off + 8].copy_from_slice(&value.to_le_bytes());
         }
         for (l, img) in &lines {
-            self.base.crash.event(PersistEvent::Gc, None);
+            self.base.probe.emit(Event::Gc, 0);
             self.base.store.write_bytes(Line(*l).base(), img);
             let ci = self.controller_of(Line(*l));
             self.ctrls[ci].mapping.remove(Line(*l));
@@ -356,7 +358,7 @@ impl MultiHoopEngine {
         // drops it the records (and prepared chains) stay on media, and the
         // next pass migrates them again — idempotent because migration
         // rewrites the same newest-wins images.
-        if self.base.crash.event(PersistEvent::Reclaim, None) {
+        if self.base.probe.emit(Event::Reclaim, 0) {
             for (ci, slots) in record_slots.iter().enumerate() {
                 for slot in slots {
                     let empty = AddrSlice {
@@ -542,6 +544,17 @@ impl PersistenceEngine for MultiHoopEngine {
         // Phase 2 — Commit: the coordinator persists the commit record.
         let mut done = prepare_done;
         if let Some(&coordinator) = participants.first() {
+            if self.base.probe.is_attached() {
+                // Every participant's slices were durable when its prepare
+                // record was acknowledged.
+                // lint:order-frozen: all notifications carry the same
+                // timestamp; delivery order is immaterial.
+                for l in self.cores[ci].touched_lines.iter() {
+                    self.base
+                        .probe
+                        .emit(Event::DataPersisted(tx, Line(*l)), prepare_done);
+                }
+            }
             done = self.append_record(
                 coordinator,
                 SliceFlag::Addr,
@@ -557,17 +570,6 @@ impl PersistenceEngine for MultiHoopEngine {
                     let b = self.ctrls[*ctrl].region.slot_block(slot);
                     self.ctrls[*ctrl].region.block_mut(b).add_uncommitted(-1);
                 }
-            }
-            if self.base.san.is_active() {
-                // Every participant's slices were durable when its prepare
-                // record was acknowledged; the coordinator's commit record
-                // is the transaction's durable point (§III-I).
-                // lint:order-frozen: all notifications carry the same
-                // timestamp; delivery order is immaterial.
-                for l in self.cores[ci].touched_lines.iter() {
-                    self.base.san.data_persisted(tx, Line(*l), prepare_done);
-                }
-                self.base.san.commit_record(tx, done);
             }
         }
         self.base
@@ -594,7 +596,7 @@ impl PersistenceEngine for MultiHoopEngine {
     }
 
     fn crash(&mut self) {
-        self.base.san.mapping_cleared(0);
+        self.base.probe.emit(Event::MappingCleared, 0);
         for c in &mut self.cores {
             c.tx = None;
             for chain in &mut c.chains {
@@ -620,25 +622,24 @@ impl PersistenceEngine for MultiHoopEngine {
     fn recover(&mut self, threads: usize) -> RecoveryReport {
         let (committed, prepared, _, scanned) = self.scan_all();
         let txs_replayed = committed.len() as u64;
-        if self.base.san.is_active() {
+        if self.base.probe.is_attached() {
             let mut txs: Vec<u32> = committed.iter().copied().collect();
             txs.sort_unstable();
-            for t in txs {
-                self.base.san.recovery_replay(t, 0);
+            for tx in txs {
+                self.base.probe.emit(Event::RecoveryReplay(tx), 0);
             }
         }
         self.migrate_committed_home();
         let scan_bytes = scanned * SLICE_BYTES;
         let prepared_total: usize = prepared.iter().map(Vec::len).sum();
         let _ = prepared_total;
-        self.base.san.mapping_cleared(0);
+        self.base.probe.emit(Event::MappingCleared, 0);
         for ctrl in &mut self.ctrls {
             ctrl.mapping.clear();
         }
         // Gated like the single-controller path: dropping the final
         // reclamation leaves the records for the next recovery pass.
-        if self.base.crash.event(PersistEvent::Reclaim, None) {
-            self.base.san.region_cleared(0);
+        if self.base.probe.emit(Event::RegionCleared, 0) {
             for ctrl in &mut self.ctrls {
                 ctrl.region.reclaim_all();
             }
@@ -681,12 +682,8 @@ impl PersistenceEngine for MultiHoopEngine {
         self.base.media.clone()
     }
 
-    fn attach_sanitizer(&mut self, handle: simcore::sanitize::SanitizerHandle) {
-        self.base.san = handle;
-    }
-
-    fn attach_crash_valve(&mut self, valve: simcore::crashpoint::CrashValve) {
-        self.base.attach_crash_valve(valve);
+    fn attach_probe(&mut self, probe: simcore::persist::Probe) {
+        self.base.attach_probe(probe);
     }
 
     fn reset_counters(&mut self) {

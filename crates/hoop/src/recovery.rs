@@ -19,7 +19,7 @@ use simcore::det::DetHashMap;
 use engines::traits::RecoveryReport;
 use nvm::{Op, TrafficClass};
 use simcore::addr::{Line, CACHE_LINE_BYTES, WORD_BYTES};
-use simcore::crashpoint::PersistEvent;
+use simcore::persist::Event;
 
 use crate::engine::HoopEngine;
 use crate::gc::{scan_commit_records, walk_chain};
@@ -76,7 +76,7 @@ impl HoopEngine {
         let txs_replayed = records.len() as u64;
         for rec in &records {
             // Recovery must replay exactly the committed prefix.
-            self.base.san.recovery_replay(rec.tx, 0);
+            self.base.probe.emit(Event::RecoveryReplay(rec.tx), 0);
         }
 
         // Phase 1: parallel scan. Each thread walks its share of the
@@ -148,7 +148,7 @@ impl HoopEngine {
             img[off..off + 8].copy_from_slice(&value.to_le_bytes());
         }
         for (l, img) in &lines {
-            self.base.crash.event(PersistEvent::Recovery, None);
+            self.base.probe.emit(Event::Recovery, 0);
             self.base.store.write_bytes(Line(*l).base(), img);
         }
 
@@ -164,15 +164,14 @@ impl HoopEngine {
         // Phase 4: clear the controller structures and the OOP region
         // (§III-F: "the mapping table, eviction buffer, and OOP region are
         // cleared").
-        self.base.san.mapping_cleared(0);
+        self.base.probe.emit(Event::MappingCleared, 0);
         self.mapping.clear();
         self.evict_buf.clear();
         self.clear_open_addr_slice();
         // Region reclamation is the durable point of cleanup; if an injected
         // crash drops it, the commit records stay on media and the next
         // recovery pass replays them again (idempotently).
-        if self.base.crash.event(PersistEvent::Reclaim, None) {
-            self.base.san.region_cleared(0);
+        if self.base.probe.emit(Event::RegionCleared, 0) {
             self.region.reclaim_all();
         }
 

@@ -2,8 +2,11 @@
 //!
 //! For each recovered function the graph records three *direct* bits —
 //! does the body contain direct payload-persist evidence (`persists`), a
-//! direct `SanitizerHooks` notification (`notifies`), a direct
-//! commit-record write (`commits`) — plus the set of callee names. A
+//! sanitizer-observed persist event (`notifies`), a commit event
+//! (`commits`) — plus the set of callee names. Persist events are the
+//! `Event::<Variant>` paths of `simcore::persist` (see [`OBSERVED_EVENTS`]);
+//! a valve-only variant ticks the crash valve but tells the sanitizer
+//! nothing, so it is not a notification. A
 //! worklist pass ([`CallGraph::solve`]) then closes those bits over the
 //! call graph by monotone OR-merge: a function that persists *via any
 //! chain of callees, at any depth* carries `persists` in its transitive
@@ -43,10 +46,10 @@ use crate::parse::{functions, sig_tokens, SigTok};
 pub struct FnSummary {
     /// Persist evidence in the body or in any transitive callee.
     pub persists: bool,
-    /// A `san.<event>(..)` notification in the body or any transitive
-    /// callee.
+    /// A sanitizer-observed `Event::<Variant>` in the body or any
+    /// transitive callee.
     pub notifies: bool,
-    /// A commit-record write in the body or any transitive callee.
+    /// A commit event in the body or any transitive callee.
     pub commits: bool,
     /// Some transitive caller notifies the sanitizer (backward bit;
     /// always false in direct summaries).
@@ -70,9 +73,9 @@ impl FnSummary {
 pub enum Fact {
     /// Direct payload-persist evidence.
     Persists,
-    /// A direct sanitizer notification.
+    /// A direct sanitizer-observed event.
     Notifies,
-    /// A direct commit-record write.
+    /// A direct commit event.
     Commits,
 }
 
@@ -101,42 +104,62 @@ pub struct CallGraph {
     solved: bool,
 }
 
-/// Sanitizer event methods of `simcore::sanitize::SanitizerHooks` that
-/// count as notifications when invoked as `san.<event>(..)`. The receiver
-/// pattern keeps ordinary methods that happen to share a name (`flush`,
-/// `fence` on device models) from counting. `is_active` is a query, not a
-/// notification, and is deliberately absent.
-pub const SAN_EVENTS: &[&str] = &[
-    "data_persisted",
-    "home_write",
-    "flush",
-    "fence",
-    "commit_record",
-    "tx_begin",
-    "tx_store",
-    "volatile_store",
-    "evict_dirty",
-    "tx_committed",
-    "gc_migrate",
-    "map_insert",
-    "map_remove",
-    "block_reclaim",
-    "redirected_read",
-    "mapping_cleared",
-    "region_cleared",
-    "recovery_replay",
-    "crash",
-    "set_engine",
+/// Variants of `simcore::persist::Event` the persistency sanitizer
+/// observes: naming one as `Event::<Variant>` is a notification. The
+/// valve-only variants (`Payload`, `Home`, `Gc`, `Reclaim`, `Meta`,
+/// `Recovery`) only tick the crash valve and are deliberately absent. The
+/// path is matched by name only, so another enum called `Event` with a
+/// same-named variant also counts — erring toward silence.
+pub const OBSERVED_EVENTS: &[&str] = &[
+    "Engine",
+    "TxBegin",
+    "TxStore",
+    "VolatileStore",
+    "EvictDirty",
+    "TxCommitted",
+    "Crash",
+    "PayloadWrite",
+    "DataPersisted",
+    "HomeWrite",
+    "CommitRecord",
+    "Slice",
+    "GcMigrate",
+    "GcHome",
+    "RedirectedRead",
+    "BlockReclaim",
+    "MappingCleared",
+    "RegionCleared",
+    "RecoveryReplay",
+    "Flush",
+    "Fence",
 ];
 
-/// True if token `i` begins a `san . <event> (` sanitizer notification.
-pub fn is_san_notification(toks: &[SigTok<'_>], i: usize) -> bool {
-    toks[i].text == "san"
+/// Observed variants that carry a durable commit point (a `Slice` does
+/// when it is a transaction's tail): the commit sites of `persist-order`.
+pub const COMMIT_EVENTS: &[&str] = &["CommitRecord", "Slice"];
+
+/// Observed variants that make payload durable: persist evidence.
+pub const PERSIST_EVENTS: &[&str] = &[
+    "PayloadWrite",
+    "DataPersisted",
+    "HomeWrite",
+    "Flush",
+    "Fence",
+];
+
+/// The variant named at token `i` if it ends an `Event :: <Variant>` path.
+pub fn event_variant<'a>(toks: &[SigTok<'a>], i: usize) -> Option<&'a str> {
+    (i >= 3
         && toks[i].kind == TokenKind::Ident
-        && i + 3 < toks.len()
-        && toks[i + 1].text == "."
-        && SAN_EVENTS.contains(&toks[i + 2].text)
-        && toks[i + 3].text == "("
+        && toks[i - 1].text == ":"
+        && toks[i - 2].text == ":"
+        && toks[i - 3].text == "Event")
+        .then_some(toks[i].text)
+}
+
+/// True if token `i` names an `Event` variant listed in `variants`.
+pub fn is_event_in(toks: &[SigTok<'_>], i: usize, variants: &[&str]) -> bool {
+    event_variant(toks, i).is_some_and(|v| variants.contains(&v))
 }
 
 /// True if token `i` is an identifier invoked as a call or method call:
@@ -156,36 +179,23 @@ fn is_call_at(toks: &[SigTok<'_>], i: usize) -> bool {
 
 impl CallGraph {
     /// Scans one file's source and OR-merges every recovered function's
-    /// direct summary and callee set into the graph. `is_persist_evidence`
-    /// and `is_commit` classify identifier tokens (the rule layer owns the
-    /// vocabulary; the graph owns the traversal). Invalidates any prior
-    /// [`solve`](Self::solve) result.
-    pub fn add_file(
-        &mut self,
-        source: &str,
-        is_persist_evidence: &dyn Fn(&str) -> bool,
-        is_commit: &dyn Fn(&str) -> bool,
-    ) {
+    /// direct summary and callee set into the graph. Persist events are
+    /// classified by the `Event` vocabulary above; `is_persist_evidence`
+    /// classifies the remaining identifier tokens (the rule layer owns
+    /// that vocabulary; the graph owns the traversal). Invalidates any
+    /// prior [`solve`](Self::solve) result.
+    pub fn add_file(&mut self, source: &str, is_persist_evidence: &dyn Fn(&str) -> bool) {
         let toks = sig_tokens(source);
         for f in functions(&toks) {
             let mut s = FnSummary::default();
-            let mut i = f.body.0;
-            while i < f.body.1 {
-                if is_san_notification(&toks, i) {
-                    s.notifies = true;
-                    i += 4;
-                    continue;
+            for i in f.body.0..f.body.1 {
+                if event_variant(&toks, i).is_some() {
+                    s.notifies |= is_event_in(&toks, i, OBSERVED_EVENTS);
+                    s.commits |= is_event_in(&toks, i, COMMIT_EVENTS);
+                    s.persists |= is_event_in(&toks, i, PERSIST_EVENTS);
+                } else if toks[i].kind == TokenKind::Ident && is_persist_evidence(toks[i].text) {
+                    s.persists = true;
                 }
-                if toks[i].kind == TokenKind::Ident {
-                    let name = toks[i].text;
-                    if is_persist_evidence(name) {
-                        s.persists = true;
-                    }
-                    if is_commit(name) && i + 1 < f.body.1 && toks[i + 1].text == "(" {
-                        s.commits = true;
-                    }
-                }
-                i += 1;
             }
             let callees: Vec<String> = callees_in(&toks, f.body)
                 .into_iter()
@@ -464,11 +474,7 @@ mod tests {
 
     fn graph_of(src: &str) -> CallGraph {
         let mut g = CallGraph::default();
-        g.add_file(
-            src,
-            &|name| name == "data_persisted" || name.starts_with("persist"),
-            &|name| name == "commit_record",
-        );
+        g.add_file(src, &|name| name.starts_with("persist"));
         g.solve();
         g
     }
@@ -481,20 +487,23 @@ mod tests {
     }
 
     #[test]
-    fn san_notification_requires_receiver() {
+    fn notification_requires_an_observed_event_path() {
         let g = graph_of(
-            "fn a(&self) { self.san.home_write(l, t); }\nfn b(&self) { self.dev.flush(l); }",
+            "fn a(&self) { self.probe.emit(Event::HomeWrite(line), t); }\nfn b(&self) { self.dev.flush(l); }\nfn c(&self) { self.probe.emit(Event::Reclaim, t); }",
         );
         assert!(g.callee_notifies("a"));
-        // `dev.flush` shares a SanitizerHooks method name but the receiver
-        // is not `san`, so it is not a notification.
+        assert!(g.callee_persists("a"));
+        // `dev.flush` shares an event's name but is no `Event::` path.
         assert!(!g.callee_notifies("b"));
+        // A valve-only variant ticks the valve but tells the sanitizer
+        // nothing.
+        assert!(!g.callee_notifies("c"));
     }
 
     #[test]
-    fn commit_requires_call_syntax() {
+    fn commit_requires_the_commit_event_path() {
         let g = graph_of(
-            "fn c(&mut self) { self.commit_record(id); }\nfn d() { let commit_record = 1; }",
+            "fn c(&mut self) { self.probe.emit(Event::CommitRecord(tx), t); }\nfn d() { let CommitRecord = 1; }",
         );
         assert!(g.summary("c").unwrap().commits);
         assert!(!g.summary("d").unwrap().commits);
@@ -541,7 +550,7 @@ mod tests {
         // store -> on_store -> raw_write; store notifies. Both callees are
         // observed (any-caller, any-depth), the notifier itself is not.
         let g = graph_of(
-            "fn store(&mut self) { self.san.tx_store(a); self.on_store(a); }\nfn on_store(&mut self, a: A) { self.raw_write(a); }\nfn raw_write(&mut self, a: A) { dev(a); }",
+            "fn store(&mut self) { self.probe.emit(Event::TxStore(tx, line), t); self.on_store(a); }\nfn on_store(&mut self, a: A) { self.raw_write(a); }\nfn raw_write(&mut self, a: A) { dev(a); }",
         );
         assert!(g.is_observed("on_store"));
         assert!(g.is_observed("raw_write"));
@@ -557,7 +566,7 @@ mod tests {
         // tx_end calls a notifying helper and a silent helper: the silent
         // one is observed because its caller notifies *transitively*.
         let g = graph_of(
-            "fn observe(&mut self) { self.san.evict_dirty(l, t); }\nfn tx_end(&mut self) { self.observe(); self.append(); }\nfn append(&mut self) { raw(); }",
+            "fn observe(&mut self) { self.probe.emit(Event::EvictDirty(line, persistent), t); }\nfn tx_end(&mut self) { self.observe(); self.append(); }\nfn append(&mut self) { raw(); }",
         );
         assert!(g.callee_notifies("tx_end"));
         assert!(g.is_observed("append"));

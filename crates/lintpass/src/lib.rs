@@ -11,7 +11,7 @@
 //! sanitizer visibility. On that stack, [`rules`] implements the
 //! determinism/safety rules plus the persistency family — most importantly
 //! **persist-order**, the static complement of the runtime persistency
-//! sanitizer: a commit-record store must be *dominated* by a payload
+//! sanitizer: a commit event must be *dominated* by a payload
 //! persist (the paper's §III-G ordering, Fig. 4), with the branch-shaped
 //! violation split out as **commit-in-branch**, the loop-carried-dominance
 //! gap surfaced as the **persist-in-loop-only** advisory, and the
@@ -61,9 +61,9 @@ use callgraph::CallGraph;
 use taint::TaintIndex;
 
 /// Builds a call graph from one file's source using the rule vocabulary
-/// (persist evidence / commit names shared with `persist-order`).
+/// (the persist evidence shared with `persist-order`).
 fn graph_add(graph: &mut CallGraph, source: &str) {
-    graph.add_file(source, &rules::is_persist_evidence, &rules::is_commit_name);
+    graph.add_file(source, &rules::is_persist_evidence);
 }
 
 /// Analyzes one file's `source`, reporting against `path` (used both for

@@ -24,10 +24,10 @@
 //!
 //! | rule | rejects |
 //! |------|---------|
-//! | `persist-order` | a `.commit_record(..)` call with **no path** from function entry carrying payload-persist evidence (`data_persisted`, `write_burst`, `burst_spread`, `write_home_line`, `fence`, `persist*`, `flush*`, or a call to a helper whose *transitive* summary persists — any call depth) — §III-G "payload before commit record", a real dominance check |
-//! | `commit-in-branch` | a `.commit_record(..)` call reachable along **some** path without evidence while **another** path has it — the branch-shaped ordering bug the old token-order rule could not express |
-//! | `persist-in-loop-only` | *(advisory)* a `.commit_record(..)` call whose dominance rests entirely on a `while`/`for` body executing at least once — on the zero-iteration bypass the commit is unpersisted. Printed as a warning, never an error: an empty transaction legitimately commits nothing |
-//! | `hook-coverage` | a `write_burst`/`burst_spread`/`write_home_line` call site in a non-`#[test]` function with no direct `san.<event>(..)` notification, no call to a helper whose transitive summary notifies, and no *observed-by-caller* bit (a transitive caller notifies around every call path into it) — statically proving the runtime sanitizer sees every event it claims to shadow |
+//! | `persist-order` | a commit event (`Event::CommitRecord`, or an `Event::Slice`, which may carry a tail slice's commit flag) with **no path** from function entry carrying payload-persist evidence (an `Event::PayloadWrite`/`DataPersisted`/`HomeWrite`/`Flush`/`Fence`, a `write_burst`, `burst_spread`, `write_home_line`, `fence`, `persist*` or `flush*` call, or a call to a helper whose *transitive* summary persists — any call depth) — §III-G "payload before commit record", a real dominance check |
+//! | `commit-in-branch` | a commit event reachable along **some** path without evidence while **another** path has it — the branch-shaped ordering bug the old token-order rule could not express |
+//! | `persist-in-loop-only` | *(advisory)* a commit event whose dominance rests entirely on a `while`/`for` body executing at least once — on the zero-iteration bypass the commit is unpersisted. Printed as a warning, never an error: an empty transaction legitimately commits nothing |
+//! | `hook-coverage` | a `write_burst`/`burst_spread`/`write_home_line` call site in a non-`#[test]` function with no sanitizer-observed `Event::<Variant>` in the body (valve-only variants do not count), no call to a helper whose transitive summary notifies, and no *observed-by-caller* bit (a transitive caller notifies around every call path into it) — statically proving the runtime sanitizer sees every event it claims to shadow |
 //!
 //! **Determinism-scoped semantic rules** (`crates/engines`, `crates/hoop`,
 //! `crates/memhier`, `crates/nvm`, and for the numeric/taint family
@@ -62,7 +62,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{callees_in, is_san_notification, CallGraph};
+use crate::callgraph::{
+    callees_in, is_event_in, CallGraph, COMMIT_EVENTS, OBSERVED_EVENTS, PERSIST_EVENTS,
+};
 use crate::cfg;
 use crate::dataflow::evidence_at_sites;
 use crate::lexer::{tokenize, Token, TokenKind};
@@ -118,14 +120,9 @@ const NUMERIC_SCOPE: &[&str] = &[
     "crates/simcore/src/",
 ];
 
-/// Calls that count as persisting payload before a commit record.
-const PERSIST_EVIDENCE: &[&str] = &[
-    "data_persisted",
-    "write_burst",
-    "burst_spread",
-    "write_home_line",
-    "fence",
-];
+/// Calls that count as persisting payload before a commit record (the
+/// persist events that count are [`crate::callgraph::PERSIST_EVENTS`]).
+const PERSIST_EVIDENCE: &[&str] = &["write_burst", "burst_spread", "write_home_line", "fence"];
 
 /// Persist-event primitives whose call sites `hook-coverage` audits: each
 /// site must live in a function the sanitizer observes (directly or via a
@@ -165,12 +162,6 @@ fn is_counter_name(name: &str) -> bool {
 /// vocabulary shared by `persist-order` and the call-graph summaries).
 pub fn is_persist_evidence(name: &str) -> bool {
     PERSIST_EVIDENCE.contains(&name) || name.starts_with("persist") || name.starts_with("flush")
-}
-
-/// Whether `name` is a commit-record write (the site vocabulary of
-/// `persist-order`/`commit-in-branch` and the call-graph `commits` bit).
-pub fn is_commit_name(name: &str) -> bool {
-    name == "commit_record"
 }
 
 /// Whether `path` is inside the persistency-rule scope (used by callers to
@@ -524,7 +515,7 @@ fn rule_forbid_unsafe(ctx: &mut FileCtx<'_>) {
     }
 }
 
-/// The flow-sensitive §III-G check: at every `.commit_record(..)` site,
+/// The flow-sensitive §III-G check: at every commit-event site,
 /// classify by the (must_zero, must, may) evidence triple — `must_zero` is
 /// clean, `must`-only is the `persist-in-loop-only` advisory, `may`-only is
 /// `commit-in-branch`, none is `persist-order`. Evidence is a direct
@@ -542,17 +533,15 @@ fn rule_persist_flow(
         let mut gens = Vec::new();
         let mut sites = Vec::new();
         for i in f.body.0..f.body.1.min(ptoks.len()) {
-            if ptoks[i].kind != TokenKind::Ident || i + 1 >= ptoks.len() || ptoks[i + 1].text != "("
-            {
-                continue;
-            }
-            let name = ptoks[i].text;
-            if is_commit_name(name) {
-                if i > 0 && ptoks[i - 1].text == "." {
-                    sites.push(i);
-                }
-            } else if is_persist_evidence(name) || graph.callee_persists(name) {
+            if is_event_in(ptoks, i, COMMIT_EVENTS) {
+                sites.push(i);
+            } else if is_event_in(ptoks, i, PERSIST_EVENTS) {
                 gens.push(i);
+            } else if is_call(ptoks, i) {
+                let name = ptoks[i].text;
+                if is_persist_evidence(name) || graph.callee_persists(name) {
+                    gens.push(i);
+                }
             }
         }
         if sites.is_empty() {
@@ -587,7 +576,7 @@ fn rule_persist_flow(
 
 /// Static half of the sanitizer cross-validation: every audited
 /// persist-event call site must live in a function the sanitizer observes —
-/// a direct `san.<event>(..)` call in the body, a call to a helper whose
+/// an observed `Event::<Variant>` in the body, a call to a helper whose
 /// transitive summary notifies, or the backward *observed-by-caller* bit
 /// (every transitive caller chain passes through a notifying function, so
 /// the traffic this helper emits is shadowed at the call boundary).
@@ -617,7 +606,7 @@ fn rule_hook_coverage(
         if event_sites.is_empty() {
             continue;
         }
-        let covered = (f.body.0..end).any(|i| is_san_notification(ptoks, i))
+        let covered = (f.body.0..end).any(|i| is_event_in(ptoks, i, OBSERVED_EVENTS))
             || graph.is_observed(&f.name)
             || callees_in(ptoks, f.body)
                 .iter()
@@ -665,7 +654,7 @@ fn rule_shard_shared_mut(ctx: &mut FileCtx<'_>) {
 
 /// The pre-flow token-order approximation of `persist-order`, kept as an
 /// executable specification: within each function body, report the
-/// `line:col` of every `.commit_record(..)` with no persist evidence at any
+/// `line:col` of every commit event with no persist evidence at any
 /// *earlier token index*. On straight-line code the flow-sensitive rule
 /// must agree with this exactly (pinned by the differential test in
 /// `tests/flow.rs`); on branching code they intentionally diverge.
@@ -675,18 +664,24 @@ pub fn token_order_commit_sites(source: &str) -> Vec<(u32, u32)> {
     for f in parse::functions(&toks) {
         let mut persist_seen = false;
         for i in f.body.0..f.body.1.min(toks.len()) {
-            if toks[i].kind != TokenKind::Ident || i + 1 >= toks.len() || toks[i + 1].text != "(" {
-                continue;
-            }
-            let name = toks[i].text;
-            if is_persist_evidence(name) {
+            if is_event_in(&toks, i, COMMIT_EVENTS) {
+                if !persist_seen {
+                    out.push((toks[i].line, toks[i].col));
+                }
+            } else if is_event_in(&toks, i, PERSIST_EVENTS)
+                || (is_call(&toks, i) && is_persist_evidence(toks[i].text))
+            {
                 persist_seen = true;
-            } else if is_commit_name(name) && i > 0 && toks[i - 1].text == "." && !persist_seen {
-                out.push((toks[i].line, toks[i].col));
             }
         }
     }
     out
+}
+
+/// True if token `i` is an identifier followed by `(` (a call or method
+/// call).
+fn is_call(toks: &[SigTok<'_>], i: usize) -> bool {
+    toks[i].kind == TokenKind::Ident && toks.get(i + 1).is_some_and(|t| t.text == "(")
 }
 
 /// Collects names declared with a `DetHashMap`/`DetHashSet` type annotation
@@ -873,11 +868,13 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              #![forbid(unsafe_code)] so unsafety cannot creep in silently."
         }
         "persist-order" => {
-            "persist-order: a .commit_record(..) call with NO path from\n\
-             function entry carrying payload-persist evidence\n\
-             (data_persisted, write_burst, burst_spread, write_home_line,\n\
-             fence, persist*/flush* calls, or a helper whose transitive\n\
-             fixpoint summary persists — any call depth). This is HOOP's\n\
+            "persist-order: a commit event (Event::CommitRecord, or an\n\
+             Event::Slice, which may carry a tail slice's commit flag) with\n\
+             NO path from function entry carrying payload-persist evidence\n\
+             (Event::PayloadWrite/DataPersisted/HomeWrite/Flush/Fence,\n\
+             write_burst, burst_spread, write_home_line, fence,\n\
+             persist*/flush* calls, or a helper whose transitive fixpoint\n\
+             summary persists — any call depth). This is HOOP's\n\
              §III-G ordering contract — the commit record is persisted\n\
              only after the payload it covers — checked as a dominance\n\
              property on the function's control-flow graph. Flow model:\n\
@@ -886,7 +883,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              fixpoint over the workspace call graph (see DESIGN.md §9)."
         }
         "persist-in-loop-only" => {
-            "persist-in-loop-only (advisory): a .commit_record(..) call\n\
+            "persist-in-loop-only (advisory): a commit event\n\
              dominated by persist evidence ONLY under the at-least-once\n\
              loop model — every path with evidence runs a while/for body,\n\
              so on the zero-iteration bypass the commit record is written\n\
@@ -899,7 +896,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              gate and are never baselined."
         }
         "commit-in-branch" => {
-            "commit-in-branch: a .commit_record(..) call where SOME path\n\
+            "commit-in-branch: a commit event where SOME path\n\
              from function entry carries payload-persist evidence but\n\
              ANOTHER reaches the commit without it — e.g. the persist sits\n\
              in one `if` arm only. The old token-order rule could not see\n\
@@ -937,11 +934,13 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "hook-coverage" => {
             "hook-coverage: a write_burst/burst_spread/write_home_line call\n\
              site in a non-#[test] function with no sanitizer observation —\n\
-             no direct san.<event>(..) call in the body, no call to a\n\
+             no sanitizer-observed Event::<Variant> in the body (the\n\
+             valve-only Payload/Home/Gc/Reclaim/Meta/Recovery variants\n\
+             tick the crash valve but do not count), no call to a\n\
              helper whose transitive summary notifies, and no\n\
              observed-by-caller bit (no transitively-notifying function\n\
              anywhere up its call chains). The runtime pmcheck sanitizer\n\
-             (PR 2) claims to shadow every persist event; this rule is the\n\
+             claims to shadow every persist event; this rule is the\n\
              static half of that cross-validation, proving no engine path\n\
              emits device traffic the sanitizer cannot see. Inspect a\n\
              function's solved summary and chains with\n\

@@ -240,11 +240,11 @@ impl PersistenceEngine for BrokenEngine {
     fn tx_end(&mut self, _core: CoreId, tx: TxId, now: Cycle) -> CommitOutcome {
         let lines = self.active.remove(&tx).expect("commit of unknown tx");
         // BUG: durable commit point announced first...
-        self.base.san.commit_record(tx, now);
+        self.base.probe.emit(Event::CommitRecord(tx), now);
         // ...payload only persisted afterwards.
         for (l, img) in lines {
             self.base.write_home_line(Line(l), &img, now, TrafficClass::Data);
-            self.base.san.data_persisted(tx, Line(l), now);
+            self.base.probe.emit(Event::PayloadWrite(tx, Line(l)), now);
         }
         CommitOutcome { latency: 0, clean_lines: Vec::new() }
     }
@@ -258,9 +258,9 @@ fn persist_order_fires_on_broken_mini_engine() {
         BROKEN_MINI_ENGINE,
         "persist-order",
         6,
-        23,
+        37,
     );
-    assert!(f.snippet.contains("commit_record"));
+    assert!(f.snippet.contains("CommitRecord"));
 }
 
 #[test]
@@ -272,9 +272,9 @@ impl PersistenceEngine for FixedEngine {
         let lines = self.active.remove(&tx).expect("commit of unknown tx");
         for (l, img) in lines {
             self.base.write_home_line(Line(l), &img, now, TrafficClass::Data);
-            self.base.san.data_persisted(tx, Line(l), now);
+            self.base.probe.emit(Event::PayloadWrite(tx, Line(l)), now);
         }
-        self.base.san.commit_record(tx, now);
+        self.base.probe.emit(Event::CommitRecord(tx), now);
         CommitOutcome { latency: 0, clean_lines: Vec::new() }
     }
 }
@@ -284,13 +284,13 @@ impl PersistenceEngine for FixedEngine {
 
 #[test]
 fn persist_order_accepts_write_burst_as_evidence() {
-    let src = "fn tx_end(&mut self) {\n    let done = self.base.write_burst(slot, bytes, now, TrafficClass::Log);\n    self.base.san.commit_record(tx, done);\n}\n";
+    let src = "fn tx_end(&mut self) {\n    let done = self.base.write_burst(slot, bytes, now, TrafficClass::Log);\n    self.base.probe.emit(Event::CommitRecord(tx), done);\n}\n";
     clean("crates/engines/src/log.rs", src);
 }
 
 #[test]
 fn persist_order_accepts_flush_prefixed_calls_as_evidence() {
-    let src = "fn tx_end(&mut self) {\n    let stall = self.flush_slice(ci, remainder, now, true);\n    self.base.san.commit_record(tx, now + stall);\n}\n";
+    let src = "fn tx_end(&mut self) {\n    let stall = self.flush_slice(ci, remainder, now, true);\n    self.base.probe.emit(Event::CommitRecord(tx), now + stall);\n}\n";
     clean("crates/hoop/src/mini.rs", src);
 }
 
@@ -307,13 +307,13 @@ fn persist_order_checks_each_function_independently() {
     let src = r#"
 fn good(&mut self) {
     self.base.write_burst(slot, bytes, now, TrafficClass::Log);
-    self.base.san.commit_record(tx, done);
+    self.base.probe.emit(Event::CommitRecord(tx), done);
 }
 fn bad(&mut self) {
-    self.base.san.commit_record(tx, done);
+    self.base.probe.emit(Event::CommitRecord(tx), done);
 }
 "#;
-    fires_once("crates/engines/src/two.rs", src, "persist-order", 7, 19);
+    fires_once("crates/engines/src/two.rs", src, "persist-order", 7, 33);
 }
 
 // --------------------------------------------------------- commit-in-branch
@@ -330,12 +330,12 @@ impl PersistenceEngine for BranchyEngine {
         if self.fast_path {
             for (l, img) in lines {
                 self.base.write_home_line(Line(l), &img, now, TrafficClass::Data);
-                self.base.san.data_persisted(tx, Line(l), now);
+                self.base.probe.emit(Event::PayloadWrite(tx, Line(l)), now);
             }
         }
         // BUG: on the slow path nothing was persisted, yet the commit
         // record is announced unconditionally.
-        self.base.san.commit_record(tx, now);
+        self.base.probe.emit(Event::CommitRecord(tx), now);
         CommitOutcome { latency: 0, clean_lines: Vec::new() }
     }
 }
@@ -348,9 +348,9 @@ fn commit_in_branch_fires_where_token_order_was_blind() {
         COMMIT_IN_BRANCH_ENGINE,
         "commit-in-branch",
         13,
-        23,
+        37,
     );
-    assert!(f.snippet.contains("commit_record"));
+    assert!(f.snippet.contains("CommitRecord"));
     // The old token-order rule mis-handles this exact source: the arm's
     // evidence appears earlier in the token stream, so it reports nothing.
     assert!(
@@ -367,11 +367,11 @@ fn commit_in_branch_cleared_when_both_arms_persist() {
     let src = r#"
 fn tx_end(&mut self, tx: TxId, now: Cycle) {
     if self.fast_path {
-        self.base.san.data_persisted(tx, l, now);
+        self.base.probe.emit(Event::PayloadWrite(tx, l), now);
     } else {
         self.flush_all(tx, now);
     }
-    self.base.san.commit_record(tx, now);
+    self.base.probe.emit(Event::CommitRecord(tx), now);
 }
 "#;
     clean("crates/engines/src/botharms.rs", src);
@@ -386,12 +386,12 @@ impl PersistenceEngine for HelperEngine {
     fn drain_to_home(&mut self, tx: TxId, now: Cycle) {
         for (l, img) in self.active.remove(&tx).expect("tx") {
             self.base.write_home_line(Line(l), &img, now, TrafficClass::Data);
-            self.base.san.data_persisted(tx, Line(l), now);
+            self.base.probe.emit(Event::PayloadWrite(tx, Line(l)), now);
         }
     }
     fn tx_end(&mut self, tx: TxId, now: Cycle) -> CommitOutcome {
         self.drain_to_home(tx, now);
-        self.base.san.commit_record(tx, now);
+        self.base.probe.emit(Event::CommitRecord(tx), now);
         CommitOutcome { latency: 0, clean_lines: Vec::new() }
     }
 }
@@ -401,10 +401,10 @@ impl PersistenceEngine for HelperEngine {
 fn persist_via_helper_is_cleared_by_call_graph() {
     clean("crates/engines/src/helper.rs", HELPER_PERSIST_ENGINE);
     // The old token-order rule mis-handles this source the other way: a
-    // false positive at the commit site (line 11, col 23).
+    // false positive at the commit site (line 11, col 37).
     assert_eq!(
         lintpass::rules::token_order_commit_sites(HELPER_PERSIST_ENGINE),
-        vec![(11, 23)],
+        vec![(11, 37)],
         "token-order spec should false-positive on the helper shape"
     );
 }
@@ -419,7 +419,7 @@ fn leaf(&mut self) { persist_line(l); }
 fn mid(&mut self) { self.leaf(); }
 fn outer(&mut self) {
     self.mid();
-    self.base.san.commit_record(tx, now);
+    self.base.probe.emit(Event::CommitRecord(tx), now);
 }
 "#;
     clean("crates/engines/src/deep.rs", src);
@@ -434,10 +434,10 @@ fn leaf(&mut self) { self.note(l); }
 fn mid(&mut self) { self.leaf(); }
 fn outer(&mut self) {
     self.mid();
-    self.base.san.commit_record(tx, now);
+    self.base.probe.emit(Event::CommitRecord(tx), now);
 }
 "#;
-    fires_once("crates/engines/src/deep.rs", src, "persist-order", 6, 19);
+    fires_once("crates/engines/src/deep.rs", src, "persist-order", 6, 33);
 }
 
 #[test]
@@ -449,7 +449,7 @@ fn a(&mut self, n: u64) { if n > 0 { self.b(n - 1); } }
 fn b(&mut self, n: u64) { persist_line(n); self.a(n); }
 fn outer(&mut self) {
     self.a(4);
-    self.base.san.commit_record(tx, now);
+    self.base.probe.emit(Event::CommitRecord(tx), now);
 }
 "#;
     clean("crates/engines/src/mutual.rs", src);
@@ -466,9 +466,9 @@ fn tx_end(&mut self, tx: TxId, now: Cycle) -> CommitOutcome {
     let lines = self.active.remove(&tx).expect("commit of unknown tx");
     for (l, img) in lines {
         self.base.write_home_line(Line(l), &img, now, TrafficClass::Data);
-        self.base.san.data_persisted(tx, Line(l), now);
+        self.base.probe.emit(Event::PayloadWrite(tx, Line(l)), now);
     }
-    self.base.san.commit_record(tx, now);
+    self.base.probe.emit(Event::CommitRecord(tx), now);
     CommitOutcome { latency: 0, clean_lines: Vec::new() }
 }
 "#;
@@ -480,9 +480,9 @@ fn persist_in_loop_only_is_an_advisory_not_an_error() {
         LOOP_ONLY_ENGINE,
         "persist-in-loop-only",
         8,
-        19,
+        33,
     );
-    assert!(f.snippet.contains("commit_record"));
+    assert!(f.snippet.contains("CommitRecord"));
 }
 
 #[test]
@@ -492,9 +492,9 @@ fn tx_end(&mut self, tx: TxId, now: Cycle) {
     self.flush_meta(tx, now);
     for (l, img) in lines {
         self.base.write_home_line(Line(l), &img, now, TrafficClass::Data);
-        self.base.san.data_persisted(tx, Line(l), now);
+        self.base.probe.emit(Event::PayloadWrite(tx, Line(l)), now);
     }
-    self.base.san.commit_record(tx, now);
+    self.base.probe.emit(Event::CommitRecord(tx), now);
 }
 "#;
     let r = lint_source("crates/engines/src/premeta.rs", src);
@@ -512,10 +512,10 @@ fn bare_loop_bodies_count_as_executing() {
     let src = r#"
 fn tx_end(&mut self, tx: TxId, now: Cycle) {
     loop {
-        self.base.san.data_persisted(tx, l, now);
+        self.base.probe.emit(Event::PayloadWrite(tx, l), now);
         if self.done { break; }
     }
-    self.base.san.commit_record(tx, now);
+    self.base.probe.emit(Event::CommitRecord(tx), now);
 }
 "#;
     let r = lint_source("crates/engines/src/bareloop.rs", src);
@@ -535,16 +535,24 @@ fn hook_coverage_fires_on_unobserved_burst() {
 }
 
 #[test]
-fn hook_coverage_accepts_direct_san_notification() {
-    let src = "fn spill(&mut self, now: Cycle) {\n    self.base.write_burst(slot, &bytes, now, TrafficClass::Data);\n    self.base.san.evict_dirty(Line(slot), now);\n}\n";
+fn hook_coverage_accepts_direct_notification() {
+    let src = "fn spill(&mut self, now: Cycle) {\n    self.base.write_burst(slot, &bytes, now, TrafficClass::Data);\n    self.base.probe.emit(Event::EvictDirty(Line(slot), persistent), now);\n}\n";
     clean("crates/engines/src/spill.rs", src);
+}
+
+#[test]
+fn hook_coverage_ignores_valve_only_events() {
+    // A valve-only variant ticks the crash valve but tells the sanitizer
+    // nothing, so the burst is still unobserved.
+    let src = "fn spill(&mut self, now: Cycle) {\n    self.base.write_burst(slot, &bytes, now, TrafficClass::Data);\n    self.base.probe.emit(Event::Payload, now);\n}\n";
+    fires_once("crates/engines/src/spill.rs", src, "hook-coverage", 2, 15);
 }
 
 #[test]
 fn hook_coverage_accepts_notifying_helper_one_level() {
     let src = r#"
 fn observe(&mut self, l: Line, now: Cycle) {
-    self.base.san.evict_dirty(l, now);
+    self.base.probe.emit(Event::EvictDirty(l, persistent), now);
 }
 fn spill(&mut self, now: Cycle) {
     self.base.write_burst(slot, &bytes, now, TrafficClass::Data);
@@ -560,7 +568,7 @@ fn hook_coverage_accepts_notifying_helper_at_depth() {
     // summaries carry it the whole way.
     let src = r#"
 fn observe(&mut self, l: Line, now: Cycle) {
-    self.base.san.evict_dirty(l, now);
+    self.base.probe.emit(Event::EvictDirty(l, persistent), now);
 }
 fn track(&mut self, l: Line, now: Cycle) { self.observe(l, now); }
 fn spill(&mut self, now: Cycle) {
@@ -581,7 +589,7 @@ fn raw_write(&mut self, l: Line, now: Cycle) {
     self.base.write_burst(l.0, &bytes, now, TrafficClass::Data);
 }
 fn store(&mut self, l: Line, now: Cycle) {
-    self.base.san.evict_dirty(l, now);
+    self.base.probe.emit(Event::EvictDirty(l, persistent), now);
     self.raw_write(l, now);
 }
 "#;

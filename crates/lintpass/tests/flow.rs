@@ -58,7 +58,7 @@ fn assert_cfg_total(src: &str) {
 const LEAVES: &[&str] = &[
     "a();",
     "persist_x(1);",
-    "self.commit_record(tx);",
+    "self.probe.emit(Event::CommitRecord(tx), t);",
     "let x = y + 1;",
     "return;",
     "g(h(1), [2, 3])?;",
@@ -115,11 +115,11 @@ fn gen_body(seeds: &[u32]) -> String {
 /// these trip `hook-coverage` (no audited burst primitives) so persist
 /// findings are the only output.
 const LINE_STMTS: &[&str] = &[
-    "self.base.san.data_persisted(tx, l, now);",
+    "self.base.probe.emit(Event::PayloadWrite(tx, l), now);",
     "let s = self.fence(now);",
     "persist_line(l, img);",
     "self.flush_row(r, now);",
-    "self.base.san.commit_record(tx, now);",
+    "self.base.probe.emit(Event::CommitRecord(tx), now);",
     "track(l);",
     "let x = y + 1;",
     "self.stats.commits += 1;",
@@ -187,17 +187,17 @@ fn differential_handwritten_straight_line_cases() {
     for (src, expect_fire) in [
         // Commit with no evidence anywhere: both rules fire.
         (
-            "fn f(&mut self) {\n    self.san.commit_record(tx, now);\n}\n",
+            "fn f(&mut self) {\n    self.probe.emit(Event::CommitRecord(tx), now);\n}\n",
             true,
         ),
         // Evidence before: both silent.
         (
-            "fn f(&mut self) {\n    self.fence(now);\n    self.san.commit_record(tx, now);\n}\n",
+            "fn f(&mut self) {\n    self.fence(now);\n    self.probe.emit(Event::CommitRecord(tx), now);\n}\n",
             false,
         ),
         // Evidence after: both fire (token order == path order here).
         (
-            "fn f(&mut self) {\n    self.san.commit_record(tx, now);\n    self.fence(now);\n}\n",
+            "fn f(&mut self) {\n    self.probe.emit(Event::CommitRecord(tx), now);\n    self.fence(now);\n}\n",
             true,
         ),
     ] {

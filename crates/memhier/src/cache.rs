@@ -31,10 +31,12 @@ pub(crate) const MAX_SHARERS: usize = 16;
 const WAY_MISS: u32 = u32::MAX;
 
 /// One way of one set: the line tag plus its LRU stamp, sharer mask and
-/// dirty/persistent bits packed into a single word. Sixteen bytes per slot
-/// keeps a whole 4-way set in one cache line (8-way in two), and a hit
-/// updates the same line the tag scan just read — the layout the hot L1-hit
-/// path wants.
+/// dirty/persistent bits packed into a single word. At sixteen bytes per
+/// slot a 4-way set is 64 B (8-way 128 B), but the `Vec<Slot>` holding the
+/// sets is only 8-byte aligned, so a 4-way set straddles two host cache
+/// lines unless the array happens to start 64-B aligned (the L1 arrays of
+/// one HOOP/YCSB run sat at offsets 16 and 48 mod 64). Whether a 64-B
+/// aligned array would speed up the hit path is unmeasured.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     tag: u64,

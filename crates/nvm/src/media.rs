@@ -29,8 +29,8 @@
 //! same `(seed, line, wear)` always classifies identically, no matter which
 //! line is read first. The only mutable state is commutative (atomic
 //! counters, set insertions) or updated exclusively on serial paths
-//! (scrubbing, retirement). Like `simcore::crashpoint`, a detached
-//! [`MediaModel`] is a single `None` branch — default runs stay
+//! (scrubbing, retirement). Like a detached `simcore::persist::Probe`, a
+//! detached [`MediaModel`] is a single `None` branch — default runs stay
 //! byte-identical and pay nothing.
 //!
 //! The durable [`PersistentStore`](crate::PersistentStore) always holds the
@@ -225,7 +225,7 @@ struct MediaState {
 
 /// Handle to the media-fault model. Detached by default (a single `None`
 /// branch, zero overhead); clones share the same state, like
-/// `simcore::crashpoint::CrashValve`.
+/// `simcore::persist::Probe`.
 #[derive(Clone, Debug, Default)]
 pub struct MediaModel(Option<Arc<MediaState>>);
 

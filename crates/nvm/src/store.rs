@@ -21,8 +21,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use simcore::crashpoint::CrashValve;
 use simcore::linemap::LineMap;
+use simcore::persist::Probe;
 use simcore::PAddr;
 
 const PAGE_BYTES: u64 = 4096;
@@ -49,10 +49,11 @@ pub struct PersistentStore {
     /// Last (page number << IDX_BITS | slab index) touched, to
     /// short-circuit the probe.
     last: AtomicU64,
-    /// Crash-point kill-switch: once the attached valve closes, every write
-    /// is dropped, freezing the byte image at the injected crash point.
-    /// Detached (the default) it is a single always-open branch.
-    valve: CrashValve,
+    /// Crash-point kill-switch: once a valve subscribed to this probe
+    /// closes, every write is dropped, freezing the byte image at the
+    /// injected crash point. Detached (the default) it is a single
+    /// always-open branch.
+    valve: Probe,
 }
 
 impl Default for PersistentStore {
@@ -62,7 +63,7 @@ impl Default for PersistentStore {
             index: LineMap::with_capacity(64, 0),
             free: Vec::new(),
             last: AtomicU64::new(NO_CACHE),
-            valve: CrashValve::detached(),
+            valve: Probe::detached(),
         }
     }
 }
@@ -77,7 +78,7 @@ impl Clone for PersistentStore {
             // Clones are snapshots (e.g. the volatile image rebuilt from the
             // durable one after recovery) — they must stay writable even
             // while the durable original is frozen at a crash point.
-            valve: CrashValve::detached(),
+            valve: Probe::detached(),
         }
     }
 }
@@ -88,9 +89,10 @@ impl PersistentStore {
         Self::default()
     }
 
-    /// Attaches a crash valve: while it is closed, writes are dropped.
-    pub fn attach_valve(&mut self, valve: CrashValve) {
-        self.valve = valve;
+    /// Attaches the engine's persist probe as the kill switch: while a valve
+    /// behind it is closed, writes are dropped.
+    pub fn attach_valve(&mut self, probe: Probe) {
+        self.valve = probe;
     }
 
     /// Reads the cached (page, slab index) pair, if any.
@@ -436,12 +438,12 @@ mod tests {
 
     #[test]
     fn closed_valve_drops_writes_and_clone_reopens() {
-        use simcore::crashpoint::PersistEvent;
+        use simcore::persist::{Event, Valve};
         let mut s = PersistentStore::new();
         s.write_u64(PAddr(0), 1);
-        let valve = CrashValve::armed(0);
-        s.attach_valve(valve.clone());
-        assert!(!valve.event(PersistEvent::Payload, None));
+        let (valve, probe) = Valve::shared(0);
+        s.attach_valve(probe.clone());
+        assert!(!probe.emit(Event::Payload, 0));
         s.write_u64(PAddr(0), 2);
         s.write_bytes(PAddr(64), &[0xFF; 64]);
         s.write_u8(PAddr(8), 1);
@@ -454,7 +456,7 @@ mod tests {
         assert_eq!(snap.read_u64(PAddr(0)), 3);
         assert_eq!(s.read_u64(PAddr(0)), 1);
         // Re-opening restores durability on the original.
-        valve.open_fully();
+        valve.lock().unwrap().open_fully();
         s.write_u64(PAddr(0), 4);
         assert_eq!(s.read_u64(PAddr(0)), 4);
     }

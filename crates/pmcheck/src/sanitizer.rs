@@ -1,8 +1,9 @@
 //! The persistency sanitizer.
 //!
-//! [`PersistencySanitizer`] implements [`SanitizerHooks`] over the shadow
-//! state machine of [`crate::shadow`] and checks the ordering invariants the
-//! paper's correctness argument rests on (§III-G, §IV):
+//! [`PersistencySanitizer`] subscribes to the persist-event stream
+//! ([`simcore::persist`]) and, over the shadow state machine of
+//! [`crate::shadow`], checks the ordering invariants the paper's correctness
+//! argument rests on (§III-G, §IV):
 //!
 //! * **commit-before-payload** — a transaction's commit record must not
 //!   become durable before every store of the transaction is durable;
@@ -25,8 +26,8 @@
 use std::sync::{Arc, Mutex};
 
 use simcore::det::{DetHashMap, DetHashSet};
-use simcore::sanitize::{SanitizerHandle, SanitizerHooks};
-use simcore::{CoreId, Cycle, Line, TxId};
+use simcore::persist::{Event, Probe, Subscriber};
+use simcore::{Cycle, Line, TxId};
 
 use crate::shadow::{LineState, ShadowLine};
 
@@ -193,12 +194,12 @@ struct TxObligations {
 /// ```
 /// use pmcheck::PersistencySanitizer;
 ///
-/// let (san, handle) = PersistencySanitizer::shared();
-/// // system.attach_sanitizer(handle);
+/// let (san, probe) = PersistencySanitizer::shared();
+/// // system.attach_probe(probe);
 /// // ... run ...
 /// let summary = san.lock().unwrap().summary();
 /// assert!(summary.is_clean());
-/// # let _ = handle;
+/// # let _ = probe;
 /// ```
 #[derive(Debug, Default)]
 pub struct PersistencySanitizer {
@@ -227,13 +228,13 @@ impl PersistencySanitizer {
         PersistencySanitizer::default()
     }
 
-    /// A fresh sanitizer behind a shared handle, ready to attach to a
-    /// `System` (and thus every engine the system hosts).
+    /// A fresh sanitizer behind a shared handle, plus the probe to attach
+    /// to a `System` (and thus every engine the system hosts).
     #[allow(clippy::type_complexity)]
-    pub fn shared() -> (Arc<Mutex<PersistencySanitizer>>, SanitizerHandle) {
+    pub fn shared() -> (Arc<Mutex<PersistencySanitizer>>, Probe) {
         let san = Arc::new(Mutex::new(PersistencySanitizer::new()));
-        let handle = SanitizerHandle::new(san.clone());
-        (san, handle)
+        let probe = Probe::new(san.clone());
+        (san, probe)
     }
 
     /// All stored violation records (capped at [`MAX_STORED_VIOLATIONS`]).
@@ -294,12 +295,61 @@ impl PersistencySanitizer {
     }
 }
 
-impl SanitizerHooks for PersistencySanitizer {
-    fn set_engine(&mut self, name: &'static str) {
-        self.engine = name;
+impl Subscriber for PersistencySanitizer {
+    fn on(&mut self, ev: &Event<'_>, now: Cycle) -> bool {
+        match *ev {
+            Event::Engine(name) => self.engine = name,
+            Event::TxBegin(_, tx) => self.tx_begin(tx),
+            Event::TxStore(tx, line) => self.tx_store(tx, line, now),
+            Event::VolatileStore(line) => self.volatile_store(line, now),
+            // The eviction itself is not a durability event: the engine
+            // decides what happens to the data (write home, buffer, drop)
+            // and reports that as its own event.
+            Event::EvictDirty(_, _) => self.events += 1,
+            Event::TxCommitted(tx) => self.tx_committed(tx),
+            Event::Crash => self.crash(),
+            Event::PayloadWrite(tx, line) | Event::DataPersisted(tx, line) => {
+                self.data_persisted(tx, line, now)
+            }
+            Event::HomeWrite(line) => self.home_write(line, now),
+            Event::CommitRecord(tx) => self.commit_record(tx, now),
+            Event::Slice(tx, block, lines, commit) => {
+                for &line in lines {
+                    self.data_persisted(tx, line, now);
+                    self.map_insert(line, block);
+                }
+                if commit {
+                    self.commit_record(tx, now);
+                }
+            }
+            Event::GcMigrate(tx, line) => self.gc_migrate(tx, line, now),
+            Event::GcHome(line) => self.map_remove(line),
+            Event::RedirectedRead(line, block) => {
+                self.redirected_read(line, block, now);
+                self.map_remove(line);
+            }
+            Event::BlockReclaim(block) => self.block_reclaim(block, now),
+            Event::MappingCleared => self.mapping_cleared(),
+            Event::RegionCleared => self.region_cleared(),
+            Event::RecoveryReplay(tx) => self.recovery_replay(tx, now),
+            Event::Flush(line) => self.flush(line, now),
+            Event::Fence => self.fence(now),
+            // Valve-only events carry nothing the shadow tracks.
+            Event::Payload
+            | Event::Home
+            | Event::Gc
+            | Event::Reclaim
+            | Event::Meta
+            | Event::Recovery => {}
+        }
+        true
     }
+}
 
-    fn tx_begin(&mut self, _core: CoreId, tx: TxId, _now: Cycle) {
+/// One shadow-state transition per sanitizer-visible event kind; each
+/// counts as one observed event.
+impl PersistencySanitizer {
+    fn tx_begin(&mut self, tx: TxId) {
         self.events += 1;
         self.active.entry(tx.0).or_default();
     }
@@ -317,13 +367,6 @@ impl SanitizerHooks for PersistencySanitizer {
         self.events += 1;
         self.pending_fence.remove(&line.0);
         self.line(line).set(now, LineState::DirtyVolatile);
-    }
-
-    fn evict_dirty(&mut self, _line: Line, _persistent: bool, _now: Cycle) {
-        // The eviction itself is not a durability event: the engine decides
-        // what happens to the data (write home, buffer, drop) and reports
-        // that through home_write / data_persisted.
-        self.events += 1;
     }
 
     fn data_persisted(&mut self, tx: TxId, line: Line, now: Cycle) {
@@ -472,7 +515,7 @@ impl SanitizerHooks for PersistencySanitizer {
         self.committed_full.insert(tx.0);
     }
 
-    fn tx_committed(&mut self, tx: TxId, _now: Cycle) {
+    fn tx_committed(&mut self, tx: TxId) {
         self.events += 1;
         self.active.remove(&tx.0);
     }
@@ -494,7 +537,7 @@ impl SanitizerHooks for PersistencySanitizer {
         }
     }
 
-    fn map_insert(&mut self, line: Line, block: u32, _now: Cycle) {
+    fn map_insert(&mut self, line: Line, block: u32) {
         self.events += 1;
         if let Some(old) = self.mirror.insert(line.0, block) {
             if old != block {
@@ -506,7 +549,7 @@ impl SanitizerHooks for PersistencySanitizer {
         self.block_lines.entry(block).or_default().insert(line.0);
     }
 
-    fn map_remove(&mut self, line: Line, _now: Cycle) {
+    fn map_remove(&mut self, line: Line) {
         self.events += 1;
         if let Some(block) = self.mirror.remove(&line.0) {
             if let Some(set) = self.block_lines.get_mut(&block) {
@@ -556,13 +599,13 @@ impl SanitizerHooks for PersistencySanitizer {
         }
     }
 
-    fn mapping_cleared(&mut self, _now: Cycle) {
+    fn mapping_cleared(&mut self) {
         self.events += 1;
         self.mirror.clear();
         self.block_lines.clear();
     }
 
-    fn region_cleared(&mut self, _now: Cycle) {
+    fn region_cleared(&mut self) {
         self.events += 1;
         self.block_lines.clear();
     }
@@ -601,23 +644,29 @@ impl SanitizerHooks for PersistencySanitizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::CoreId;
 
     fn san() -> PersistencySanitizer {
         let mut s = PersistencySanitizer::new();
-        s.set_engine("test");
+        ev(&mut s, Event::Engine("test"), 0);
         s
+    }
+
+    /// Feeds one event; the sanitizer never vetoes persistence.
+    fn ev(s: &mut PersistencySanitizer, e: Event<'_>, now: Cycle) {
+        assert!(s.on(&e, now));
     }
 
     #[test]
     fn clean_flush_fence_commit_sequence_passes() {
         let mut s = san();
         let tx = TxId(1);
-        s.tx_begin(CoreId(0), tx, 0);
-        s.tx_store(tx, Line(4), 10);
-        s.flush(Line(4), 20);
-        s.fence(30);
-        s.commit_record(tx, 40);
-        s.tx_committed(tx, 50);
+        ev(&mut s, Event::TxBegin(CoreId(0), tx), 0);
+        ev(&mut s, Event::TxStore(tx, Line(4)), 10);
+        ev(&mut s, Event::Flush(Line(4)), 20);
+        ev(&mut s, Event::Fence, 30);
+        ev(&mut s, Event::CommitRecord(tx), 40);
+        ev(&mut s, Event::TxCommitted(tx), 50);
         assert_eq!(s.hard_violations(), 0, "{:?}", s.violations());
         assert!(s.summary().is_clean());
     }
@@ -626,11 +675,11 @@ mod tests {
     fn engine_side_persist_counts_as_durable() {
         let mut s = san();
         let tx = TxId(1);
-        s.tx_begin(CoreId(0), tx, 0);
-        s.tx_store(tx, Line(4), 10);
-        s.data_persisted(tx, Line(4), 20);
-        s.commit_record(tx, 30);
-        s.tx_committed(tx, 40);
+        ev(&mut s, Event::TxBegin(CoreId(0), tx), 0);
+        ev(&mut s, Event::TxStore(tx, Line(4)), 10);
+        ev(&mut s, Event::DataPersisted(tx, Line(4)), 20);
+        ev(&mut s, Event::CommitRecord(tx), 30);
+        ev(&mut s, Event::TxCommitted(tx), 40);
         assert_eq!(s.hard_violations(), 0);
     }
 
@@ -638,9 +687,9 @@ mod tests {
     fn unflushed_line_at_commit_is_flagged() {
         let mut s = san();
         let tx = TxId(7);
-        s.tx_begin(CoreId(0), tx, 0);
-        s.tx_store(tx, Line(3), 10);
-        s.commit_record(tx, 50);
+        ev(&mut s, Event::TxBegin(CoreId(0), tx), 0);
+        ev(&mut s, Event::TxStore(tx, Line(3)), 10);
+        ev(&mut s, Event::CommitRecord(tx), 50);
         assert_eq!(s.hard_violations(), 1);
         let v = &s.violations()[0];
         assert_eq!(v.kind, ViolationKind::UnflushedAtCommit);
@@ -655,10 +704,10 @@ mod tests {
     fn flushed_but_unfenced_commit_is_commit_before_payload() {
         let mut s = san();
         let tx = TxId(2);
-        s.tx_begin(CoreId(0), tx, 0);
-        s.tx_store(tx, Line(9), 5);
-        s.flush(Line(9), 6);
-        s.commit_record(tx, 7);
+        ev(&mut s, Event::TxBegin(CoreId(0), tx), 0);
+        ev(&mut s, Event::TxStore(tx, Line(9)), 5);
+        ev(&mut s, Event::Flush(Line(9)), 6);
+        ev(&mut s, Event::CommitRecord(tx), 7);
         assert_eq!(s.hard_violations(), 1);
         assert_eq!(s.violations()[0].kind, ViolationKind::CommitBeforePayload);
     }
@@ -667,11 +716,11 @@ mod tests {
     fn late_payload_after_commit_is_flagged() {
         let mut s = san();
         let tx = TxId(2);
-        s.tx_begin(CoreId(0), tx, 0);
-        s.tx_store(tx, Line(1), 5);
-        s.data_persisted(tx, Line(1), 6);
-        s.commit_record(tx, 7);
-        s.data_persisted(tx, Line(2), 8);
+        ev(&mut s, Event::TxBegin(CoreId(0), tx), 0);
+        ev(&mut s, Event::TxStore(tx, Line(1)), 5);
+        ev(&mut s, Event::DataPersisted(tx, Line(1)), 6);
+        ev(&mut s, Event::CommitRecord(tx), 7);
+        ev(&mut s, Event::DataPersisted(tx, Line(2)), 8);
         assert_eq!(s.hard_violations(), 1);
         assert_eq!(s.violations()[0].kind, ViolationKind::CommitBeforePayload);
     }
@@ -679,10 +728,10 @@ mod tests {
     #[test]
     fn gc_of_uncommitted_tx_is_flagged() {
         let mut s = san();
-        s.commit_record(TxId(5), 10);
-        s.gc_migrate(5, Line(1), 20);
+        ev(&mut s, Event::CommitRecord(TxId(5)), 10);
+        ev(&mut s, Event::GcMigrate(5, Line(1)), 20);
         assert_eq!(s.hard_violations(), 0);
-        s.gc_migrate(6, Line(2), 30);
+        ev(&mut s, Event::GcMigrate(6, Line(2)), 30);
         assert_eq!(s.hard_violations(), 1);
         assert_eq!(
             s.violations()[0].kind,
@@ -693,37 +742,40 @@ mod tests {
     #[test]
     fn reclaiming_a_mapped_block_is_flagged() {
         let mut s = san();
-        s.map_insert(Line(1), 3, 0);
-        s.map_insert(Line(2), 3, 1);
-        s.map_remove(Line(1), 2);
-        s.block_reclaim(3, 5);
+        ev(
+            &mut s,
+            Event::Slice(TxId(0), 3, &[Line(1), Line(2)], false),
+            0,
+        );
+        ev(&mut s, Event::GcHome(Line(1)), 2);
+        ev(&mut s, Event::BlockReclaim(3), 5);
         assert_eq!(s.hard_violations(), 1);
         let v = &s.violations()[0];
         assert_eq!(v.kind, ViolationKind::DanglingMapping);
         assert_eq!(v.line, Some(Line(2)));
         assert_eq!(v.block, Some(3));
         // The stale entry was dropped, so a later reclaim is quiet.
-        s.block_reclaim(3, 6);
+        ev(&mut s, Event::BlockReclaim(3), 6);
         assert_eq!(s.hard_violations(), 1);
     }
 
     #[test]
     fn redirected_read_through_dead_entry_is_flagged() {
         let mut s = san();
-        s.map_insert(Line(1), 3, 0);
-        s.redirected_read(Line(1), 3, 1);
+        ev(&mut s, Event::Slice(TxId(0), 3, &[Line(1)], false), 0);
+        ev(&mut s, Event::RedirectedRead(Line(1), 3), 1);
         assert_eq!(s.hard_violations(), 0);
-        s.map_remove(Line(1), 2);
-        s.redirected_read(Line(1), 3, 3);
+        // The first read consumed the entry.
+        ev(&mut s, Event::RedirectedRead(Line(1), 3), 3);
         assert_eq!(s.hard_violations(), 1);
     }
 
     #[test]
     fn recovery_replay_of_uncommitted_is_flagged() {
         let mut s = san();
-        s.commit_record(TxId(4), 0);
-        s.recovery_replay(4, 10);
-        s.recovery_replay(9, 11);
+        ev(&mut s, Event::CommitRecord(TxId(4)), 0);
+        ev(&mut s, Event::RecoveryReplay(4), 10);
+        ev(&mut s, Event::RecoveryReplay(9), 11);
         assert_eq!(s.hard_violations(), 1);
         assert_eq!(
             s.violations()[0].kind,
@@ -734,11 +786,11 @@ mod tests {
     #[test]
     fn redundant_flush_is_soft() {
         let mut s = san();
-        s.volatile_store(Line(1), 0);
-        s.flush(Line(1), 1);
-        s.flush(Line(1), 2); // already FlushedPending
-        s.fence(3);
-        s.flush(Line(1), 4); // already Persisted
+        ev(&mut s, Event::VolatileStore(Line(1)), 0);
+        ev(&mut s, Event::Flush(Line(1)), 1);
+        ev(&mut s, Event::Flush(Line(1)), 2); // already FlushedPending
+        ev(&mut s, Event::Fence, 3);
+        ev(&mut s, Event::Flush(Line(1)), 4); // already Persisted
         let sum = s.summary();
         assert_eq!(sum.violations, 0);
         assert_eq!(sum.redundant_flushes, 2);
@@ -750,16 +802,16 @@ mod tests {
     fn crash_resets_obligations() {
         let mut s = san();
         let tx = TxId(1);
-        s.tx_begin(CoreId(0), tx, 0);
-        s.tx_store(tx, Line(1), 1);
-        s.crash();
+        ev(&mut s, Event::TxBegin(CoreId(0), tx), 0);
+        ev(&mut s, Event::TxStore(tx, Line(1)), 1);
+        ev(&mut s, Event::Crash, 0);
         // The aborted transaction imposes no obligations; a new transaction
         // with a proper protocol is clean.
         let tx2 = TxId(2);
-        s.tx_begin(CoreId(0), tx2, 10);
-        s.tx_store(tx2, Line(1), 11);
-        s.data_persisted(tx2, Line(1), 12);
-        s.commit_record(tx2, 13);
+        ev(&mut s, Event::TxBegin(CoreId(0), tx2), 10);
+        ev(&mut s, Event::TxStore(tx2, Line(1)), 11);
+        ev(&mut s, Event::DataPersisted(tx2, Line(1)), 12);
+        ev(&mut s, Event::CommitRecord(tx2), 13);
         assert_eq!(s.hard_violations(), 0);
     }
 
@@ -767,7 +819,7 @@ mod tests {
     fn violation_storage_is_capped_but_counts_run_on() {
         let mut s = san();
         for i in 0..(MAX_STORED_VIOLATIONS as u64 + 10) {
-            s.gc_migrate(1000 + i as u32, Line(i), i);
+            ev(&mut s, Event::GcMigrate(1000 + i as u32, Line(i)), i);
         }
         assert_eq!(s.violations().len(), MAX_STORED_VIOLATIONS);
         assert_eq!(s.hard_violations(), MAX_STORED_VIOLATIONS as u64 + 10);
@@ -776,7 +828,7 @@ mod tests {
     #[test]
     fn summary_reports_engine_and_samples() {
         let mut s = san();
-        s.gc_migrate(42, Line(1), 7);
+        ev(&mut s, Event::GcMigrate(42, Line(1)), 7);
         let sum = s.summary();
         assert_eq!(sum.engine, "test");
         assert_eq!(sum.violations, 1);

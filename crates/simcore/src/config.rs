@@ -149,8 +149,8 @@ impl HoopConfig {
 ///
 /// Disabled by default: a default run never instantiates the model, so its
 /// observable behavior — timing, traffic, every `results/*.json` byte — is
-/// identical to a build without the subsystem (the same valve discipline as
-/// [`crate::crashpoint`]). All probabilities are integer thresholds out of
+/// identical to a build without the subsystem (the same detached-`None`
+/// discipline as [`crate::persist::Probe`]). All probabilities are integer thresholds out of
 /// 2³² so the fault schedule is float-free and bit-reproducible; every draw
 /// is a pure hash of `(seed, line, wear, attempt)`, which makes the schedule
 /// identity-seeded and independent of the order lines are read in.

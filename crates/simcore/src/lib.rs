@@ -12,6 +12,11 @@
 //! that an experiment is fully described by a [`config::SimConfig`] plus a
 //! random seed and is reproducible bit-for-bit.
 //!
+//! The [persist-event stream](mod@persist) is the one instrumentation
+//! channel: engines emit every durable action once into a
+//! [`persist::Probe`], and its subscribers (the persistency sanitizer, the
+//! crash valve) interpret it.
+//!
 //! # Example
 //!
 //! ```
@@ -29,23 +34,34 @@
 pub mod addr;
 pub mod alloc;
 pub mod config;
-pub mod crashpoint;
 pub mod crc;
 pub mod det;
 pub mod ids;
 pub mod linemap;
+pub mod persist;
 pub mod rng;
-pub mod sanitize;
 pub mod stats;
 pub mod time;
 pub mod zipf;
 
 pub use addr::{Line, PAddr, CACHE_LINE_BYTES, WORD_BYTES};
 pub use config::SimConfig;
-pub use crashpoint::{CrashValve, PersistEvent};
 pub use det::{DetHashMap, DetHashSet};
 pub use ids::{CoreId, TxId};
 pub use linemap::LineMap;
 pub use rng::SimRng;
-pub use sanitize::{SanitizerHandle, SanitizerHooks};
 pub use time::{ns_to_cycles, Cycle, CLOCK_GHZ};
+
+/// Former name of the probe handed to `attach_sanitizer`; kept as a path
+/// because the separate `perfbench` package's forwarding engine names it.
+#[doc(hidden)]
+pub mod sanitize {
+    pub use crate::persist::Probe as SanitizerHandle;
+}
+
+/// Former name of the probe handed to `attach_crash_valve`; kept as a path
+/// because the separate `perfbench` package's forwarding engine names it.
+#[doc(hidden)]
+pub mod crashpoint {
+    pub use crate::persist::Probe as CrashValve;
+}

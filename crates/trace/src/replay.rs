@@ -150,8 +150,8 @@ pub fn replay_cell(
     );
     let mut sys = build_system(engine, cfg);
     let san = sanitize.then(|| {
-        let (san, handle) = PersistencySanitizer::shared();
-        sys.attach_sanitizer(handle);
+        let (san, probe) = PersistencySanitizer::shared();
+        sys.attach_probe(probe);
         san
     });
     let mut cur = Cursors::new(trace);

@@ -23,7 +23,7 @@ use hoop_repro::prelude::*;
 use nvm::{NvmDevice, PersistentStore, TrafficClass};
 use pmcheck::{PersistencySanitizer, SanitizerSummary, ViolationKind};
 use simcore::addr::Line;
-use simcore::sanitize::SanitizerHandle;
+use simcore::persist::{Event, Probe};
 use simcore::Cycle;
 use workloads::driver::Driver;
 
@@ -32,8 +32,8 @@ use workloads::driver::Driver;
 fn sanitized_run(engine: &str) -> SanitizerSummary {
     let cfg = SimConfig::small_for_tests();
     let mut sys = build_system(engine, &cfg);
-    let (san, handle) = PersistencySanitizer::shared();
-    sys.attach_sanitizer(handle);
+    let (san, probe) = PersistencySanitizer::shared();
+    sys.attach_probe(probe);
     let mut spec = WorkloadSpec::small(WorkloadKind::Hashmap);
     spec.items = 512;
     let mut driver = Driver::new(spec, &cfg);
@@ -159,26 +159,29 @@ impl PersistenceEngine for BrokenEngine {
         match self.mode {
             Break::CommitBeforeFlush => {
                 // No flush, no persist: straight to the commit record.
-                self.base.san.commit_record(tx, now);
+                self.base.probe.emit(Event::CommitRecord(tx), now);
             }
             Break::CommitBeforeFence => {
                 for l in &self.lines {
-                    self.base.san.flush(Line(*l), now);
+                    self.base.probe.emit(Event::Flush(Line(*l)), now);
                 }
                 // Missing fence before the record persists.
-                self.base.san.commit_record(tx, now + 5);
+                self.base.probe.emit(Event::CommitRecord(tx), now + 5);
             }
-            Break::GcUncommitted | Break::ReplayUncommitted | Break::DanglingMapping => {
+            Break::DanglingMapping => {
+                // Honest commit, out of place: one tail slice in block 9
+                // carries the payload, the mapping entries and the record.
+                let lines: Vec<Line> = self.lines.iter().map(|l| Line(*l)).collect();
+                self.base
+                    .probe
+                    .emit(Event::Slice(tx, 9, &lines, true), now + 5);
+            }
+            Break::GcUncommitted | Break::ReplayUncommitted => {
                 // Honest commit: payload durable, then the record.
                 for l in &self.lines {
-                    self.base.san.data_persisted(tx, Line(*l), now);
+                    self.base.probe.emit(Event::PayloadWrite(tx, Line(*l)), now);
                 }
-                if self.mode == Break::DanglingMapping {
-                    for l in &self.lines {
-                        self.base.san.map_insert(Line(*l), 9, now);
-                    }
-                }
-                self.base.san.commit_record(tx, now + 5);
+                self.base.probe.emit(Event::CommitRecord(tx), now + 5);
             }
         }
         self.base.stats.committed_txs.inc();
@@ -196,11 +199,11 @@ impl PersistenceEngine for BrokenEngine {
         match self.mode {
             Break::GcUncommitted => {
                 // Commit id 4242 never committed.
-                self.base.san.gc_migrate(4242, Line(64), now);
+                self.base.probe.emit(Event::GcMigrate(4242, Line(64)), now);
             }
             Break::DanglingMapping => {
                 // Block 9 still holds live mapping entries.
-                self.base.san.block_reclaim(9, now);
+                self.base.probe.emit(Event::BlockReclaim(9), now);
             }
             _ => {}
         }
@@ -212,7 +215,7 @@ impl PersistenceEngine for BrokenEngine {
 
     fn recover(&mut self, threads: usize) -> RecoveryReport {
         if self.mode == Break::ReplayUncommitted {
-            self.base.san.recovery_replay(7777, 0);
+            self.base.probe.emit(Event::RecoveryReplay(7777), 0);
         }
         RecoveryReport {
             threads,
@@ -232,8 +235,8 @@ impl PersistenceEngine for BrokenEngine {
         &self.base.stats
     }
 
-    fn attach_sanitizer(&mut self, handle: SanitizerHandle) {
-        self.base.san = handle;
+    fn attach_probe(&mut self, probe: Probe) {
+        self.base.attach_probe(probe);
     }
 
     fn reset_counters(&mut self) {
@@ -247,8 +250,8 @@ impl PersistenceEngine for BrokenEngine {
 fn drive_broken(mode: Break) -> Arc<Mutex<PersistencySanitizer>> {
     let cfg = SimConfig::small_for_tests();
     let mut sys = System::new(Box::new(BrokenEngine::new(&cfg, mode)), &cfg);
-    let (san, handle) = PersistencySanitizer::shared();
-    sys.attach_sanitizer(handle);
+    let (san, probe) = PersistencySanitizer::shared();
+    sys.attach_probe(probe);
     let core = CoreId(0);
     let tx = sys.tx_begin(core);
     sys.store_bytes(core, PAddr(4096), &1u64.to_le_bytes());
