@@ -86,6 +86,31 @@ fn skiplist(c: &mut Criterion) {
     });
 }
 
+fn skiplist_commits(c: &mut Criterion) {
+    // LSM's commit path: one GC period of sorted 8-line commit batches
+    // filling the index to about 130k lines (the largest index of the
+    // write-hashmap LSM cell), after the previous period's clear.
+    let mut rng = SimRng::seed(7);
+    let batches: Vec<Vec<u64>> = (0..130_000 / 8)
+        .map(|_| {
+            let mut batch: Vec<u64> = (0..8).map(|_| rng.below(1 << 22)).collect();
+            batch.sort_unstable();
+            batch.dedup();
+            batch
+        })
+        .collect();
+    let mut list = SkipList::new();
+    c.bench_function("skiplist_insert_sorted_batch_130k", |b| {
+        b.iter(|| {
+            list.clear();
+            for batch in &batches {
+                list.insert_sorted_batch(batch);
+            }
+            black_box(list.len())
+        })
+    });
+}
+
 fn crc(c: &mut Criterion) {
     // Every slice seal and verify hashes the first 112 bytes of a slice.
     let buf: Vec<u8> = (0..112u32).map(|i| (i * 37 + 11) as u8).collect();
@@ -197,6 +222,7 @@ criterion_group!(
     targets = slice_codec,
     mapping_table,
     skiplist,
+    skiplist_commits,
     crc,
     eviction_buffer,
     zipfian,

@@ -547,6 +547,71 @@ mod tests {
     }
 
     #[test]
+    fn torn_last_transaction_recovers_the_committed_prefix() {
+        use simcore::persist::{Kind, Valve};
+        // (line, words stored) per transaction; the last one is torn.
+        let txs: [&[(u64, u64)]; 3] = [&[(0, 2), (1, 1)], &[(2, 2)], &[(3, 2), (4, 2)]];
+        let value = |line: u64, w: u64| 0x100 * line + w + 1;
+        let run = |e: &mut LsmEngine| {
+            for &lines in &txs {
+                let tx = e.tx_begin(CoreId(0), 0);
+                for &(line, words) in lines {
+                    for w in 0..words {
+                        let bytes = value(line, w).to_le_bytes();
+                        e.on_store(CoreId(0), tx, PAddr(line * 64 + w * 8), &bytes, 0);
+                    }
+                }
+                e.tx_end(CoreId(0), tx, 0);
+            }
+        };
+        // Each transaction ticks one payload event per line, then its
+        // commit: close the valve after the last transaction's first
+        // payload record.
+        let cutoff = 3 + 2 + 1;
+        let mut e = engine();
+        for line in 0..5 {
+            e.init_home(Line(line).base(), &[0xEE; 64]);
+        }
+        let (valve, probe) = Valve::shared(cutoff);
+        e.attach_probe(probe);
+        run(&mut e);
+        assert_eq!(valve.lock().unwrap().trip_kind(), Some(Kind::Payload));
+        assert_eq!((e.log.len(), e.committed_len), (4, 3));
+        e.crash();
+        valve.lock().unwrap().open_fully();
+        let report = e.recover(1);
+
+        // Every record in the log is scanned, the torn one included.
+        let scanned = [2, 1, 2, 2]
+            .map(|w| ENTRY_HEADER_BYTES + 8 * w)
+            .iter()
+            .sum();
+        assert_eq!(report.bytes_scanned, scanned);
+        assert_eq!(report.bytes_written, 5 * WORD_BYTES);
+        assert_eq!(report.txs_replayed, 2);
+        let counts = valve.lock().unwrap().kind_counts();
+        assert_eq!(
+            counts[Kind::Recovery as usize],
+            3,
+            "one per committed record"
+        );
+        for (i, &lines) in txs.iter().enumerate() {
+            for &(line, words) in lines {
+                for w in 0..8 {
+                    let got = e.durable().read_u64(PAddr(line * 64 + w * 8));
+                    let want = if i < 2 && w < words {
+                        value(line, w)
+                    } else {
+                        0xEEEE_EEEE_EEEE_EEEE
+                    };
+                    assert_eq!(got, want, "line {line} word {w}");
+                }
+            }
+        }
+        assert!(e.log.is_empty());
+    }
+
+    #[test]
     fn misaligned_store_merges_correctly() {
         let mut e = engine();
         e.init_home(PAddr(0), &0x1111_1111_1111_1111u64.to_le_bytes());

@@ -13,25 +13,25 @@
 //! always produces the same structure (determinism requirement, DESIGN.md
 //! §6).
 //!
-//! The node layout keeps `key` and the low-level links in the same cache
-//! line: every hop of a search reads exactly those two fields of one node,
-//! so splitting them into parallel arrays (tried) costs an extra miss per
-//! hop rather than saving one.
+//! Every node is a *tower* in one flat `u32` arena, `[key lo, key hi,
+//! height, next[0..height]]`, named by its offset. A tower is only as tall
+//! as its node (heights are geometric, mean 2), and its key sits next to
+//! its low-level links: every hop of a search reads exactly those two
+//! fields of one tower, so splitting them into parallel arrays (tried)
+//! costs an extra miss per hop rather than saving one. A removed tower goes
+//! on the free list for its height and is reused by the next insert of a
+//! key of that height.
 
 use simcore::LineMap;
 
 const MAX_LEVEL: usize = 24;
 const NIL: u32 = u32::MAX;
 
+/// Tower words before the links: key lo, key hi, height.
+const HEADER: usize = 3;
+
 /// log2 of the visit memo's slot count: 4096 slots of 24 bytes, 96 KiB.
 const MEMO_BITS: u32 = 12;
-
-#[derive(Clone, Debug)]
-struct Node {
-    key: u64,
-    next: [u32; MAX_LEVEL],
-    height: u8,
-}
 
 /// One memoized walk: the walk to `key` made `visits` visits and stopped
 /// at level `stop`, cut short by its cap iff `capped`, when level `stop`'s
@@ -82,8 +82,12 @@ const MEMO_EMPTY: MemoEntry = MemoEntry {
 #[derive(Clone, Debug)]
 pub struct SkipList {
     head: [u32; MAX_LEVEL],
-    nodes: Vec<Node>,
-    free: Vec<u32>,
+    /// The tower arena (see the module documentation).
+    towers: Vec<u32>,
+    /// Per height `h`, the first free tower of height `h + 1` (NIL for
+    /// none); a free tower's `next[0]` links to the next one.
+    free: [u32; MAX_LEVEL],
+    /// Every key's tower.
     by_key: LineMap<u32>,
     len: usize,
     level: usize,
@@ -117,8 +121,8 @@ impl SkipList {
     pub fn new() -> Self {
         SkipList {
             head: [NIL; MAX_LEVEL],
-            nodes: Vec::new(),
-            free: Vec::new(),
+            towers: Vec::new(),
+            free: [NIL; MAX_LEVEL],
             by_key: LineMap::with_capacity(64, NIL),
             len: 0,
             level: 1,
@@ -135,8 +139,27 @@ impl SkipList {
     }
 
     #[inline]
-    fn node(&self, idx: u32) -> &Node {
-        &self.nodes[idx as usize]
+    fn key(&self, t: u32) -> u64 {
+        let t = t as usize;
+        u64::from(self.towers[t]) | u64::from(self.towers[t + 1]) << 32
+    }
+
+    #[inline]
+    fn height(&self, t: u32) -> usize {
+        self.towers[t as usize + 2] as usize
+    }
+
+    /// Tower `t`'s link on level `lvl`, which must be below its height.
+    #[inline]
+    fn next(&self, t: u32, lvl: usize) -> u32 {
+        debug_assert!(lvl < self.height(t), "link above the tower");
+        self.towers[t as usize + HEADER + lvl]
+    }
+
+    #[inline]
+    fn set_next(&mut self, t: u32, lvl: usize, to: u32) {
+        debug_assert!(lvl < self.height(t), "link above the tower");
+        self.towers[t as usize + HEADER + lvl] = to;
     }
 
     /// Number of entries.
@@ -150,7 +173,7 @@ impl SkipList {
     }
 
     /// Walks toward `key`, filling `preds` with the predecessor at each
-    /// level; returns (node index or NIL, nodes visited).
+    /// level; returns (tower or NIL, nodes visited).
     fn find(&self, key: u64, preds: &mut [u32; MAX_LEVEL]) -> (u32, u64) {
         let mut visits = 0u64;
         let mut cur = NIL; // NIL predecessor means "head"
@@ -158,12 +181,12 @@ impl SkipList {
             let mut next = if cur == NIL {
                 self.head[lvl]
             } else {
-                self.node(cur).next[lvl]
+                self.next(cur, lvl)
             };
-            while next != NIL && self.node(next).key < key {
+            while next != NIL && self.key(next) < key {
                 visits += 1;
                 cur = next;
-                next = self.node(cur).next[lvl];
+                next = self.next(cur, lvl);
             }
             visits += 1;
             preds[lvl] = cur;
@@ -171,9 +194,9 @@ impl SkipList {
         let candidate = if cur == NIL {
             self.head[0]
         } else {
-            self.node(cur).next[0]
+            self.next(cur, 0)
         };
-        if candidate != NIL && self.node(candidate).key == key {
+        if candidate != NIL && self.key(candidate) == key {
             (candidate, visits)
         } else {
             (NIL, visits)
@@ -193,15 +216,15 @@ impl SkipList {
             let mut next = if cur == NIL {
                 self.head[lvl]
             } else {
-                self.node(cur).next[lvl]
+                self.next(cur, lvl)
             };
-            while next != NIL && self.node(next).key < key {
+            while next != NIL && self.key(next) < key {
                 visits += 1;
                 if visits >= cap {
                     return (cap, lvl);
                 }
                 cur = next;
-                next = self.node(cur).next[lvl];
+                next = self.next(cur, lvl);
             }
             visits += 1;
             if visits >= cap {
@@ -275,29 +298,28 @@ impl SkipList {
         if height > self.level {
             self.level = height;
         }
-        let node = Node {
-            key,
-            next: [NIL; MAX_LEVEL],
-            height: height as u8,
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = node;
-                i
+        let idx = match self.free[height - 1] {
+            NIL => {
+                let t = u32::try_from(self.towers.len()).expect("tower arena overflow");
+                self.towers
+                    .extend([key as u32, (key >> 32) as u32, height as u32]);
+                self.towers.resize(t as usize + HEADER + height, NIL);
+                t
             }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
+            t => {
+                self.free[height - 1] = self.next(t, 0);
+                self.towers[t as usize] = key as u32;
+                self.towers[t as usize + 1] = (key >> 32) as u32;
+                t
             }
         };
         for (lvl, &pred) in preds.iter().enumerate().take(height) {
             if pred == NIL {
-                self.nodes[idx as usize].next[lvl] = self.head[lvl];
+                self.set_next(idx, lvl, self.head[lvl]);
                 self.head[lvl] = idx;
             } else {
-                let succ = self.node(pred).next[lvl];
-                self.nodes[idx as usize].next[lvl] = succ;
-                self.nodes[pred as usize].next[lvl] = idx;
+                self.set_next(idx, lvl, self.next(pred, lvl));
+                self.set_next(pred, lvl, idx);
             }
         }
         self.bump(height);
@@ -358,7 +380,7 @@ impl SkipList {
                     (NIL, c) => c,
                     (p, NIL) => p,
                     (p, c) => {
-                        if self.node(c).key > self.node(p).key {
+                        if self.key(c) > self.key(p) {
                             c
                         } else {
                             p
@@ -368,11 +390,11 @@ impl SkipList {
                 let mut next = if cur == NIL {
                     self.head[lvl]
                 } else {
-                    self.node(cur).next[lvl]
+                    self.next(cur, lvl)
                 };
-                while next != NIL && self.node(next).key < key {
+                while next != NIL && self.key(next) < key {
                     cur = next;
-                    next = self.node(cur).next[lvl];
+                    next = self.next(cur, lvl);
                 }
                 preds[lvl] = cur;
                 carry = cur;
@@ -380,7 +402,7 @@ impl SkipList {
             let idx = self.link(key, &preds);
             // The new node is the rightmost key < any later batch key:
             // advance the frontier onto it.
-            let height = self.node(idx).height as usize;
+            let height = self.height(idx);
             preds[..height].fill(idx);
         }
     }
@@ -393,28 +415,29 @@ impl SkipList {
         let mut preds = [NIL; MAX_LEVEL];
         let (node, _) = self.find(key, &mut preds);
         debug_assert_ne!(node, NIL, "key index out of sync");
-        let height = self.node(node).height as usize;
+        let height = self.height(node);
         for (lvl, &pred) in preds.iter().enumerate().take(height) {
-            let succ = self.node(node).next[lvl];
+            let succ = self.next(node, lvl);
             if pred == NIL {
                 if self.head[lvl] == node {
                     self.head[lvl] = succ;
                 }
-            } else if self.node(pred).next[lvl] == node {
-                self.nodes[pred as usize].next[lvl] = succ;
+            } else if self.next(pred, lvl) == node {
+                self.set_next(pred, lvl, succ);
             }
         }
         self.bump(height);
         self.len -= 1;
-        self.free.push(node);
+        self.set_next(node, 0, self.free[height - 1]);
+        self.free[height - 1] = node;
         true
     }
 
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.head = [NIL; MAX_LEVEL];
-        self.nodes.clear();
-        self.free.clear();
+        self.towers.clear();
+        self.free = [NIL; MAX_LEVEL];
         self.by_key.clear();
         self.len = 0;
         self.level = 1;
@@ -428,9 +451,9 @@ impl SkipList {
             if cur == NIL {
                 None
             } else {
-                let n = self.node(cur);
-                cur = n.next[0];
-                Some(n.key)
+                let key = self.key(cur);
+                cur = self.next(cur, 0);
+                Some(key)
             }
         })
     }
@@ -614,12 +637,77 @@ mod tests {
         for k in 0..100u64 {
             s.remove(k);
         }
-        let nodes_before = s.nodes.len();
-        for k in 100..200u64 {
+        // A tower is reused only at its own height: reinsert fresh keys
+        // with the removed keys' heights.
+        let mut fresh: Vec<_> = (1..=MAX_LEVEL)
+            .map(|h| keys_of_height(h).filter(|&k| k >= 100))
+            .collect();
+        let words_before = s.towers.len();
+        for k in 0..100u64 {
+            let key = fresh[height_for(k) - 1].next().expect("key of height");
+            assert!(s.insert(key));
+        }
+        assert_eq!(s.towers.len(), words_before, "free list must be reused");
+        assert_eq!(s.len(), 100);
+    }
+
+    #[test]
+    fn arena_holds_exactly_the_towers() {
+        let mut s = SkipList::new();
+        let keys: Vec<u64> = (0..3000u64).map(|k| k * 7919 % 10_007).collect();
+        for &k in &keys {
             s.insert(k);
         }
-        assert_eq!(s.nodes.len(), nodes_before, "free list must be reused");
-        assert_eq!(s.len(), 100);
+        let words: usize = keys.iter().map(|&k| HEADER + height_for(k)).sum();
+        assert_eq!(s.towers.len(), words);
+        // Re-inserts add nothing.
+        s.insert_sorted_batch(&[0, 7919]);
+        assert_eq!(s.towers.len(), words);
+    }
+
+    #[test]
+    fn removed_tower_is_reused_at_its_height() {
+        let mut s = SkipList::new();
+        for k in 0..64u64 {
+            s.insert(k * 2);
+        }
+        let victim = keys_of_height(3)
+            .find(|k| k % 2 == 0 && *k < 128)
+            .expect("present key");
+        let tower = *s.by_key.get(victim).expect("present");
+        assert!(s.remove(victim));
+        let words = s.towers.len();
+        // A different height cannot use it...
+        let other = keys_of_height(1).find(|k| k % 2 == 1).expect("odd key");
+        assert!(s.insert(other));
+        assert!(s.towers.len() > words);
+        assert_ne!(s.by_key.get(other), Some(&tower));
+        // ...the next insert of its height does.
+        let words = s.towers.len();
+        let same = keys_of_height(3).find(|k| k % 2 == 1).expect("odd key");
+        assert!(s.insert(same));
+        assert_eq!(s.towers.len(), words);
+        assert_eq!(s.by_key.get(same), Some(&tower));
+        assert_eq!(s.key(tower), same);
+        let mut want: std::collections::BTreeSet<u64> = (0..64u64).map(|k| k * 2).collect();
+        want.remove(&victim);
+        want.extend([other, same]);
+        assert!(s.iter().eq(want));
+    }
+
+    #[test]
+    fn clear_empties_the_arena() {
+        let mut s = SkipList::new();
+        for k in 0..500u64 {
+            s.insert(k);
+        }
+        s.remove(7);
+        s.clear();
+        assert!(s.towers.is_empty());
+        assert!(s.free.iter().all(|&t| t == NIL));
+        assert!(s.is_empty() && s.iter().next().is_none());
+        assert!(s.insert(7));
+        assert_eq!(s.towers.len(), HEADER + height_for(7));
     }
 
     #[test]
