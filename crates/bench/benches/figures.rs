@@ -7,10 +7,19 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use engines::PersistenceEngine as _;
 use hoop::engine::HoopEngine;
 use hoop::recovery::model_recovery_ms;
-use hoop_bench::experiments::{run_cell, spec_for, Scale, MATRIX, TPCC};
+use hoop_bench::experiments::{spec_for, Scale, WorkloadConfig, MATRIX, TPCC};
+use hoop_bench::runner::{run_cell, Cell, Observers};
 use simcore::config::SimConfig;
 use simcore::{CoreId, PAddr};
 use workloads::driver::{build_system, Driver};
+
+/// Runs one live quick-scale cell of `engine` × `wcfg` on `sim`.
+fn quick_cell(engine: &'static str, wcfg: WorkloadConfig, sim: SimConfig) -> f64 {
+    let cell = Cell::new(engine, wcfg, sim, Scale::Quick);
+    run_cell(&cell, &Observers::default(), None)
+        .report
+        .throughput_tx_per_ms
+}
 
 /// Fig. 7/8/9 path: one engine × workload cell at quick scale.
 fn fig7_cells(c: &mut Criterion) {
@@ -19,7 +28,7 @@ fn fig7_cells(c: &mut Criterion) {
     group.sample_size(10);
     for engine in ["HOOP", "Opt-Redo", "LAD"] {
         group.bench_function(engine, |b| {
-            b.iter(|| black_box(run_cell(engine, MATRIX[2], &sim, Scale::Quick)))
+            b.iter(|| black_box(quick_cell(engine, MATRIX[2], sim)))
         });
     }
     group.finish();
@@ -91,16 +100,16 @@ fn fig12_fig13_sweeps(c: &mut Criterion) {
     group.bench_function("fig12_read_latency_point", |b| {
         let mut cfg = SimConfig::default();
         cfg.nvm.read_ns = 150.0;
-        b.iter(|| black_box(run_cell("HOOP", MATRIX[10], &cfg, Scale::Quick)))
+        b.iter(|| black_box(quick_cell("HOOP", MATRIX[10], cfg)))
     });
     group.bench_function("fig13_small_mapping_point", |b| {
         let mut cfg = SimConfig::default();
         cfg.hoop.mapping_table_bytes = 128 * 1024;
-        b.iter(|| black_box(run_cell("HOOP", MATRIX[10], &cfg, Scale::Quick)))
+        b.iter(|| black_box(quick_cell("HOOP", MATRIX[10], cfg)))
     });
     group.bench_function("tpcc_cell", |b| {
         let cfg = SimConfig::default();
-        b.iter(|| black_box(run_cell("HOOP", TPCC, &cfg, Scale::Quick)))
+        b.iter(|| black_box(quick_cell("HOOP", TPCC, cfg)))
     });
     group.finish();
 }

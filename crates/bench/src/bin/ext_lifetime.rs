@@ -7,21 +7,43 @@
 //! mean), and the relative lifetime — `endurance / hottest-line writes` —
 //! normalized to HOOP. It also reports the Start-Gap leveling overhead that
 //! would be needed to flatten each engine's skew.
+//!
+//! Always runs with `--endurance` on; runs the engines on worker threads
+//! (`--jobs N`) and exports `results/ext_lifetime.json` alongside the CSV.
 
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX};
+use hoop_bench::runner::{Cell, ExperimentPlan};
+use hoop_bench::RunnerOptions;
 use nvm::wearlevel::GAP_MOVE_RATE;
 use simcore::config::SimConfig;
-use workloads::driver::{build_system, Driver, ENGINES};
+use workloads::driver::{Window, ENGINES};
 
 fn main() {
+    let mut opts = RunnerOptions::from_args();
+    opts.endurance = true;
     let sim = SimConfig::default();
-    let scale = Scale::from_args();
+    let scale = opts.scale;
     let wcfg = MATRIX[2]; // hashmap-64B: the paper's canonical fine-grained updater
-    let spec = spec_for(wcfg, scale);
     let txs = match scale {
         Scale::Quick => 2_000,
         Scale::Full => 40_000,
     };
+
+    let cells = ENGINES
+        .map(|engine| Cell {
+            spec: spec_for(wcfg, scale),
+            window: Window::new(200, txs),
+            trace: format!("ext_lifetime-{}", wcfg.label),
+            ..Cell::new(engine, wcfg, sim, scale)
+        })
+        .to_vec();
+    let plan = ExperimentPlan::from_cells("ext_lifetime", cells, scale);
+    let results = plan.run(&opts);
+    plan.write_json(&results);
+    let wear: Vec<_> = results
+        .iter()
+        .map(|r| (r.engine, r.endurance.as_ref().expect("endurance tracked")))
+        .collect();
 
     println!(
         "== Extension: NVM lifetime ({} / {} txs) ==",
@@ -31,45 +53,22 @@ fn main() {
         "{:<10}{:>14}{:>12}{:>10}{:>16}",
         "engine", "line writes", "hottest", "skew", "lifetime vs HOOP"
     );
-    let mut results = Vec::new();
-    for engine in ENGINES {
-        let mut sys = build_system(engine, &sim);
-        sys.enable_endurance_tracking();
-        let mut driver = Driver::new(spec, &sim);
-        driver.setup(&mut sys);
-        let r = driver.run(&mut sys, 200, txs);
-        assert_eq!(r.verify_errors, 0);
-        let e = sys
-            .engine()
-            .device()
-            .endurance()
-            .expect("tracking enabled")
-            .clone();
-        results.push((engine, e));
-    }
-    let hoop_max = results
+    let hoop_max = wear
         .iter()
         .find(|(n, _)| *n == "HOOP")
         .expect("HOOP ran")
         .1
-        .max_writes() as f64;
+        .max_line_writes as f64;
     let mut rows = Vec::new();
-    for (engine, e) in &results {
-        let lifetime = hoop_max / e.max_writes().max(1) as f64;
+    for (engine, e) in &wear {
+        let lifetime = hoop_max / e.max_line_writes.max(1) as f64;
         println!(
             "{:<10}{:>14}{:>12}{:>10.2}{:>16.2}",
-            engine,
-            e.total_writes(),
-            e.max_writes(),
-            e.skew(),
-            lifetime
+            engine, e.total_line_writes, e.max_line_writes, e.skew, lifetime
         );
         rows.push(format!(
             "{engine},{},{},{:.4},{:.4}",
-            e.total_writes(),
-            e.max_writes(),
-            e.skew(),
-            lifetime
+            e.total_line_writes, e.max_line_writes, e.skew, lifetime
         ));
     }
     write_csv(

@@ -4,14 +4,21 @@
 //! redirected-read path. Sweeping YCSB's update fraction from read-only to
 //! write-only shows where each engine's regime begins — the crossovers the
 //! shape-reproduction cares about.
+//!
+//! Runs the (fraction × engine) grid on worker threads (`--jobs N`) and
+//! exports `results/ext_mix.json` alongside the CSV.
 
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX};
+use hoop_bench::runner::{Cell, ExperimentPlan};
+use hoop_bench::RunnerOptions;
 use simcore::config::SimConfig;
-use workloads::driver::{build_system, Driver, ENGINES};
+use workloads::driver::{Window, ENGINES};
 
 fn main() {
+    let opts = RunnerOptions::from_args();
     let sim = SimConfig::default();
-    let scale = Scale::from_args();
+    let scale = opts.scale;
+    let ycsb = MATRIX[10]; // ycsb-512B
     let fractions: &[f64] = match scale {
         Scale::Quick => &[0.2, 0.8],
         Scale::Full => &[0.0, 0.2, 0.5, 0.8, 0.95],
@@ -21,6 +28,27 @@ fn main() {
         Scale::Full => 30_000,
     };
 
+    let cells = fractions
+        .iter()
+        .flat_map(|&f| {
+            let mut spec = spec_for(ycsb, scale);
+            spec.update_fraction = f;
+            ENGINES.map(|engine| {
+                Cell {
+                    spec,
+                    window: Window::new(txs / 10, txs),
+                    // One trace row per mix: the rows differ in their spec.
+                    trace: format!("ext_mix-{}-{f}", ycsb.label),
+                    ..Cell::new(engine, ycsb, sim, scale)
+                }
+                .with_param("update_fraction", f)
+            })
+        })
+        .collect();
+    let plan = ExperimentPlan::from_cells("ext_mix", cells, scale);
+    let results = plan.run(&opts);
+    plan.write_json(&results);
+
     println!("== Extension: YCSB update-fraction sweep (tx/ms) ==");
     print!("{:<10}", "upd_frac");
     for e in ENGINES {
@@ -28,19 +56,13 @@ fn main() {
     }
     println!();
     let mut rows = Vec::new();
-    for &f in fractions {
+    for (f, row_cells) in fractions.iter().zip(results.chunks(ENGINES.len())) {
         print!("{f:<10}");
         let mut row = format!("{f}");
-        for engine in ENGINES {
-            let mut spec = spec_for(MATRIX[10], scale);
-            spec.update_fraction = f;
-            let mut sys = build_system(engine, &sim);
-            let mut driver = Driver::new(spec, &sim);
-            driver.setup(&mut sys);
-            let r = driver.run(&mut sys, txs / 10, txs);
-            assert_eq!(r.verify_errors, 0);
-            print!("{:>11.1}", r.throughput_tx_per_ms);
-            row += &format!(",{:.3}", r.throughput_tx_per_ms);
+        for cell in row_cells {
+            let tput = cell.report.throughput_tx_per_ms;
+            print!("{tput:>11.1}");
+            row += &format!(",{tput:.3}");
         }
         println!();
         rows.push(row);

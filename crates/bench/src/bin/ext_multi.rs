@@ -4,15 +4,28 @@
 //! two-phase commit on every workload: 2PC adds commit-path messages, while
 //! extra controllers spread slice traffic. The paper sketches the protocol
 //! but does not evaluate it — this harness fills that gap.
+//!
+//! Runs the (workload × engine) grid on worker threads (`--jobs N`) and
+//! exports `results/ext_multi.json` alongside the CSV.
 
-use hoop_bench::experiments::{run_cell, write_csv, Scale, MATRIX, TPCC};
+use hoop_bench::experiments::{write_csv, MATRIX, TPCC};
+use hoop_bench::runner::{Cell, ExperimentPlan};
+use hoop_bench::RunnerOptions;
 use simcore::config::SimConfig;
 
 fn main() {
+    let opts = RunnerOptions::from_args();
     let sim = SimConfig::default();
-    let scale = Scale::from_args();
     let engines = ["HOOP", "HOOP-MC2", "HOOP-MC4"];
     let configs = [MATRIX[0], MATRIX[2], MATRIX[10], TPCC];
+
+    let cells = configs
+        .into_iter()
+        .flat_map(|wcfg| engines.map(|engine| Cell::new(engine, wcfg, sim, opts.scale)))
+        .collect();
+    let plan = ExperimentPlan::from_cells("ext_multi", cells, opts.scale);
+    let results = plan.run(&opts);
+    plan.write_json(&results);
 
     println!("== Extension: multi-controller HOOP (2PC) ==");
     print!("{:<12}", "workload");
@@ -21,12 +34,11 @@ fn main() {
     }
     println!("   (tx/ms, cycles)");
     let mut rows = Vec::new();
-    for wcfg in configs {
+    for (wcfg, row_cells) in configs.iter().zip(results.chunks(engines.len())) {
         print!("{:<12}", wcfg.label);
         let mut row = wcfg.label.to_string();
-        for engine in engines {
-            let r = run_cell(engine, wcfg, &sim, scale);
-            assert_eq!(r.verify_errors, 0, "{engine}/{} corrupted", wcfg.label);
+        for cell in row_cells {
+            let r = &cell.report;
             print!("{:>14.1}{:>12.0}", r.throughput_tx_per_ms, r.avg_tx_latency);
             row += &format!(",{:.3},{:.1}", r.throughput_tx_per_ms, r.avg_tx_latency);
         }

@@ -9,8 +9,13 @@
 //! The reserved OOP region is sized so that it holds roughly 11 ms of slice
 //! production at the simulated scale — the same proportionality the paper's
 //! reserve (10 % of NVM) has to its workload footprint; see EXPERIMENTS.md.
+//!
+//! Runs the (period × workload) grid on worker threads (`--jobs N`) and
+//! exports `results/fig10.json` alongside the CSV.
 
-use hoop_bench::experiments::{run_cell, spec_for, write_csv, Scale, MATRIX};
+use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX};
+use hoop_bench::runner::{min_cycles_for, run_parallel, Cell, ExperimentPlan};
+use hoop_bench::RunnerOptions;
 use simcore::config::SimConfig;
 use workloads::driver::{build_system, Driver};
 
@@ -25,10 +30,7 @@ fn probe_oop_rate(wcfg: hoop_bench::WorkloadConfig, sim: &SimConfig, scale: Scal
     let mut driver = Driver::new(spec, &cfg);
     driver.setup(&mut sys);
     // Probe over the same steady-state window the measured cells use.
-    let min_cycles = match scale {
-        Scale::Quick => 0,
-        Scale::Full => 3 * cfg.hoop.gc_period_cycles(),
-    };
+    let min_cycles = min_cycles_for(scale, &cfg);
     let report = driver.run_until(&mut sys, scale.warmup(), scale.measured(), min_cycles);
     let log_bytes = sys
         .engine()
@@ -39,34 +41,21 @@ fn probe_oop_rate(wcfg: hoop_bench::WorkloadConfig, sim: &SimConfig, scale: Scal
 }
 
 fn main() {
+    let opts = RunnerOptions::from_args();
     let sim = SimConfig::default();
-    let scale = Scale::from_args();
+    let scale = opts.scale;
     let configs = [MATRIX[0], MATRIX[2], MATRIX[4], MATRIX[6], MATRIX[8]];
     let periods: &[f64] = match scale {
         Scale::Quick => &[2.0, 6.0, 10.0, 14.0],
         Scale::Full => &[2.0, 4.0, 6.0, 8.0, 10.0, 11.0, 12.0, 14.0],
     };
 
-    println!("== Fig 10: throughput (tx/ms) vs GC period ==");
-    print!("{:<10}", "period_ms");
-    for c in configs {
-        print!("{:>13}", c.label);
-    }
-    println!();
-
-    let mut rows = Vec::new();
-    // Size the reserve per workload for ~11 ms of slice production (probed
-    // once per workload at quick scale).
+    // Size the reserve per workload for ~11 ms of slice production.
     let budget_ms = 11.5;
-    let rates: Vec<f64> = configs
-        .iter()
-        .map(|w| probe_oop_rate(*w, &sim, scale))
-        .collect();
+    let rates = run_parallel(&configs, opts.jobs, |w| probe_oop_rate(*w, &sim, scale));
+    let mut cells = Vec::new();
     for &period in periods {
-        print!("{period:<10}");
-        let mut row = format!("{period}");
-        for (wi, wcfg) in configs.into_iter().enumerate() {
-            let rate = rates[wi];
+        for (wcfg, rate) in configs.into_iter().zip(&rates) {
             let mut cfg = sim;
             cfg.hoop.gc_period_ms = period;
             let reserve = (rate * simcore::time::ms_to_cycles(budget_ms) as f64) as u64;
@@ -76,9 +65,26 @@ fn main() {
             cfg.hoop.oop_region_bytes = reserve.div_ceil(block).max(8) * block;
             // The mapping table must not be the trigger in this sweep.
             cfg.hoop.mapping_table_bytes = 8 * 1024 * 1024;
-            let r = run_cell("HOOP", wcfg, &cfg, scale);
-            print!("{:>13.1}", r.throughput_tx_per_ms);
-            row += &format!(",{:.3}", r.throughput_tx_per_ms);
+            cells.push(Cell::new("HOOP", wcfg, cfg, scale).with_param("gc_period_ms", period));
+        }
+    }
+    let plan = ExperimentPlan::from_cells("fig10", cells, scale);
+    let results = plan.run(&opts);
+    plan.write_json(&results);
+
+    println!("== Fig 10: throughput (tx/ms) vs GC period ==");
+    print!("{:<10}", "period_ms");
+    for c in configs {
+        print!("{:>13}", c.label);
+    }
+    println!();
+    let mut rows = Vec::new();
+    for (&period, row_cells) in periods.iter().zip(results.chunks(configs.len())) {
+        print!("{period:<10}");
+        let mut row = format!("{period}");
+        for r in row_cells {
+            print!("{:>13.1}", r.report.throughput_tx_per_ms);
+            row += &format!(",{:.3}", r.report.throughput_tx_per_ms);
         }
         println!();
         rows.push(row);

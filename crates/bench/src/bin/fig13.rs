@@ -7,29 +7,40 @@
 //! The sweep uses a keyspace scaled so a GC window's distinct lines press
 //! on the smaller table sizes, mirroring how the paper's full-size run
 //! presses on 512 KB-2 MB tables (see EXPERIMENTS.md).
+//!
+//! Runs the sweep on worker threads (`--jobs N`) and exports
+//! `results/fig13.json` alongside the CSV.
 
-use hoop_bench::experiments::{run_cell, write_csv, Scale, WorkloadConfig};
+use hoop_bench::experiments::{write_csv, Scale, MATRIX};
+use hoop_bench::runner::{Cell, ExperimentPlan};
+use hoop_bench::RunnerOptions;
 use simcore::config::SimConfig;
-use workloads::WorkloadKind;
 
 fn main() {
-    let scale = Scale::from_args();
-    let ycsb = WorkloadConfig {
-        label: "ycsb-1KB",
-        kind: WorkloadKind::Ycsb,
-        item_bytes: 1024,
-    };
+    let opts = RunnerOptions::from_args();
+    let scale = opts.scale;
+    let ycsb = MATRIX[11]; // ycsb-1KB
     let sizes_kb: &[u64] = match scale {
         Scale::Quick => &[64, 256, 2048],
         Scale::Full => &[128, 256, 512, 1024, 2048, 4096, 8192],
     };
 
+    let cells = sizes_kb
+        .iter()
+        .map(|&kb| {
+            let mut cfg = SimConfig::default();
+            cfg.hoop.mapping_table_bytes = kb * 1024;
+            Cell::new("HOOP", ycsb, cfg, scale).with_param("mapping_kb", kb as f64)
+        })
+        .collect();
+    let plan = ExperimentPlan::from_cells("fig13", cells, scale);
+    let results = plan.run(&opts);
+    plan.write_json(&results);
+
     println!("== Fig 13: YCSB-1KB throughput vs mapping-table size ==");
     let mut rows = Vec::new();
-    for &kb in sizes_kb {
-        let mut cfg = SimConfig::default();
-        cfg.hoop.mapping_table_bytes = kb * 1024;
-        let r = run_cell("HOOP", ycsb, &cfg, scale);
+    for (kb, cell) in sizes_kb.iter().zip(&results) {
+        let r = &cell.report;
         println!(
             "  {kb:>5} KB: {:>9.1} tx/ms  (on-demand GC stalls: {} kcycles)",
             r.throughput_tx_per_ms,

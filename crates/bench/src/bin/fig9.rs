@@ -18,7 +18,8 @@ use workloads::driver::ENGINES;
 fn main() {
     let opts = RunnerOptions::from_args();
     let plan = ExperimentPlan::matrix("fig9", SimConfig::default(), opts.scale);
-    let cells = plan.run_and_export_opts(&opts);
+    let cells = plan.run(&opts);
+    plan.write_json(&cells);
     let reports: Vec<_> = cells.into_iter().map(|c| c.report).collect();
 
     let head = format!("workload,{}", ENGINES.join(","));

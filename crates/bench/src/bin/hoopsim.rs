@@ -22,13 +22,15 @@ use std::path::Path;
 
 use hoop::area::{area_overhead, ReferencePackage};
 use hoop::recovery::model_recovery_ms;
+use hoop_bench::runner::{run_cell, Cell, ExperimentPlan, Observers, RunnerOptions};
+use hoop_bench::{Scale, WorkloadConfig};
 use simcore::config::SimConfig;
 use simcore::det::DetHashMap;
 use trace::{
     default_txs_per_core, record_workload, replay_cell, RecordOptions, ReplayWindow, TraceError,
     TraceReader,
 };
-use workloads::driver::{build_system, Driver, RunReport, ENGINES};
+use workloads::driver::{RunReport, Window, ENGINES};
 use workloads::{WorkloadKind, WorkloadSpec};
 
 fn parse_args() -> (String, DetHashMap<String, String>) {
@@ -98,36 +100,34 @@ fn u64_opt(opts: &DetHashMap<String, String>, key: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn run_one(
-    engine: &str,
-    spec: WorkloadSpec,
-    txs: u64,
-    cfg: &SimConfig,
-) -> workloads::driver::RunReport {
-    run_one_sanitized(engine, spec, txs, false, cfg).0
+fn engine_of(name: &str) -> &'static str {
+    ENGINES
+        .into_iter()
+        .chain(["HOOP-MC2", "HOOP-MC4"])
+        .find(|e| *e == name)
+        .unwrap_or_else(|| {
+            eprintln!("unknown engine '{name}' (see `hoopsim list`)");
+            std::process::exit(2);
+        })
 }
 
-fn run_one_sanitized(
-    engine: &str,
-    spec: WorkloadSpec,
-    txs: u64,
-    sanitize: bool,
-    cfg: &SimConfig,
-) -> (
-    workloads::driver::RunReport,
-    Option<pmcheck::SanitizerSummary>,
-) {
-    let mut sys = build_system(engine, cfg);
-    let san = sanitize.then(|| {
-        let (san, probe) = pmcheck::PersistencySanitizer::shared();
-        sys.attach_probe(probe);
-        san
-    });
-    let mut driver = Driver::new(spec, cfg);
-    driver.setup(&mut sys);
-    let report = driver.run(&mut sys, txs / 10, txs);
-    let summary = san.map(|s| s.lock().expect("sanitizer poisoned").summary());
-    (report, summary)
+/// The cell `run` and `compare` measure: `spec` on the default machine,
+/// warming up with a tenth of `txs` before measuring `txs`.
+fn cell(engine: &'static str, spec: WorkloadSpec, txs: u64) -> Cell {
+    let label = spec.kind.name();
+    Cell {
+        engine,
+        workload: WorkloadConfig {
+            label,
+            kind: spec.kind,
+            item_bytes: spec.item_bytes,
+        },
+        spec,
+        sim: SimConfig::default(),
+        window: Window::new(txs / 10, txs),
+        trace: label.to_string(),
+        param: None,
+    }
 }
 
 /// Default `--txs` of `run`, `compare`, `trace` and `replay`.
@@ -150,14 +150,16 @@ fn main() {
     let (cmd, opts) = parse_args();
     match cmd.as_str() {
         "run" => {
-            let engine = opts.get("engine").map(String::as_str).unwrap_or("HOOP");
+            let engine = engine_of(opts.get("engine").map(String::as_str).unwrap_or("HOOP"));
             let spec = spec_from(&opts);
             let txs = u64_opt(&opts, "txs", DEFAULT_TXS);
-            let sanitize = opts.contains_key("sanitize");
-            let cfg = SimConfig::default();
-            let (r, summary) = run_one_sanitized(engine, spec, txs, sanitize, &cfg);
-            print_report(&r);
-            if let Some(s) = summary {
+            let observers = Observers {
+                sanitize: opts.contains_key("sanitize"),
+                endurance: false,
+            };
+            let result = run_cell(&cell(engine, spec, txs), &observers, None);
+            print_report(&result.report);
+            if let Some(s) = result.sanitizer {
                 println!(
                     "  sanitizer: {} events, {} lines, {} violation(s), {} redundant flush(es)",
                     s.events, s.lines_tracked, s.violations, s.redundant_flushes
@@ -173,9 +175,11 @@ fn main() {
         "compare" => {
             let spec = spec_from(&opts);
             let txs = u64_opt(&opts, "txs", DEFAULT_TXS);
-            let cfg = SimConfig::default();
-            for engine in ENGINES {
-                println!("{}", run_one(engine, spec, txs, &cfg).summary());
+            let cells = ENGINES.map(|engine| cell(engine, spec, txs)).to_vec();
+            let plan = ExperimentPlan::from_cells("compare", cells, Scale::Quick);
+            let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+            for result in plan.run(&RunnerOptions::live(Scale::Quick, jobs)) {
+                println!("{}", result.report.summary());
             }
         }
         "recover" => {

@@ -1,10 +1,10 @@
-//! Shared experiment machinery: the workload matrix of §IV-A, engine
-//! sweeps, normalization helpers and CSV output.
+//! Shared experiment machinery: the workload matrix of §IV-A, the scales,
+//! normalization helpers and CSV output. Cells run through
+//! [`runner`](crate::runner).
 
 use std::fmt::Write as _;
 use std::path::Path;
 
-use simcore::config::SimConfig;
 use workloads::driver::{RunReport, ENGINES};
 use workloads::{WorkloadKind, WorkloadSpec};
 
@@ -159,17 +159,6 @@ pub fn spec_for(cfg: WorkloadConfig, scale: Scale) -> WorkloadSpec {
     }
 }
 
-/// Runs one (engine, workload) cell and returns its report, using the
-/// workload row's label-derived, engine-blind seed (see
-/// [`derive_workload_seed`](crate::runner::derive_workload_seed)). At
-/// [`Scale::Full`] the measured window is extended until it spans several
-/// background GC/checkpoint periods, so steady-state traffic (not just
-/// end-of-run drains) is captured.
-pub fn run_cell(engine: &str, wcfg: WorkloadConfig, sim: &SimConfig, scale: Scale) -> RunReport {
-    let seed = crate::runner::derive_workload_seed(wcfg.label);
-    crate::runner::run_cell_seeded(engine, wcfg, sim, scale, seed)
-}
-
 /// Finds the report of `engine` for `workload` in a matrix result.
 pub fn find<'a>(reports: &'a [RunReport], engine: &str, workload: &str) -> &'a RunReport {
     reports
@@ -260,19 +249,29 @@ pub fn print_normalized(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run_cell, Cell, Observers};
+    use simcore::config::SimConfig;
+
+    fn quick_report(engine: &'static str) -> RunReport {
+        let cell = Cell::new(
+            engine,
+            MATRIX[0],
+            SimConfig::small_for_tests(),
+            Scale::Quick,
+        );
+        run_cell(&cell, &Observers::default(), None).report
+    }
 
     #[test]
     fn quick_cell_runs_clean() {
-        let sim = SimConfig::small_for_tests();
-        let r = run_cell("HOOP", MATRIX[0], &sim, Scale::Quick);
+        let r = quick_report("HOOP");
         assert_eq!(r.verify_errors, 0);
         assert!(r.txs > 0);
     }
 
     #[test]
     fn geomean_of_identity_is_one() {
-        let sim = SimConfig::small_for_tests();
-        let a = run_cell("Ideal", MATRIX[0], &sim, Scale::Quick);
+        let a = quick_report("Ideal");
         let reports = vec![a.clone(), a];
         let g = geomean_ratio(&reports, "Ideal", "Ideal", |r| r.write_bytes_per_tx);
         assert!((g - 1.0).abs() < 1e-9);

@@ -1,25 +1,26 @@
 //! Parallel experiment runner.
 //!
 //! Every figure/table of the paper sweeps the same kind of grid: an engine ×
-//! workload (× swept parameter) matrix where each cell owns a private
-//! [`System`](engines::system::System) and
-//! [`Driver`](workloads::driver::Driver) — cells share nothing, so they are
-//! embarrassingly parallel. This module runs a plan's cells across worker
-//! threads (`--jobs N`) while keeping results **bit-identical to a serial
-//! run**:
+//! workload (× swept parameter) matrix where each [`Cell`] names everything
+//! that identifies a run — engine, workload spec, machine configuration,
+//! measurement [`Window`] and trace row — and owns a private
+//! [`System`](engines::system::System) when it runs. Cells share nothing,
+//! so they are embarrassingly parallel. [`run_cell`] is the one way to run
+//! a cell; [`ExperimentPlan::run`] runs a plan's cells across worker threads
+//! (`--jobs N`) while keeping results **bit-identical to a serial run**:
 //!
-//! - each cell's workload seed is derived from its `(engine, workload)`
-//!   identity — never from execution order, thread id, or time;
+//! - each cell's workload seed is part of the cell (by default derived from
+//!   its workload label) — never from execution order, thread id, or time;
 //! - results are collected by cell index, so output order is the plan order
 //!   regardless of which thread finished first.
 //!
 //! [`CellResult`]s carry the full [`RunReport`] including the raw
 //! [`EngineStats`](engines::EngineStats) and
 //! [`HierStats`](memhier::HierStats) counter snapshots, and serialize to a
-//! schema-versioned JSON document (see [`write_json`]) that CI uploads as an
-//! artifact and trajectory tooling can diff across commits.
+//! schema-versioned JSON document (see [`ExperimentPlan::write_json`]) that
+//! CI uploads as an artifact and trajectory tooling can diff across commits.
 //!
-//! Every figure binary also supports trace modes (`--record DIR` /
+//! Every runner binary also supports trace modes (`--record DIR` /
 //! `--replay DIR`): recording captures each workload row once into a binary
 //! trace (`hoop-trace`), replaying feeds the recorded streams into every
 //! engine of the row. Replay is byte-identical to a live run — CI proves it
@@ -32,10 +33,9 @@ use std::sync::Mutex;
 use nvm::wearlevel::{EnduranceMap, GAP_MOVE_RATE};
 use pmcheck::{PersistencySanitizer, SanitizerSummary};
 use simcore::config::SimConfig;
-use trace::{
-    default_txs_per_core, record_workload, replay_cell, RecordOptions, ReplayWindow, TraceReader,
-};
-use workloads::driver::{build_system, Driver, RunReport, ENGINES};
+use trace::{default_txs_per_core, record_workload, RecordOptions, TraceFile, TraceReader};
+use workloads::driver::{build_system, Driver, RunReport, Window, ENGINES};
+use workloads::WorkloadSpec;
 
 use crate::experiments::{spec_for, Scale, WorkloadConfig, MATRIX, TPCC};
 use crate::json::Json;
@@ -75,12 +75,12 @@ pub struct RunnerOptions {
     pub sanitize: bool,
     /// Track per-line wear ([`EnduranceMap`]) in every cell and serialize
     /// an `endurance` summary per cell. Off by default so plain runs stay
-    /// byte-identical to older builds. Live mode only.
+    /// byte-identical to older builds.
     pub endurance: bool,
     /// Live / record / replay.
     pub mode: RunMode,
     /// Per-core transactions to record (record mode only). `None` sizes the
-    /// depth automatically; see [`plan_depth`].
+    /// depth per trace row; see [`ExperimentPlan::record_traces`].
     pub depth: Option<u32>,
 }
 
@@ -187,13 +187,72 @@ pub fn derive_workload_seed(label: &str) -> u64 {
     h
 }
 
-/// One cell of an experiment grid.
-#[derive(Clone, Copy, Debug)]
+/// One cell of an experiment grid: everything that identifies a run.
+#[derive(Clone, Debug)]
 pub struct Cell {
     /// Engine name (must be known to `build_system`).
     pub engine: &'static str,
-    /// Workload column.
+    /// Workload column; its label names the cell in reports and JSON.
     pub workload: WorkloadConfig,
+    /// The workload instance, seed included.
+    pub spec: WorkloadSpec,
+    /// Machine configuration.
+    pub sim: SimConfig,
+    /// The measurement window.
+    pub window: Window,
+    /// The trace row the cell replays from (`<trace>.trace` in a pack
+    /// directory); every cell of a row must share its `spec`.
+    pub trace: String,
+    /// The swept parameter's `(name, value)`, exported as the cell's
+    /// `param` key; `None` on grids that sweep only engines and workloads.
+    pub param: Option<(&'static str, f64)>,
+}
+
+impl Cell {
+    /// The standard figure cell of `engine` × `workload` at `scale`: the
+    /// matrix spec with the row's label-derived seed, the scale's window
+    /// with [`min_cycles_for`]'s floor on `sim`, and the row's own trace.
+    pub fn new(
+        engine: &'static str,
+        workload: WorkloadConfig,
+        sim: SimConfig,
+        scale: Scale,
+    ) -> Cell {
+        let mut spec = spec_for(workload, scale);
+        spec.seed = derive_workload_seed(workload.label);
+        Cell {
+            engine,
+            workload,
+            spec,
+            sim,
+            window: Window {
+                warmup: scale.warmup(),
+                measured: scale.measured(),
+                min_cycles: min_cycles_for(scale, &sim),
+            },
+            trace: workload.label.to_string(),
+            param: None,
+        }
+    }
+
+    /// The same cell, tagged with the value of the parameter its grid
+    /// sweeps.
+    pub fn with_param(self, name: &'static str, value: f64) -> Cell {
+        Cell {
+            param: Some((name, value)),
+            ..self
+        }
+    }
+}
+
+/// What a cell attaches besides the measurement itself.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Observers {
+    /// Audit the whole cell (setup, warmup and measurement) with a
+    /// [`PersistencySanitizer`].
+    pub sanitize: bool,
+    /// Track per-line wear on the cell's device and summarize it.
+    pub endurance: bool,
 }
 
 /// Per-cell wear accounting derived from the device's [`EnduranceMap`]
@@ -382,16 +441,14 @@ pub fn sanitizer_json(s: &SanitizerSummary) -> Json {
     ])
 }
 
-/// A named grid of cells to execute at one scale.
+/// A named grid of cells.
 #[derive(Clone, Debug)]
 pub struct ExperimentPlan {
     /// Experiment name (`fig7`, `table4`, ...) — also the JSON file stem.
     pub name: &'static str,
     /// The cells, in output order.
     pub cells: Vec<Cell>,
-    /// Machine configuration shared by all cells.
-    pub sim: SimConfig,
-    /// Scale of every cell.
+    /// The scale the cells were built at (recorded in the JSON document).
     pub scale: Scale,
 }
 
@@ -399,117 +456,84 @@ impl ExperimentPlan {
     /// The §IV-A grid shared by Fig. 7/8/9: the full workload matrix
     /// (including TPC-C) × every engine.
     pub fn matrix(name: &'static str, sim: SimConfig, scale: Scale) -> ExperimentPlan {
-        let mut cells = Vec::new();
-        for wcfg in MATRIX.into_iter().chain([TPCC]) {
-            for engine in ENGINES {
-                cells.push(Cell {
-                    engine,
-                    workload: wcfg,
-                });
-            }
-        }
-        ExperimentPlan {
-            name,
-            cells,
-            sim,
-            scale,
-        }
+        let cells = MATRIX
+            .into_iter()
+            .chain([TPCC])
+            .flat_map(|wcfg| ENGINES.map(|engine| Cell::new(engine, wcfg, sim, scale)))
+            .collect();
+        ExperimentPlan::from_cells(name, cells, scale)
     }
 
     /// A plan over an explicit cell list.
-    pub fn from_cells(
-        name: &'static str,
-        cells: Vec<Cell>,
-        sim: SimConfig,
-        scale: Scale,
-    ) -> ExperimentPlan {
-        ExperimentPlan {
-            name,
-            cells,
-            sim,
-            scale,
-        }
+    pub fn from_cells(name: &'static str, cells: Vec<Cell>, scale: Scale) -> ExperimentPlan {
+        ExperimentPlan { name, cells, scale }
     }
 
-    /// Executes every cell on `jobs` worker threads and returns results in
-    /// plan order. Panics (after joining workers) if any cell failed
-    /// verification — a corrupted cell must never silently enter results.
-    pub fn run(&self, jobs: usize) -> Vec<CellResult> {
-        self.run_sanitized(jobs, false)
-    }
-
-    /// Like [`run`](ExperimentPlan::run), optionally attaching the
-    /// persistency sanitizer to every cell. Panics if any sanitized cell
-    /// reports a hard ordering violation (samples are printed first).
-    pub fn run_sanitized(&self, jobs: usize, sanitize: bool) -> Vec<CellResult> {
-        self.run_instrumented(jobs, sanitize, false)
-    }
-
-    /// Like [`run_sanitized`](ExperimentPlan::run_sanitized), optionally
-    /// also tracking per-line wear in every cell (`--endurance`): each
-    /// result then carries an [`EnduranceSummary`].
-    pub fn run_instrumented(
-        &self,
-        jobs: usize,
-        sanitize: bool,
-        endurance: bool,
-    ) -> Vec<CellResult> {
-        let results = run_parallel(&self.cells, jobs, |cell| {
-            let seed = derive_workload_seed(cell.workload.label);
-            let (report, sanitizer, endurance) = run_cell_seeded_instrumented(
-                cell.engine,
-                cell.workload,
-                &self.sim,
-                self.scale,
-                seed,
-                sanitize,
-                endurance,
-            );
-            eprintln!("  {}", report.summary());
-            CellResult {
-                engine: cell.engine,
-                workload: cell.workload.label,
-                seed,
-                report,
-                sanitizer,
-                endurance,
+    /// Executes every cell with `opts` (`--jobs`, `--sanitize`,
+    /// `--endurance`, `--record`/`--replay`, `--depth`) and returns results
+    /// in plan order. A record run records every trace row first and then
+    /// replays it, so it yields what a live run would. Panics (after
+    /// joining workers) if any cell failed verification or reported a hard
+    /// persistency violation — a corrupted cell must never silently enter
+    /// results.
+    pub fn run(&self, opts: &RunnerOptions) -> Vec<CellResult> {
+        let replay_from = match &opts.mode {
+            RunMode::Live => None,
+            RunMode::Record(dir) => {
+                self.record_traces(dir, opts.jobs, opts.depth);
+                Some(dir.as_path())
             }
+            RunMode::Replay(dir) => Some(dir.as_path()),
+        };
+        let observers = Observers {
+            sanitize: opts.sanitize,
+            endurance: opts.endurance,
+        };
+        let results = run_parallel(&self.cells, opts.jobs, |cell| {
+            let result = run_cell(cell, &observers, replay_from);
+            eprintln!("  {}", result.report.summary());
+            result
         });
         check_results(&results);
         results
     }
 
-    /// The distinct workload columns of this plan, in first-seen order.
-    pub fn workloads(&self) -> Vec<WorkloadConfig> {
-        let mut seen: Vec<WorkloadConfig> = Vec::new();
+    /// The plan's trace rows, in first-seen order, each with its cells.
+    fn trace_rows(&self) -> Vec<Vec<&Cell>> {
+        let mut rows: Vec<Vec<&Cell>> = Vec::new();
         for cell in &self.cells {
-            if !seen.iter().any(|w| w.label == cell.workload.label) {
-                seen.push(cell.workload);
+            match rows.iter_mut().find(|r| r[0].trace == cell.trace) {
+                Some(row) => row.push(cell),
+                None => rows.push(vec![cell]),
             }
         }
-        seen
+        rows
     }
 
-    /// Records every workload row of the plan into `dir/<label>.trace`
-    /// (engine-blind: one trace per row serves all engines). `depth`
-    /// overrides the per-core stream depth; `None` uses [`plan_depth`].
+    /// Records every trace row of the plan into `dir/<trace>.trace`
+    /// (engine-blind: one trace per row serves all its cells). `depth`
+    /// overrides the per-core stream depth; `None` takes twice the per-core
+    /// share of the row's longest window, ×4 when a window extends to a
+    /// `min_cycles` floor.
     pub fn record_traces(&self, dir: &Path, jobs: usize, depth: Option<u32>) {
-        let workloads = self.workloads();
-        let depth = depth.unwrap_or_else(|| plan_depth(self.scale, &self.sim));
-        run_parallel(&workloads, jobs, |wcfg| {
-            let mut spec = spec_for(*wcfg, self.scale);
-            spec.seed = derive_workload_seed(wcfg.label);
+        run_parallel(&self.trace_rows(), jobs, |row| {
+            let first = row[0];
+            assert!(
+                row.iter().all(|c| c.spec == first.spec),
+                "trace row {} mixes workload specs",
+                first.trace
+            );
             let tf = record_workload(
-                wcfg.label,
-                spec,
-                &self.sim,
+                &first.trace,
+                first.spec,
+                &first.sim,
                 RecordOptions {
-                    txs_per_core: depth,
+                    txs_per_core: depth.unwrap_or_else(|| row_depth(row)),
                     values: false,
                 },
             )
-            .unwrap_or_else(|e| panic!("recording {}: {e}", wcfg.label));
-            let path = trace_path(dir, wcfg.label);
+            .unwrap_or_else(|e| panic!("recording {}: {e}", first.trace));
+            let path = trace_path(dir, &first.trace);
             tf.write_to(&path)
                 .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
             eprintln!(
@@ -520,54 +544,60 @@ impl ExperimentPlan {
         });
     }
 
-    /// Runs every cell by replaying `dir/<label>.trace` instead of
-    /// generating workloads live. Panics with a regeneration hint if a
-    /// trace is missing, unreadable, or stale (its recorded workload
-    /// identity no longer matches the plan's).
-    pub fn run_replayed(&self, jobs: usize, sanitize: bool, dir: &Path) -> Vec<CellResult> {
-        let results = run_parallel(&self.cells, jobs, |cell| {
-            let seed = derive_workload_seed(cell.workload.label);
-            let (report, sanitizer) = run_cell_replayed(
-                cell.engine,
-                cell.workload,
-                &self.sim,
-                self.scale,
-                seed,
-                sanitize,
-                dir,
-            );
-            eprintln!("  {}", report.summary());
-            CellResult {
-                engine: cell.engine,
-                workload: cell.workload.label,
-                seed,
-                report,
-                sanitizer,
-                endurance: None,
-            }
-        });
-        check_results(&results);
-        results
+    /// Serializes `results` (this plan's, in plan order) as the
+    /// schema-versioned document written to `results/<name>.json`. A cell
+    /// with a swept parameter gets a `param` key right after its `seed`.
+    pub fn results_json(&self, results: &[CellResult]) -> Json {
+        let cells = self
+            .cells
+            .iter()
+            .zip(results)
+            .map(|(cell, result)| {
+                let mut json = result.to_json();
+                if let (Some((name, value)), Json::Obj(fields)) = (cell.param, &mut json) {
+                    // engine, workload, seed, then the swept value.
+                    fields.insert(
+                        3,
+                        ("param".to_string(), Json::obj([(name, Json::Num(value))])),
+                    );
+                }
+                json
+            })
+            .collect();
+        Json::obj([
+            ("schema_version", Json::UInt(RESULT_SCHEMA_VERSION)),
+            ("experiment", Json::Str(self.name.to_string())),
+            (
+                "scale",
+                Json::Str(
+                    match self.scale {
+                        Scale::Quick => "quick",
+                        Scale::Full => "full",
+                    }
+                    .to_string(),
+                ),
+            ),
+            ("cells", Json::Arr(cells)),
+        ])
     }
 
-    /// Runs the plan with the full option set (`--jobs`, `--sanitize`,
-    /// `--record`/`--replay`, `--depth`) and writes `results/<name>.json`;
-    /// returns the results.
-    pub fn run_and_export_opts(&self, opts: &RunnerOptions) -> Vec<CellResult> {
-        assert!(
-            !opts.endurance || opts.mode == RunMode::Live,
-            "--endurance requires a live run (drop --record/--replay)"
-        );
-        let results = match &opts.mode {
-            RunMode::Live => self.run_instrumented(opts.jobs, opts.sanitize, opts.endurance),
-            RunMode::Record(dir) => {
-                self.record_traces(dir, opts.jobs, opts.depth);
-                self.run_replayed(opts.jobs, opts.sanitize, dir)
-            }
-            RunMode::Replay(dir) => self.run_replayed(opts.jobs, opts.sanitize, dir),
-        };
-        write_json(self.name, self.scale, &results);
-        results
+    /// Writes `results/<name>.json` (best effort, like
+    /// [`write_csv`](crate::experiments::write_csv): read-only checkouts
+    /// only get a warning).
+    pub fn write_json(&self, results: &[CellResult]) {
+        let doc = self.results_json(results).pretty();
+        let dir = Path::new("results");
+        if std::fs::create_dir_all(dir).is_err() {
+            eprintln!(
+                "warning: cannot create results/, skipping JSON for {}",
+                self.name
+            );
+            return;
+        }
+        let path = dir.join(format!("{}.json", self.name));
+        if std::fs::write(&path, doc).is_ok() {
+            eprintln!("wrote {}", path.display());
+        }
     }
 }
 
@@ -610,121 +640,52 @@ pub fn min_cycles_for(scale: Scale, sim: &SimConfig) -> u64 {
     }
 }
 
-/// Default recorded stream depth for a plan at `scale`: twice the balanced
-/// per-core share of the driver-issued transactions. Exact for quick runs
-/// (their windows never extend); full-scale runs can extend up to 64× past
-/// `measured` to satisfy [`min_cycles_for`], so full-scale recording takes
-/// a 4× margin and relies on replay's loud run-dry panic (plus `--depth`)
-/// when a workload extends further.
-pub fn plan_depth(scale: Scale, sim: &SimConfig) -> u32 {
-    let total = scale.warmup() + scale.measured();
-    let base = default_txs_per_core(total, u64::from(sim.worker_threads));
-    match scale {
-        Scale::Quick => base,
-        Scale::Full => base * 4,
+/// Recorded per-core stream depth of a trace row: twice the balanced
+/// per-core share of the longest window among the row's cells. That is exact
+/// when no window extends; a window with a `min_cycles` floor can run up to
+/// 64× past `measured`, so such a row takes a 4× margin and relies on
+/// replay's loud run-dry panic (plus `--depth`) when a workload extends
+/// further.
+fn row_depth(row: &[&Cell]) -> u32 {
+    let total = row
+        .iter()
+        .map(|c| c.window.warmup + c.window.measured)
+        .max()
+        .expect("a trace row has cells");
+    let base = default_txs_per_core(total, u64::from(row[0].sim.worker_threads));
+    if row.iter().any(|c| c.window.min_cycles > 0) {
+        base * 4
+    } else {
+        base
     }
 }
 
-/// Replays one (engine, workload) cell from `dir/<label>.trace`, verifying
-/// the trace's recorded identity against the cell's spec.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_replayed(
-    engine: &str,
-    wcfg: WorkloadConfig,
-    sim: &SimConfig,
-    scale: Scale,
-    seed: u64,
-    sanitize: bool,
-    dir: &Path,
-) -> (RunReport, Option<SanitizerSummary>) {
-    let path = trace_path(dir, wcfg.label);
-    let tf = TraceReader::read(&path).unwrap_or_else(|e| {
-        panic!(
-            "{e}\n(replaying {}; regenerate the pack with `cargo run -p xtask -- trace`)",
-            path.display()
-        )
-    });
-    let mut spec = spec_for(wcfg, scale);
-    spec.seed = seed;
-    assert_eq!(
-        tf.header.spec,
-        spec,
-        "{} is stale: recorded workload identity {:?} != expected {:?}; \
-         regenerate with `cargo run -p xtask -- trace`",
-        path.display(),
-        tf.header.spec,
-        spec
-    );
-    let window = ReplayWindow {
-        warmup: scale.warmup(),
-        measured: scale.measured(),
-        min_cycles: min_cycles_for(scale, sim),
-    };
-    let (mut report, summary) = replay_cell(&tf, engine, sim, window, sanitize);
-    report.workload = wcfg.label.to_string();
-    (report, summary)
-}
-
-/// Runs one (engine, workload) cell with an explicit workload seed.
-pub fn run_cell_seeded(
-    engine: &str,
-    wcfg: WorkloadConfig,
-    sim: &SimConfig,
-    scale: Scale,
-    seed: u64,
-) -> RunReport {
-    run_cell_seeded_sanitized(engine, wcfg, sim, scale, seed, false).0
-}
-
-/// Like [`run_cell_seeded`], optionally auditing the whole cell (setup,
-/// warmup and measurement) with an attached [`PersistencySanitizer`].
-pub fn run_cell_seeded_sanitized(
-    engine: &str,
-    wcfg: WorkloadConfig,
-    sim: &SimConfig,
-    scale: Scale,
-    seed: u64,
-    sanitize: bool,
-) -> (RunReport, Option<SanitizerSummary>) {
-    let (report, summary, _) =
-        run_cell_seeded_instrumented(engine, wcfg, sim, scale, seed, sanitize, false);
-    (report, summary)
-}
-
-/// Like [`run_cell_seeded_sanitized`], optionally also tracking per-line
-/// wear on the cell's device and summarizing it after the run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_seeded_instrumented(
-    engine: &str,
-    wcfg: WorkloadConfig,
-    sim: &SimConfig,
-    scale: Scale,
-    seed: u64,
-    sanitize: bool,
-    endurance: bool,
-) -> (
-    RunReport,
-    Option<SanitizerSummary>,
-    Option<EnduranceSummary>,
-) {
-    let mut spec = spec_for(wcfg, scale);
-    spec.seed = seed;
-    let mut sys = build_system(engine, sim);
-    if endurance {
+/// Runs one cell: builds its machine, attaches `observers`, sets up and
+/// measures its window, and summarizes. `replay_from: None` generates the
+/// workload live; `Some(dir)` replays `dir/<trace>.trace` instead, after
+/// checking the recorded workload identity against the cell's spec. Both
+/// produce the same bytes.
+pub fn run_cell(cell: &Cell, observers: &Observers, replay_from: Option<&Path>) -> CellResult {
+    let trace = replay_from.map(|dir| read_trace(dir, cell));
+    let mut sys = build_system(cell.engine, &cell.sim);
+    if observers.endurance {
         sys.enable_endurance_tracking();
     }
-    let san = sanitize.then(|| {
+    let san = observers.sanitize.then(|| {
         let (san, probe) = PersistencySanitizer::shared();
         sys.attach_probe(probe);
         san
     });
-    let mut driver = Driver::new(spec, sim);
-    driver.setup(&mut sys);
-    let min_cycles = min_cycles_for(scale, sim);
-    let mut report = driver.run_until(&mut sys, scale.warmup(), scale.measured(), min_cycles);
-    report.workload = wcfg.label.to_string();
-    let summary = san.map(|s| s.lock().expect("sanitizer poisoned").summary());
-    let wear = endurance.then(|| {
+    let mut report = match &trace {
+        None => {
+            let mut driver = Driver::new(cell.spec, &cell.sim);
+            driver.setup(&mut sys);
+            driver.measure(&mut sys, cell.window)
+        }
+        Some(tf) => trace::replay(&mut sys, tf, cell.window),
+    };
+    report.workload = cell.workload.label.to_string();
+    let endurance = observers.endurance.then(|| {
         EnduranceSummary::from_map(
             sys.engine()
                 .device()
@@ -732,7 +693,36 @@ pub fn run_cell_seeded_instrumented(
                 .expect("endurance tracking enabled"),
         )
     });
-    (report, summary, wear)
+    CellResult {
+        engine: cell.engine,
+        workload: cell.workload.label,
+        seed: cell.spec.seed,
+        report,
+        sanitizer: san.map(|s| s.lock().expect("sanitizer poisoned").summary()),
+        endurance,
+    }
+}
+
+/// Reads the cell's trace row from `dir`, panicking with a regeneration
+/// hint if it is missing, unreadable, or stale.
+fn read_trace(dir: &Path, cell: &Cell) -> TraceFile {
+    let path = trace_path(dir, &cell.trace);
+    let tf = TraceReader::read(&path).unwrap_or_else(|e| {
+        panic!(
+            "{e}\n(replaying {}; regenerate the pack with `cargo run -p xtask -- trace`)",
+            path.display()
+        )
+    });
+    assert_eq!(
+        tf.header.spec,
+        cell.spec,
+        "{} is stale: recorded workload identity {:?} != expected {:?}; \
+         regenerate with `cargo run -p xtask -- trace`",
+        path.display(),
+        tf.header.spec,
+        cell.spec
+    );
+    tf
 }
 
 /// Maps `f` over `items` on `jobs` worker threads, returning results in
@@ -770,65 +760,37 @@ where
         .collect()
 }
 
-/// Serializes experiment results as the schema-versioned document written to
-/// `results/<name>.json`.
-pub fn results_json(name: &str, scale: Scale, results: &[CellResult]) -> Json {
-    Json::obj([
-        ("schema_version", Json::UInt(RESULT_SCHEMA_VERSION)),
-        ("experiment", Json::Str(name.to_string())),
-        (
-            "scale",
-            Json::Str(
-                match scale {
-                    Scale::Quick => "quick",
-                    Scale::Full => "full",
-                }
-                .to_string(),
-            ),
-        ),
-        (
-            "cells",
-            Json::Arr(results.iter().map(CellResult::to_json).collect()),
-        ),
-    ])
-}
-
-/// Writes `results/<name>.json` (best effort, like
-/// [`write_csv`](crate::experiments::write_csv): read-only checkouts only
-/// get a warning).
-pub fn write_json(name: &str, scale: Scale, results: &[CellResult]) {
-    let doc = results_json(name, scale, results).pretty();
-    let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        eprintln!("warning: cannot create results/, skipping JSON for {name}");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if std::fs::write(&path, doc).is_ok() {
-        eprintln!("wrote {}", path.display());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn quick_cell(engine: &'static str, workload: WorkloadConfig) -> Cell {
+        Cell::new(engine, workload, SimConfig::small_for_tests(), Scale::Quick)
+    }
+
+    fn quick_plan(name: &'static str, cells: Vec<Cell>) -> ExperimentPlan {
+        ExperimentPlan::from_cells(name, cells, Scale::Quick)
+    }
+
+    fn live(jobs: usize) -> RunnerOptions {
+        RunnerOptions::live(Scale::Quick, jobs)
+    }
 
     /// The determinism contract: a 2×2 Quick sub-matrix must produce
     /// byte-identical JSON under serial and parallel execution.
     #[test]
     fn jobs1_and_jobs4_produce_identical_json() {
-        let sim = SimConfig::small_for_tests();
         let cells: Vec<Cell> = ["HOOP", "Opt-Redo"]
             .into_iter()
             .flat_map(|engine| {
                 [MATRIX[0], MATRIX[2]]
                     .into_iter()
-                    .map(move |workload| Cell { engine, workload })
+                    .map(move |workload| quick_cell(engine, workload))
             })
             .collect();
-        let plan = ExperimentPlan::from_cells("determinism", cells, sim, Scale::Quick);
-        let serial = results_json("determinism", Scale::Quick, &plan.run(1)).pretty();
-        let parallel = results_json("determinism", Scale::Quick, &plan.run(4)).pretty();
+        let plan = quick_plan("determinism", cells);
+        let serial = plan.results_json(&plan.run(&live(1))).pretty();
+        let parallel = plan.results_json(&plan.run(&live(4))).pretty();
         assert_eq!(serial, parallel);
     }
 
@@ -845,6 +807,8 @@ mod tests {
         assert_eq!(a, derive_workload_seed("vector-64B"));
         assert_ne!(a, derive_workload_seed("vector-1KB"));
         assert_ne!(derive_workload_seed("ycsb"), derive_workload_seed("btree"));
+        assert_eq!(quick_cell("HOOP", MATRIX[0]).spec.seed, a);
+        assert_eq!(quick_cell("LAD", MATRIX[0]).spec.seed, a);
     }
 
     #[test]
@@ -873,40 +837,63 @@ mod tests {
 
     /// The tentpole contract at the runner level: a record run and a
     /// subsequent replay run of the same plan produce JSON byte-identical to
-    /// a live run.
+    /// a live run — with and without `--endurance`, so replayed wear
+    /// summaries equal live ones too.
     #[test]
     fn record_replay_json_matches_live_json() {
-        let sim = SimConfig::small_for_tests();
         let cells: Vec<Cell> = ["HOOP", "LAD", "Ideal"]
             .into_iter()
-            .map(|engine| Cell {
-                engine,
-                workload: MATRIX[0],
-            })
+            .map(|engine| quick_cell(engine, MATRIX[0]))
             .collect();
-        let plan = ExperimentPlan::from_cells("trace-ab", cells, sim, Scale::Quick);
-        let live = results_json("trace-ab", Scale::Quick, &plan.run(2)).pretty();
+        let plan = quick_plan("trace-ab", cells);
         let dir = std::env::temp_dir().join("hoop-trace-ab-test");
         std::fs::create_dir_all(&dir).expect("temp trace dir");
-        plan.record_traces(&dir, 2, None);
-        let replayed =
-            results_json("trace-ab", Scale::Quick, &plan.run_replayed(2, false, &dir)).pretty();
+        for endurance in [false, true] {
+            let mut opts = live(2);
+            opts.endurance = endurance;
+            let live_doc = plan.results_json(&plan.run(&opts)).pretty();
+            assert_eq!(live_doc.contains("\"endurance\""), endurance);
+            opts.mode = RunMode::Record(dir.clone());
+            let recorded = plan.results_json(&plan.run(&opts)).pretty();
+            opts.mode = RunMode::Replay(dir.clone());
+            let replayed = plan.results_json(&plan.run(&opts)).pretty();
+            assert_eq!(live_doc, recorded, "endurance={endurance}");
+            assert_eq!(live_doc, replayed, "endurance={endurance}");
+        }
         std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(live, replayed);
     }
 
     #[test]
     #[should_panic(expected = "regenerate")]
     fn replaying_a_missing_pack_names_the_fix() {
-        let sim = SimConfig::small_for_tests();
-        let _ = run_cell_replayed(
-            "HOOP",
-            MATRIX[0],
-            &sim,
-            Scale::Quick,
-            7,
-            false,
-            Path::new("/nonexistent-trace-pack"),
+        let _ = run_cell(
+            &quick_cell("HOOP", MATRIX[0]),
+            &Observers::default(),
+            Some(Path::new("/nonexistent-trace-pack")),
+        );
+    }
+
+    /// The per-row recording depth reproduces both grids' historical
+    /// depths: twice the balanced share of warmup + measured, ×4 at full
+    /// scale (whose windows extend), and Table IV's largest count.
+    #[test]
+    fn row_depth_covers_the_longest_window() {
+        let sim = SimConfig::default();
+        let workers = u64::from(sim.worker_threads);
+        for scale in [Scale::Quick, Scale::Full] {
+            let cell = Cell::new("HOOP", MATRIX[0], sim, scale);
+            let base = default_txs_per_core(scale.warmup() + scale.measured(), workers);
+            let want = if scale == Scale::Full { base * 4 } else { base };
+            assert_eq!(row_depth(&[&cell]), want, "{scale:?}");
+        }
+        let fixed = |measured| Cell {
+            window: Window::new(0, measured),
+            ..Cell::new("HOOP", MATRIX[0], sim, Scale::Quick)
+        };
+        let (short, long) = (fixed(10), fixed(1000));
+        assert_eq!(
+            row_depth(&[&short, &long]),
+            default_txs_per_core(1000, workers)
         );
     }
 
@@ -925,22 +912,13 @@ mod tests {
     /// is byte-identical to older builds (no `endurance` key at all).
     #[test]
     fn endurance_flag_gates_the_wear_summary() {
-        let sim = SimConfig::small_for_tests();
-        let plan = ExperimentPlan::from_cells(
-            "wear",
-            vec![Cell {
-                engine: "HOOP",
-                workload: MATRIX[2],
-            }],
-            sim,
-            Scale::Quick,
-        );
-        let plain = plan.run_instrumented(1, false, false);
+        let plan = quick_plan("wear", vec![quick_cell("HOOP", MATRIX[2])]);
+        let plain = plan.run(&live(1));
         assert!(plain[0].endurance.is_none());
-        assert!(!results_json("wear", Scale::Quick, &plain)
-            .pretty()
-            .contains("\"endurance\""));
-        let tracked = plan.run_instrumented(1, false, true);
+        assert!(!plan.results_json(&plain).pretty().contains("\"endurance\""));
+        let mut opts = live(1);
+        opts.endurance = true;
+        let tracked = plan.run(&opts);
         let e = tracked[0].endurance.as_ref().expect("summary present");
         assert!(e.total_line_writes > 0);
         assert!(e.max_line_writes > 0);
@@ -951,7 +929,7 @@ mod tests {
         );
         // Wear tracking is an observer: the measured report is unchanged.
         assert_eq!(plain[0].report.cycles, tracked[0].report.cycles);
-        let doc = results_json("wear", Scale::Quick, &tracked).pretty();
+        let doc = plan.results_json(&tracked).pretty();
         for key in ["\"endurance\"", "\"max_line_writes\"", "\"skew\""] {
             assert!(doc.contains(key), "missing {key}");
         }
@@ -959,17 +937,8 @@ mod tests {
 
     #[test]
     fn cell_result_json_is_schema_versioned() {
-        let sim = SimConfig::small_for_tests();
-        let plan = ExperimentPlan::from_cells(
-            "schema",
-            vec![Cell {
-                engine: "Ideal",
-                workload: MATRIX[0],
-            }],
-            sim,
-            Scale::Quick,
-        );
-        let doc = results_json("schema", Scale::Quick, &plan.run(1)).pretty();
+        let plan = quick_plan("schema", vec![quick_cell("Ideal", MATRIX[0])]);
+        let doc = plan.results_json(&plan.run(&live(1))).pretty();
         assert!(doc.starts_with("{\n  \"schema_version\": 1,"));
         for key in [
             "\"metrics\"",
@@ -979,5 +948,24 @@ mod tests {
         ] {
             assert!(doc.contains(key), "missing {key} in {doc}");
         }
+        assert!(!doc.contains("\"param\""), "no swept parameter, no key");
+    }
+
+    /// A swept cell exports its parameter right after its seed; the rest of
+    /// the cell's object is unchanged.
+    #[test]
+    fn swept_cells_export_their_param() {
+        let plain = quick_plan("sweep", vec![quick_cell("Ideal", MATRIX[0])]);
+        let swept = quick_plan(
+            "sweep",
+            vec![quick_cell("Ideal", MATRIX[0]).with_param("read_ns", 150.0)],
+        );
+        let results = plain.run(&live(1));
+        let before = plain.results_json(&results).pretty();
+        let after = swept.results_json(&results).pretty();
+        let seed = format!("\"seed\": {},\n", results[0].seed);
+        let param = "      \"param\": {\n        \"read_ns\": 150\n      },\n";
+        assert!(after.contains(&format!("{seed}{param}")), "{after}");
+        assert_eq!(after.replacen(param, "", 1), before);
     }
 }

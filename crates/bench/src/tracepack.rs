@@ -17,11 +17,11 @@
 use std::path::Path;
 
 use simcore::config::SimConfig;
-use trace::{default_txs_per_core, record_workload, RecordOptions};
+use workloads::driver::Window;
 use workloads::WorkloadSpec;
 
 use crate::experiments::{spec_for, Scale, WorkloadConfig, MATRIX, TPCC};
-use crate::runner::{run_parallel, trace_path, ExperimentPlan};
+use crate::runner::{Cell, ExperimentPlan};
 
 /// Directory of the committed quick-scale pack, relative to the workspace
 /// root.
@@ -61,49 +61,30 @@ pub fn table4_label(wcfg: WorkloadConfig) -> String {
     format!("table4-{}", wcfg.label)
 }
 
-/// Records one trace per Table IV workload row into `dir`, deep enough for
-/// the largest transaction count of the grid at `scale` (or `depth`, when
-/// given).
-pub fn record_table4_traces(
-    sim: &SimConfig,
-    scale: Scale,
-    dir: &Path,
-    jobs: usize,
-    depth: Option<u32>,
-) {
-    let max_txs = *table4_counts(scale).iter().max().expect("non-empty sweep");
-    let depth =
-        depth.unwrap_or_else(|| default_txs_per_core(max_txs, u64::from(sim.worker_threads)));
-    run_parallel(&TABLE4_CONFIGS, jobs, |&wcfg| {
-        let label = table4_label(wcfg);
-        let tf = record_workload(
-            &label,
-            table4_spec(wcfg, scale),
-            sim,
-            RecordOptions {
-                txs_per_core: depth,
-                values: false,
-            },
-        )
-        .unwrap_or_else(|e| panic!("recording {label}: {e}"));
-        let path = trace_path(dir, &label);
-        tf.write_to(&path)
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-        eprintln!(
-            "  recorded {} ({} events)",
-            path.display(),
-            tf.event_count()
-        );
-    });
+/// The Table IV grid: HOOP on every row at every transaction count
+/// (count-major), each cell measured from its first transaction (no
+/// warmup) and replaying from its row's `table4-<label>` trace.
+pub fn table4_plan(sim: SimConfig, scale: Scale) -> ExperimentPlan {
+    let cells = table4_counts(scale)
+        .iter()
+        .flat_map(|&txs| {
+            TABLE4_CONFIGS.map(|wcfg| Cell {
+                spec: table4_spec(wcfg, scale),
+                window: Window::new(0, txs),
+                trace: table4_label(wcfg),
+                ..Cell::new("HOOP", wcfg, sim, scale)
+            })
+        })
+        .collect();
+    ExperimentPlan::from_cells("table4", cells, scale)
 }
 
 /// Regenerates the full pack for `scale` into `dir`: the Fig. 7/8/9 matrix
 /// rows plus the Table IV rows.
 pub fn record_pack(dir: &Path, scale: Scale, jobs: usize, depth: Option<u32>) {
     let sim = SimConfig::default();
-    let plan = ExperimentPlan::matrix("pack", sim, scale);
-    plan.record_traces(dir, jobs, depth);
-    record_table4_traces(&sim, scale, dir, jobs, depth);
+    ExperimentPlan::matrix("pack", sim, scale).record_traces(dir, jobs, depth);
+    table4_plan(sim, scale).record_traces(dir, jobs, depth);
 }
 
 #[cfg(test)]
@@ -116,6 +97,24 @@ mod tests {
             let label = table4_label(wcfg);
             assert!(MATRIX.iter().all(|m| m.label != label));
             assert_ne!(label, TPCC.label);
+        }
+    }
+
+    /// Table IV's cells are count-major, unwarmed, and replay from their
+    /// row's `table4-<label>` trace with the row's pinned spec.
+    #[test]
+    fn table4_plan_is_count_major_over_its_own_rows() {
+        let plan = table4_plan(SimConfig::default(), Scale::Quick);
+        let counts = table4_counts(Scale::Quick);
+        assert_eq!(plan.cells.len(), counts.len() * TABLE4_CONFIGS.len());
+        for (i, cell) in plan.cells.iter().enumerate() {
+            let wcfg = TABLE4_CONFIGS[i % TABLE4_CONFIGS.len()];
+            let txs = counts[i / TABLE4_CONFIGS.len()];
+            assert_eq!(cell.engine, "HOOP");
+            assert_eq!(cell.workload.label, wcfg.label);
+            assert_eq!(cell.window, Window::new(0, txs));
+            assert_eq!(cell.trace, table4_label(wcfg));
+            assert_eq!(cell.spec, table4_spec(wcfg, Scale::Quick));
         }
     }
 

@@ -184,7 +184,7 @@ impl NvmDevice {
         let service = self.channel_service(bytes, op);
         // Deterministic utilization-based queueing: the channel and banks
         // serve an aggregate demand; each access waits in proportion to how
-        // loaded the device is (M/D/1-style rho/(1-rho) scaling). This keeps
+        // loaded the device is (the M/M/1 mean wait rho/(1-rho) * S). This keeps
         // per-core clocks independent while write amplification still turns
         // into queueing delay for everyone.
         self.t_max = self.t_max.max(now);

@@ -46,4 +46,4 @@ pub use format::{
     Event, TraceError, TraceFile, TraceHeader, TraceReader, TraceWriter, TRACE_FORMAT_VERSION,
 };
 pub use record::{default_txs_per_core, record_workload, RecordOptions};
-pub use replay::{replay_cell, ReplayWindow};
+pub use replay::{replay, replay_cell, ReplayWindow};

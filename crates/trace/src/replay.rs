@@ -2,36 +2,25 @@
 //!
 //! Replay rebuilds the live run exactly. The setup section is applied in
 //! recorded order (live setup is single-threaded, so order *is* the
-//! schedule). The measured window then mirrors `Driver::run_until`
-//! operation for operation: warmup transactions, a drain + counter reset,
-//! the measured loop with its `min_cycles` extension and 64× cap, and a
-//! final drain — except that each "transaction" is pulled from the recorded
-//! per-core streams instead of being generated. The scheduler itself is
-//! re-run live: whichever core `System::next_core` picks consumes its own
-//! next recorded transaction, so each engine's timing produces its own
-//! interleaving, exactly as in a live run. Since simulated time is
-//! deterministic, replay is byte-identical to live generation.
+//! schedule). The measured window is the live one — the same
+//! [`run_window`] the driver uses — except that each "transaction" is
+//! pulled from the recorded per-core streams instead of being generated.
+//! The scheduler itself is re-run live: whichever core `System::next_core`
+//! picks consumes its own next recorded transaction, so each engine's
+//! timing produces its own interleaving, exactly as in a live run. Since
+//! simulated time is deterministic, replay is byte-identical to live
+//! generation.
 
 use engines::system::System;
 use pmcheck::{PersistencySanitizer, SanitizerSummary};
 use simcore::config::SimConfig;
-use simcore::{CoreId, Cycle, PAddr, TxId};
-use workloads::driver::{build_system, report_from, RunReport};
+use simcore::{CoreId, PAddr, TxId};
+use workloads::driver::{build_system, report_from, run_window, RunReport, TxSource, Window};
 
 use crate::format::{Event, TraceFile};
 
-/// The measurement window to replay — the same three knobs
-/// `Driver::run_until` takes.
-#[derive(Clone, Copy, Debug)]
-pub struct ReplayWindow {
-    /// Warmup transactions before the measured window.
-    pub warmup: u64,
-    /// Transactions in the measured window.
-    pub measured: u64,
-    /// Keep issuing (up to 64× `measured`) until this much simulated time
-    /// elapses.
-    pub min_cycles: Cycle,
-}
+/// The measurement window to replay: the driver's [`Window`].
+pub use workloads::driver::Window as ReplayWindow;
 
 /// Per-core replay cursors over a trace's measured streams.
 struct Cursors<'a> {
@@ -67,8 +56,7 @@ impl<'a> Cursors<'a> {
         match ev {
             Event::Init { addr, len, data } => {
                 if data.is_empty() {
-                    let zeros = self.zeros(*len as usize).to_vec();
-                    sys.write_initial(PAddr(*addr), &zeros);
+                    sys.write_initial(PAddr(*addr), self.zeros(*len as usize));
                 } else {
                     sys.write_initial(PAddr(*addr), data);
                 }
@@ -87,8 +75,7 @@ impl<'a> Cursors<'a> {
                 sys.store_bytes(CoreId(*core), PAddr(*addr), data);
             }
             Event::StoreShape { core, addr, len } => {
-                let zeros = self.zeros(*len as usize).to_vec();
-                sys.store_bytes(CoreId(*core), PAddr(*addr), &zeros);
+                sys.store_bytes(CoreId(*core), PAddr(*addr), self.zeros(*len as usize));
             }
             Event::Load { core, addr, len } => {
                 let len = *len as usize;
@@ -99,7 +86,9 @@ impl<'a> Cursors<'a> {
             }
         }
     }
+}
 
+impl TxSource for Cursors<'_> {
     /// Replays `core`'s next recorded transaction.
     ///
     /// # Panics
@@ -107,35 +96,31 @@ impl<'a> Cursors<'a> {
     /// Panics with a regeneration hint if the stream runs dry — a trace
     /// recorded with too shallow a depth must fail loudly, never silently
     /// shorten the run.
-    fn replay_tx(&mut self, sys: &mut System, core: CoreId) {
+    fn run_tx(&mut self, sys: &mut System, core: CoreId) {
         let c = core.index();
         let t = self.next[c];
-        let Some(tx) = self.trace.per_core[c].get(t) else {
+        let trace = self.trace;
+        let Some(tx) = trace.per_core[c].get(t) else {
             panic!(
                 "trace '{}' ran dry: core {c} needs transaction {t} but only {} were \
                  recorded per core; record a deeper stream (a larger \
                  `hoopsim trace --txs`, or `cargo run -p xtask -- trace` for the pack)",
-                self.trace.header.label, self.trace.header.txs_per_core
+                trace.header.label, trace.header.txs_per_core
             );
         };
         self.next[c] = t + 1;
-        let tx = tx.clone();
-        for ev in &tx {
+        for ev in tx {
             self.apply(sys, ev);
         }
     }
 }
 
-/// Replays `trace` into `engine`, reproducing the live measurement loop
-/// bit-for-bit, and reports exactly as a live run would. `verify_errors` is
-/// reported as 0: replay does not re-run workload logic, and the runner
-/// only ever exports cells that verified clean live.
+/// Replays `trace` into `engine` on a fresh machine, optionally audited
+/// by an attached [`PersistencySanitizer`]; see [`replay`].
 ///
 /// # Panics
 ///
-/// Panics if `cfg.worker_threads` differs from the recorded worker count,
-/// if the engine name is unknown, or if a per-core stream runs dry (see
-/// [`Cursors::replay_tx`]).
+/// Panics if the engine name is unknown, or as [`replay`] does.
 pub fn replay_cell(
     trace: &TraceFile,
     engine: &str,
@@ -143,47 +128,40 @@ pub fn replay_cell(
     window: ReplayWindow,
     sanitize: bool,
 ) -> (RunReport, Option<SanitizerSummary>) {
-    assert_eq!(
-        trace.header.workers, cfg.worker_threads,
-        "trace '{}' was recorded with {} workers but the machine runs {}",
-        trace.header.label, trace.header.workers, cfg.worker_threads
-    );
     let mut sys = build_system(engine, cfg);
     let san = sanitize.then(|| {
         let (san, probe) = PersistencySanitizer::shared();
         sys.attach_probe(probe);
         san
     });
-    let mut cur = Cursors::new(trace);
-
-    // Setup, in recorded (sequential) order.
-    let setup = trace.setup.clone();
-    for ev in &setup {
-        cur.apply(&mut sys, ev);
-    }
-
-    // The measured window, mirroring Driver::run_until exactly.
-    for _ in 0..window.warmup {
-        let core = sys.next_core();
-        cur.replay_tx(&mut sys, core);
-    }
-    sys.drain();
-    sys.reset_counters();
-    let t0 = sys.global_time();
-    let mut issued = 0u64;
-    while issued < window.measured
-        || (sys.global_time() - t0 < window.min_cycles
-            && issued < window.measured.saturating_mul(64))
-    {
-        let core = sys.next_core();
-        cur.replay_tx(&mut sys, core);
-        issued += 1;
-    }
-    sys.drain();
-    let cycles = sys.global_time() - t0;
-    let report = report_from(&sys, trace.header.spec.kind.to_string(), cycles, 0);
+    let report = replay(&mut sys, trace, window);
     let summary = san.map(|s| s.lock().expect("sanitizer poisoned").summary());
     (report, summary)
+}
+
+/// Replays `trace` on `sys`: its setup section in recorded (sequential)
+/// order, then `window` through [`run_window`], and reports exactly as a
+/// live run would. `verify_errors` is reported as 0: replay does not re-run
+/// workload logic, and the runner only ever exports cells that verified
+/// clean live.
+///
+/// # Panics
+///
+/// Panics if the machine's worker count differs from the recorded one, or
+/// if a per-core stream runs dry (a trace recorded too shallow).
+pub fn replay(sys: &mut System, trace: &TraceFile, window: Window) -> RunReport {
+    let workers = sys.config().worker_threads;
+    assert_eq!(
+        trace.header.workers, workers,
+        "trace '{}' was recorded with {} workers but the machine runs {}",
+        trace.header.label, trace.header.workers, workers
+    );
+    let mut cur = Cursors::new(trace);
+    for ev in &trace.setup {
+        cur.apply(sys, ev);
+    }
+    let cycles = run_window(sys, &mut cur, window);
+    report_from(sys, trace.header.spec.kind.to_string(), cycles, 0)
 }
 
 #[cfg(test)]

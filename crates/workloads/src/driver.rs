@@ -131,6 +131,65 @@ pub fn report_from(
     }
 }
 
+/// The measurement window every figure is built from: `warmup`
+/// transactions, a drain and counter reset, `measured` transactions (kept
+/// going, up to 64× `measured`, until `min_cycles` of simulated time
+/// elapse), and a final drain.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Window {
+    /// Warmup transactions before the measured window.
+    pub warmup: u64,
+    /// Transactions in the measured window.
+    pub measured: u64,
+    /// Keep issuing (up to 64× `measured`) until this much simulated time
+    /// elapses; 0 takes `measured` at face value.
+    pub min_cycles: Cycle,
+}
+
+impl Window {
+    /// A window of fixed length (`min_cycles = 0`).
+    pub fn new(warmup: u64, measured: u64) -> Window {
+        Window {
+            warmup,
+            measured,
+            min_cycles: 0,
+        }
+    }
+}
+
+/// A source of transactions: the live per-core workloads ([`Driver`]) or a
+/// recorded trace's per-core streams (`hoop-trace`).
+pub trait TxSource {
+    /// Runs `core`'s next transaction on `sys`.
+    fn run_tx(&mut self, sys: &mut System, core: CoreId);
+}
+
+/// Runs `window` on `sys`, always advancing the core with the smallest
+/// local clock, and returns the simulated cycles of the measured window.
+/// This is the only place counters are reset between warmup and
+/// measurement, so live and replayed cells cannot drift apart.
+pub fn run_window(sys: &mut System, src: &mut impl TxSource, window: Window) -> Cycle {
+    for _ in 0..window.warmup {
+        let core = sys.next_core();
+        src.run_tx(sys, core);
+    }
+    // Settle warmup state (flush caches, run GC/checkpoints) so the
+    // measured window starts from a steady durable state and background
+    // traffic attribution is not skewed by warmup leftovers.
+    sys.drain();
+    sys.reset_counters();
+    let t0 = sys.global_time();
+    let cap = window.measured.saturating_mul(64);
+    let mut issued = 0u64;
+    while issued < window.measured || (sys.global_time() - t0 < window.min_cycles && issued < cap) {
+        let core = sys.next_core();
+        src.run_tx(sys, core);
+        issued += 1;
+    }
+    sys.drain();
+    sys.global_time() - t0
+}
+
 /// Drives per-core workload instances over a `System`.
 pub struct Driver {
     workloads: Vec<Box<dyn TxWorkload>>,
@@ -169,7 +228,7 @@ impl Driver {
     /// Runs `warmup` then `measured` transactions (interleaved across
     /// workers), drains, and reports.
     pub fn run(&mut self, sys: &mut System, warmup: u64, measured: u64) -> RunReport {
-        self.run_until(sys, warmup, measured, 0)
+        self.measure(sys, Window::new(warmup, measured))
     }
 
     /// Like [`run`](Driver::run), but keeps issuing transactions (beyond
@@ -183,28 +242,20 @@ impl Driver {
         measured: u64,
         min_cycles: Cycle,
     ) -> RunReport {
-        for _ in 0..warmup {
-            let core = sys.next_core();
-            self.issued[core.index()] += 1;
-            self.workloads[core.index()].run_tx(sys, core);
-        }
-        // Settle warmup state (flush caches, run GC/checkpoints) so the
-        // measured window starts from a steady durable state and background
-        // traffic attribution is not skewed by warmup leftovers.
-        sys.drain();
-        sys.reset_counters();
-        let t0 = sys.global_time();
-        let mut issued = 0u64;
-        while issued < measured
-            || (sys.global_time() - t0 < min_cycles && issued < measured.saturating_mul(64))
-        {
-            let core = sys.next_core();
-            self.issued[core.index()] += 1;
-            self.workloads[core.index()].run_tx(sys, core);
-            issued += 1;
-        }
-        sys.drain();
-        let cycles = sys.global_time() - t0;
+        self.measure(
+            sys,
+            Window {
+                warmup,
+                measured,
+                min_cycles,
+            },
+        )
+    }
+
+    /// Runs `window` through [`run_window`], verifies every worker's
+    /// structure, and reports.
+    pub fn measure(&mut self, sys: &mut System, window: Window) -> RunReport {
+        let cycles = run_window(sys, self, window);
         let verify_errors = self.verify(sys);
         report_from(
             sys,
@@ -235,6 +286,12 @@ impl Driver {
     /// Number of worker instances.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+}
+
+impl TxSource for Driver {
+    fn run_tx(&mut self, sys: &mut System, core: CoreId) {
+        self.run_one(sys, core);
     }
 }
 
@@ -277,6 +334,54 @@ mod tests {
             assert_eq!(report.txs, 60, "{kind} tx count");
             assert!(report.throughput_tx_per_ms > 0.0);
         }
+    }
+
+    /// A source that commits one empty transaction per call and records
+    /// the committed count it saw before each one.
+    #[derive(Default)]
+    struct Counting {
+        seen: Vec<u64>,
+    }
+
+    impl TxSource for Counting {
+        fn run_tx(&mut self, sys: &mut System, core: CoreId) {
+            self.seen.push(sys.engine().stats().committed_txs.get());
+            let tx = sys.tx_begin(core);
+            sys.tx_end(core, tx);
+        }
+    }
+
+    /// `run_window`'s contract: exactly `warmup + measured` transactions at
+    /// `min_cycles = 0`, with one counter reset between the warmup and the
+    /// measured window (the committed count restarts at 0 exactly once and
+    /// ends at `measured`).
+    #[test]
+    fn run_window_issues_warmup_plus_measured_and_resets_once() {
+        let cfg = SimConfig::small_for_tests();
+        let mut sys = build_system("Ideal", &cfg);
+        let mut src = Counting::default();
+        let cycles = run_window(&mut sys, &mut src, Window::new(7, 20));
+        let expected: Vec<u64> = (0..7).chain(0..20).collect();
+        assert_eq!(src.seen, expected);
+        assert_eq!(sys.engine().stats().committed_txs.get(), 20);
+        assert!(cycles > 0);
+    }
+
+    /// An unreachable `min_cycles` extends the measured window to exactly
+    /// 64× `measured`, never further.
+    #[test]
+    fn run_window_stops_at_64x_measured() {
+        let cfg = SimConfig::small_for_tests();
+        let mut sys = build_system("Ideal", &cfg);
+        let mut src = Counting::default();
+        let window = Window {
+            warmup: 3,
+            measured: 5,
+            min_cycles: Cycle::MAX,
+        };
+        run_window(&mut sys, &mut src, window);
+        assert_eq!(src.seen.len(), 3 + 5 * 64);
+        assert_eq!(sys.engine().stats().committed_txs.get(), 5 * 64);
     }
 
     #[test]

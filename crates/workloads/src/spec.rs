@@ -43,9 +43,10 @@ impl WorkloadKind {
     ];
 }
 
-impl fmt::Display for WorkloadKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl WorkloadKind {
+    /// The benchmark's short name (`vector`, `ycsb`, ...).
+    pub fn name(self) -> &'static str {
+        match self {
             WorkloadKind::Vector => "vector",
             WorkloadKind::Hashmap => "hashmap",
             WorkloadKind::Queue => "queue",
@@ -53,8 +54,13 @@ impl fmt::Display for WorkloadKind {
             WorkloadKind::BTree => "btree",
             WorkloadKind::Ycsb => "ycsb",
             WorkloadKind::Tpcc => "tpcc",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for WorkloadKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
