@@ -174,12 +174,16 @@ impl ControllerBase {
     }
 
     /// Writes a 64-byte line image to its home location (timed + durable).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not exactly one line.
     pub fn write_home_line(&mut self, line: Line, data: &[u8], now: Cycle, class: TrafficClass) {
-        debug_assert_eq!(data.len(), CACHE_LINE_BYTES as usize);
+        let image = to_line_image(data);
         self.device
             .access(now, line.base(), CACHE_LINE_BYTES, Op::Write, class);
         self.probe.emit(Event::HomeWrite(line), now);
-        self.store.write_bytes(line.base(), data);
+        self.store.write_line(line.base(), image);
     }
 
     /// Issues a pipelined write burst of `bytes` at `base` and returns the
@@ -271,16 +275,6 @@ pub type LineImage = [u8; CACHE_LINE_BYTES as usize];
 pub fn to_line_image(data: &[u8]) -> LineImage {
     let mut img = [0u8; CACHE_LINE_BYTES as usize];
     img.copy_from_slice(data);
-    img
-}
-
-/// Reads one cache line from `store` into a stack image. This sits on every
-/// engine's store path, so it avoids the heap round-trip of
-/// [`PersistentStore::read_vec`].
-#[inline]
-pub fn read_line_image(store: &PersistentStore, line: Line) -> LineImage {
-    let mut img = [0u8; CACHE_LINE_BYTES as usize];
-    store.read_bytes(line.base(), &mut img);
     img
 }
 

@@ -16,7 +16,7 @@ use simcore::config::SimConfig;
 use simcore::persist::Event;
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
-use crate::common::{read_line_image, to_line_image, ControllerBase, LineImage};
+use crate::common::{to_line_image, ControllerBase, LineImage};
 use crate::costs;
 use crate::traits::{
     CommitOutcome, EngineProperties, EngineStats, Level, MissFill, PersistenceEngine,
@@ -103,7 +103,7 @@ impl PersistenceEngine for LadEngine {
         for line in lines_covering(addr, data.len() as u64) {
             let img = entry
                 .entry(line.0)
-                .or_insert_with(|| read_line_image(&base.store, line));
+                .or_insert_with(|| base.store.read_line(line.base()));
             let start = (addr.0 + off as u64).max(line.base().0);
             let end = (addr.0 + data.len() as u64).min(line.base().0 + 64);
             let lo = (start - line.base().0) as usize;
@@ -182,7 +182,7 @@ impl PersistenceEngine for LadEngine {
         }
         for (l, img) in lines {
             clean_lines.push(Line(l));
-            self.base.store.write_bytes(Line(l).base(), &img);
+            self.base.store.write_line(Line(l).base(), img);
         }
         let latency = done.saturating_sub(now) + COMMIT_PROTOCOL_CYCLES;
         self.base.stats.commit_stall_cycles.add(latency);
@@ -219,7 +219,7 @@ impl PersistenceEngine for LadEngine {
         let mut txs: DetHashSet<u64> = DetHashSet::default();
         for q in &self.queue {
             self.base.probe.emit(Event::Recovery, 0);
-            self.base.store.write_bytes(Line(q.line).base(), &q.image);
+            self.base.store.write_line(Line(q.line).base(), q.image);
             bytes_written += CACHE_LINE_BYTES;
             txs.insert(q.tx);
         }

@@ -12,7 +12,7 @@ use simcore::config::SimConfig;
 use simcore::persist::{Event, Probe};
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
-use crate::common::MEDIA_RETRY_CYCLES;
+use crate::common::{to_line_image, MEDIA_RETRY_CYCLES};
 use crate::traits::{
     CommitOutcome, EngineProperties, EngineStats, Level, MissFill, PersistenceEngine,
     RecoveryReport,
@@ -115,7 +115,7 @@ impl PersistenceEngine for NativeEngine {
         // Valve-only: the sanitizer does not shadow Ideal, which offers no
         // crash guarantee to check.
         self.probe.emit(Event::Home, now);
-        self.store.write_bytes(line.base(), line_data);
+        self.store.write_line(line.base(), to_line_image(line_data));
     }
 
     fn tx_end(&mut self, _core: CoreId, _tx: TxId, _now: Cycle) -> CommitOutcome {

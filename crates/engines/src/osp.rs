@@ -16,7 +16,7 @@ use simcore::config::SimConfig;
 use simcore::persist::Event;
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
-use crate::common::{read_line_image, to_line_image, ControllerBase, LineImage};
+use crate::common::{to_line_image, ControllerBase, LineImage};
 use crate::costs;
 use crate::layout;
 use crate::traits::{
@@ -124,7 +124,7 @@ impl PersistenceEngine for OspEngine {
             for line in lines_covering(addr, data.len() as u64) {
                 let fresh = !entry.contains_key(&line.0);
                 let t = entry.entry(line.0).or_insert_with(|| TxLine {
-                    image: read_line_image(&base.store, line),
+                    image: base.store.read_line(line.base()),
                     persisted_at: 0,
                 });
                 let start = (addr.0 + off as u64).max(line.base().0);
@@ -257,7 +257,7 @@ impl PersistenceEngine for OspEngine {
         let mut clean_lines = Vec::with_capacity(lines.len());
         for (l, t) in lines {
             clean_lines.push(Line(l));
-            self.base.store.write_bytes(Line(l).base(), &t.image);
+            self.base.store.write_line(Line(l).base(), t.image);
         }
 
         // Periodic page consolidation copies shadow lines to keep pages
@@ -328,9 +328,7 @@ impl PersistenceEngine for OspEngine {
                     self.base.media.note_loss(Line(rec.line));
                     continue;
                 }
-                self.base
-                    .store
-                    .write_bytes(Line(rec.line).base(), &rec.image);
+                self.base.store.write_line(Line(rec.line).base(), rec.image);
                 bytes_written += CACHE_LINE_BYTES;
             }
         }

@@ -18,7 +18,7 @@ use simcore::persist::Event;
 use simcore::time::ms_to_cycles;
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
-use crate::common::{read_line_image, ControllerBase, LineImage};
+use crate::common::{ControllerBase, LineImage};
 use crate::layout;
 use crate::traits::{
     CommitOutcome, EngineProperties, EngineStats, Level, MissFill, PersistenceEngine,
@@ -104,7 +104,7 @@ impl OptRedoEngine {
         );
         for (l, img) in lines {
             self.base.probe.emit(Event::Gc, now);
-            self.base.store.write_bytes(Line(l).base(), &img);
+            self.base.store.write_line(Line(l).base(), img);
         }
         // Truncate the log: everything checkpointed is now home. The
         // truncation is one durable pointer update, ordered strictly after
@@ -165,7 +165,7 @@ impl PersistenceEngine for OptRedoEngine {
                 .entry(line.0)
                 .or_insert_with(|| match pending.get(&line.0) {
                     Some(img) => *img,
-                    None => read_line_image(&base.store, line),
+                    None => base.store.read_line(line.base()),
                 });
             let start = (addr.0 + off as u64).max(line.base().0);
             let end = (addr.0 + data.len() as u64).min(line.base().0 + 64);
@@ -277,7 +277,7 @@ impl PersistenceEngine for OptRedoEngine {
                 self.base.media.note_loss(rec.line);
                 continue;
             }
-            self.base.store.write_bytes(rec.line.base(), &rec.image);
+            self.base.store.write_line(rec.line.base(), rec.image);
             bytes_written += CACHE_LINE_BYTES;
             txs.insert(rec.tx.0);
         }

@@ -24,7 +24,7 @@
 
 use memhier::Hierarchy;
 use nvm::PersistentStore;
-use simcore::addr::{lines_covering, CACHE_LINE_BYTES};
+use simcore::addr::lines_covering;
 use simcore::alloc::BumpAllocator;
 use simcore::persist::{self, Probe};
 use simcore::stats::Histogram;
@@ -284,8 +284,7 @@ impl System {
                 latency += fill.latency;
             }
             if let Some(ev) = res.evicted {
-                let mut data = [0u8; CACHE_LINE_BYTES as usize];
-                self.volatile.read_bytes(ev.line.base(), &mut data);
+                let data = self.volatile.read_line(ev.line.base());
                 self.probe.emit(
                     persist::Event::EvictDirty(ev.line, ev.persistent),
                     self.clocks[c] + latency,
@@ -297,46 +296,56 @@ impl System {
         latency
     }
 
-    /// Loads `buf.len()` bytes from `addr` on `core`, charging simulated
-    /// time.
-    pub fn load_bytes(&mut self, core: CoreId, addr: PAddr, buf: &mut [u8]) {
-        let c = core.index();
+    /// Records a load of `len` bytes at `addr` and charges its simulated
+    /// time; then `read` fetches the bytes from the functional image. The
+    /// one timing step behind every load accessor.
+    #[inline]
+    fn load_with<R>(
+        &mut self,
+        core: CoreId,
+        addr: PAddr,
+        len: usize,
+        read: impl FnOnce(&PersistentStore) -> R,
+    ) -> R {
         self.record(Event::Load {
             core: core.0,
             addr: addr.0,
-            len: buf.len() as u32,
+            len: len as u32,
         });
-        if self.capture_only {
-            self.volatile.read_bytes(addr, buf);
-            return;
+        if !self.capture_only {
+            let c = core.index();
+            self.clocks[c] += costs::OP_BASE;
+            self.clocks[c] += self.engine.on_load(core, addr, len as u64, self.clocks[c]);
+            let lat = self.access_lines(core, addr, len as u64, false);
+            self.clocks[c] += lat;
         }
-        self.clocks[c] += costs::OP_BASE;
-        self.clocks[c] += self
-            .engine
-            .on_load(core, addr, buf.len() as u64, self.clocks[c]);
-        let lat = self.access_lines(core, addr, buf.len() as u64, false);
-        self.clocks[c] += lat;
-        self.volatile.read_bytes(addr, buf);
+        read(&self.volatile)
+    }
+
+    /// Loads `buf.len()` bytes from `addr` on `core`, charging simulated
+    /// time.
+    pub fn load_bytes(&mut self, core: CoreId, addr: PAddr, buf: &mut [u8]) {
+        self.load_with(core, addr, buf.len(), |v| v.read_bytes(addr, buf));
     }
 
     /// Loads a u64 from `addr`.
     pub fn load_u64(&mut self, core: CoreId, addr: PAddr) -> u64 {
-        let mut buf = [0u8; 8];
-        self.load_bytes(core, addr, &mut buf);
-        u64::from_le_bytes(buf)
+        self.load_with(core, addr, 8, |v| v.read_u64(addr))
     }
 
-    /// Loads `len` bytes into a fresh vector.
-    pub fn load_vec(&mut self, core: CoreId, addr: PAddr, len: usize) -> Vec<u8> {
-        let mut v = vec![0; len];
-        self.load_bytes(core, addr, &mut v);
-        v
-    }
-
-    /// Stores `data` at `addr` on `core`. Inside a transaction the store is
-    /// part of the failure-atomic region; outside it is ordinary volatile
-    /// data that persists only via write-back.
-    pub fn store_bytes(&mut self, core: CoreId, addr: PAddr, data: &[u8]) {
+    /// Records a store of `data` at `addr` and charges its simulated time
+    /// around `write`, which puts the bytes into the functional image: the
+    /// one timing step behind every store accessor. Inside a transaction
+    /// the store is part of the failure-atomic region; outside it is
+    /// ordinary volatile data that persists only via write-back.
+    #[inline]
+    fn store_with(
+        &mut self,
+        core: CoreId,
+        addr: PAddr,
+        data: &[u8],
+        write: impl FnOnce(&mut PersistentStore),
+    ) {
         let c = core.index();
         // Only build the event when a trace is actually being captured, and
         // clone the payload only in values mode.
@@ -357,13 +366,13 @@ impl System {
             });
         }
         if self.capture_only {
-            self.volatile.write_bytes(addr, data);
+            write(&mut self.volatile);
             return;
         }
         self.clocks[c] += costs::OP_BASE;
         let lat = self.access_lines(core, addr, data.len() as u64, true);
         self.clocks[c] += lat;
-        self.volatile.write_bytes(addr, data);
+        write(&mut self.volatile);
         if self.probe.is_attached() {
             let tx = self.active_tx[c];
             for line in lines_covering(addr, data.len() as u64) {
@@ -380,9 +389,16 @@ impl System {
         }
     }
 
+    /// Stores `data` at `addr` on `core`, charging simulated time.
+    pub fn store_bytes(&mut self, core: CoreId, addr: PAddr, data: &[u8]) {
+        self.store_with(core, addr, data, |v| v.write_bytes(addr, data));
+    }
+
     /// Stores a u64 at `addr`.
     pub fn store_u64(&mut self, core: CoreId, addr: PAddr, value: u64) {
-        self.store_bytes(core, addr, &value.to_le_bytes());
+        self.store_with(core, addr, &value.to_le_bytes(), |v| {
+            v.write_u64(addr, value)
+        });
     }
 
     /// Flushes everything still dirty in the caches to the engine and
@@ -391,8 +407,7 @@ impl System {
     pub fn drain(&mut self) {
         let now = self.global_time();
         for ev in self.hier.drain_dirty() {
-            let mut data = [0u8; CACHE_LINE_BYTES as usize];
-            self.volatile.read_bytes(ev.line.base(), &mut data);
+            let data = self.volatile.read_line(ev.line.base());
             self.probe
                 .emit(persist::Event::EvictDirty(ev.line, ev.persistent), now);
             self.engine
@@ -493,7 +508,63 @@ mod tests {
         s.store_bytes(CoreId(0), a.offset(64), &[9u8; 64]);
         s.tx_end(CoreId(0), tx);
         assert_eq!(s.load_u64(CoreId(0), a), 0xABCD);
-        assert_eq!(s.load_vec(CoreId(0), a.offset(64), 64), vec![9u8; 64]);
+        let mut row = [0u8; 64];
+        s.load_bytes(CoreId(0), a.offset(64), &mut row);
+        assert_eq!(row, [9u8; 64]);
+    }
+
+    /// The word accessors are the byte accessors on 8 bytes: same clocks,
+    /// same hierarchy statistics, same recorded events, same contents —
+    /// on a live machine and on a capture-only one.
+    #[test]
+    fn word_accessors_match_byte_accessors() {
+        let cfg = SimConfig::small_for_tests();
+        for live in [true, false] {
+            let build = || {
+                let mut s = if live {
+                    sys()
+                } else {
+                    System::new_capture(&cfg)
+                };
+                s.start_recording(true);
+                s
+            };
+            let (mut words, mut bytes) = (build(), build());
+            let a = words.alloc(1 << 16);
+            assert_eq!(bytes.alloc(1 << 16), a);
+            // Line-interior, line-straddling (offset 60) and far-apart
+            // addresses, so fills and dirty evictions happen too.
+            let addrs: Vec<PAddr> = (0..64u64)
+                .map(|i| a.offset(((i * 1037) % (1 << 16)) & !3))
+                .chain([a.offset(60)])
+                .collect();
+            for (i, &addr) in addrs.iter().enumerate() {
+                let core = CoreId((i % 2) as u8);
+                let v = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let tx = (i % 3 != 0).then(|| (words.tx_begin(core), bytes.tx_begin(core)));
+                words.store_u64(core, addr, v);
+                bytes.store_bytes(core, addr, &v.to_le_bytes());
+                let got = words.load_u64(core, addr);
+                let mut buf = [0u8; 8];
+                bytes.load_bytes(core, addr, &mut buf);
+                assert_eq!(got, v);
+                assert_eq!(buf, v.to_le_bytes());
+                if let Some((tw, tb)) = tx {
+                    words.tx_end(core, tw);
+                    bytes.tx_end(core, tb);
+                }
+            }
+            for core in [CoreId(0), CoreId(1)] {
+                assert_eq!(words.clock(core), bytes.clock(core), "live={live}");
+            }
+            assert_eq!(words.hier_stats(), bytes.hier_stats(), "live={live}");
+            assert_eq!(words.take_trace(), bytes.take_trace(), "live={live}");
+            words.drain();
+            bytes.drain();
+            let durable = |s: &System| s.engine().durable().read_vec(a, 1 << 16);
+            assert_eq!(durable(&words), durable(&bytes), "live={live}");
+            assert_eq!(words.hier_stats().llc_misses.get() > 0, live);
+        }
     }
 
     #[test]

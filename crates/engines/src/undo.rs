@@ -17,7 +17,7 @@ use simcore::det::DetHashSet;
 use simcore::persist::Event;
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
-use crate::common::{read_line_image, to_line_image, ControllerBase, LineImage};
+use crate::common::{to_line_image, ControllerBase, LineImage};
 use crate::costs;
 use crate::layout;
 use crate::traits::{
@@ -118,7 +118,7 @@ impl PersistenceEngine for OptUndoEngine {
             let entry = self.active.get_mut(&tx).expect("store outside tx");
             for line in lines_covering(addr, data.len() as u64) {
                 entry.lines.entry(line.0).or_insert_with(|| {
-                    let old = read_line_image(store, line);
+                    let old = store.read_line(line.base());
                     pending.push(UndoRecord { tx, line, old });
                     overhead += costs::HW_LOG_FORMATION;
                     TouchedLine {
@@ -209,7 +209,7 @@ impl PersistenceEngine for OptUndoEngine {
                 self.base.probe.emit(Event::DataPersisted(tx, line), done);
             } else {
                 self.base.probe.emit(Event::PayloadWrite(tx, line), done);
-                self.base.store.write_bytes(line.base(), &t.image);
+                self.base.store.write_line(line.base(), t.image);
             }
         }
         let marker_done = self.base.write_burst(
@@ -268,7 +268,7 @@ impl PersistenceEngine for OptUndoEngine {
                 self.base.media.note_loss(rec.line);
                 continue;
             }
-            self.base.store.write_bytes(rec.line.base(), &rec.old);
+            self.base.store.write_line(rec.line.base(), rec.old);
             bytes_written += CACHE_LINE_BYTES;
             rolled_back.insert(rec.tx.0);
         }

@@ -209,11 +209,9 @@ impl HoopEngine {
         let mut lines: DetHashMap<u64, [u8; 64]> = DetHashMap::default();
         for (word, value) in &coalesced {
             let line = Line(word / CACHE_LINE_BYTES);
-            let img = lines.entry(line.0).or_insert_with(|| {
-                let mut buf = [0u8; 64];
-                self.base.store.read_bytes(line.base(), &mut buf);
-                buf
-            });
+            let img = lines
+                .entry(line.0)
+                .or_insert_with(|| self.base.store.read_line(line.base()));
             let off = (word % CACHE_LINE_BYTES) as usize;
             img[off..off + 8].copy_from_slice(&value.to_le_bytes());
         }
@@ -243,7 +241,7 @@ impl HoopEngine {
             // Algorithm 1, lines 22-23: the home write drops the mapping
             // entry.
             self.base.probe.emit(Event::GcHome(line), t);
-            self.base.store.write_bytes(line.base(), img);
+            self.base.store.write_line(line.base(), *img);
             // Migrated lines enter the eviction buffer so racing LLC misses
             // never read a stale home copy (§III-C).
             self.evict_buf.insert(line, *img);

@@ -329,17 +329,15 @@ impl MultiHoopEngine {
         let mut lines: DetHashMap<u64, [u8; 64]> = DetHashMap::default();
         for (word, (_, value)) in &coalesced {
             let line = Line(word / CACHE_LINE_BYTES);
-            let img = lines.entry(line.0).or_insert_with(|| {
-                let mut buf = [0u8; 64];
-                self.base.store.read_bytes(line.base(), &mut buf);
-                buf
-            });
+            let img = lines
+                .entry(line.0)
+                .or_insert_with(|| self.base.store.read_line(line.base()));
             let off = (word % CACHE_LINE_BYTES) as usize;
             img[off..off + 8].copy_from_slice(&value.to_le_bytes());
         }
         for (l, img) in &lines {
             self.base.probe.emit(Event::Gc, 0);
-            self.base.store.write_bytes(Line(*l).base(), img);
+            self.base.store.write_line(Line(*l).base(), *img);
             let ci = self.controller_of(Line(*l));
             self.ctrls[ci].mapping.remove(Line(*l));
         }

@@ -42,7 +42,7 @@ pub struct FlushResult {
 }
 
 /// Hit/miss statistics for the hierarchy.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HierStats {
     /// Total accesses.
     pub accesses: Counter,

@@ -1,20 +1,27 @@
 //! Differential property test: the optimized [`PersistentStore`] (page
 //! slab + last-page cache + direct slice copies) must be observationally
 //! identical to a naive byte-map reference model under arbitrary operation
-//! sequences — including torn writes and reads/writes that straddle page
-//! boundaries, the cases the fast paths special-case.
+//! sequences — including torn writes, the word and line accessors,
+//! reads/writes that straddle page boundaries (the cases the fast paths
+//! special-case), and writes issued while a crash valve is closed.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use nvm::PersistentStore;
 use proptest::prelude::*;
+use simcore::persist::{Event, Valve};
 use simcore::PAddr;
 
+const LINE: usize = 64;
+
 /// The reference model: one map entry per byte ever written; absent bytes
-/// read as zero (the store's documented fresh-memory semantics).
+/// read as zero (the store's documented fresh-memory semantics). While
+/// `frozen` (the crash valve is closed) writes are dropped.
 #[derive(Default)]
 struct NaiveStore {
     bytes: BTreeMap<u64, u8>,
+    frozen: bool,
 }
 
 impl NaiveStore {
@@ -23,7 +30,9 @@ impl NaiveStore {
     }
 
     fn write(&mut self, addr: u64, value: u8) {
-        self.bytes.insert(addr, value);
+        if !self.frozen {
+            self.bytes.insert(addr, value);
+        }
     }
 }
 
@@ -49,10 +58,20 @@ enum Op {
     ReadU64 {
         addr: u64,
     },
+    WriteLine {
+        addr: u64,
+        data: [u8; LINE],
+    },
+    ReadLine {
+        addr: u64,
+    },
     ZeroRange {
         addr: u64,
         len: u64,
     },
+    /// Trips the crash valve: later writes are dropped until `OpenValve`.
+    CloseValve,
+    OpenValve,
 }
 
 /// Addresses hug page boundaries (4096) so splits and the last-page cache
@@ -70,8 +89,71 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(addr, data, persisted)| Op::WriteTorn { addr, data, persisted }),
         4 => (addr_strategy(), 1usize..150).prop_map(|(addr, len)| Op::ReadBytes { addr, len }),
         2 => addr_strategy().prop_map(|addr| Op::ReadU64 { addr }),
+        2 => (addr_strategy(), prop::collection::vec(any::<u8>(), LINE)).prop_map(|(addr, data)| {
+            Op::WriteLine { addr, data: data.try_into().expect("one line") }
+        }),
+        2 => addr_strategy().prop_map(|addr| Op::ReadLine { addr }),
         1 => (addr_strategy(), 1u64..5000).prop_map(|(addr, len)| Op::ZeroRange { addr, len }),
+        1 => Just(Op::CloseValve),
+        1 => Just(Op::OpenValve),
     ]
+}
+
+/// A store with a crash valve attached, open until [`close`] trips it.
+fn store_with_valve() -> (PersistentStore, Arc<Mutex<Valve>>, simcore::persist::Probe) {
+    let mut store = PersistentStore::new();
+    let (valve, probe) = Valve::shared(u64::MAX);
+    store.attach_valve(probe.clone());
+    (store, valve, probe)
+}
+
+/// Trips the valve at the next persist event.
+fn close(valve: &Mutex<Valve>, probe: &simcore::persist::Probe) {
+    valve.lock().unwrap().rearm(0);
+    assert!(!probe.emit(Event::Payload, 0));
+    assert!(!probe.is_open());
+}
+
+#[test]
+fn unwritten_page_reads_zero_through_every_accessor() {
+    let (mut store, _, _) = store_with_valve();
+    store.write_u64(PAddr(0x10_0000), u64::MAX);
+    let fresh = PAddr(0x10_0000 + 7 * 4096);
+    assert_eq!(store.read_u64(fresh), 0);
+    assert_eq!(store.read_line(fresh), [0; LINE]);
+    assert_eq!(store.read_vec(fresh, 100), vec![0; 100]);
+    assert_eq!(store.resident_pages(), 1, "reads allocate nothing");
+}
+
+#[test]
+fn word_at_offset_4092_straddles_two_pages() {
+    let (mut store, _, _) = store_with_valve();
+    let addr = PAddr(0x10_0000 + 4092);
+    store.write_u64(addr, 0x0807_0605_0403_0201);
+    assert_eq!(store.resident_pages(), 2);
+    assert_eq!(store.read_vec(addr, 8), [1, 2, 3, 4, 5, 6, 7, 8]);
+    assert_eq!(store.read_u8(PAddr(0x10_0000 + 4095)), 4);
+    assert_eq!(store.read_u8(PAddr(0x10_0000 + 4096)), 5);
+    assert_eq!(store.read_u64(addr), 0x0807_0605_0403_0201);
+    // A line at the same offset straddles the boundary too.
+    let line: [u8; LINE] = std::array::from_fn(|i| i as u8 + 1);
+    store.write_line(addr, line);
+    assert_eq!(store.read_line(addr), line);
+    assert_eq!(store.read_vec(addr, LINE), line);
+}
+
+#[test]
+fn closed_valve_drops_word_and_line_writes() {
+    let (mut store, valve, probe) = store_with_valve();
+    store.write_u64(PAddr(0x10_0000), 1);
+    close(&valve, &probe);
+    store.write_u64(PAddr(0x10_0000), 2);
+    store.write_u64(PAddr(0x10_0000 + 4092), 3);
+    store.write_line(PAddr(0x10_0000 + 64), [0xFF; LINE]);
+    assert_eq!(store.read_u64(PAddr(0x10_0000)), 1);
+    assert_eq!(store.read_u64(PAddr(0x10_0000 + 4092)), 0);
+    assert_eq!(store.read_line(PAddr(0x10_0000 + 64)), [0; LINE]);
+    assert_eq!(store.resident_pages(), 1, "dropped writes allocate nothing");
 }
 
 proptest! {
@@ -79,7 +161,7 @@ proptest! {
 
     #[test]
     fn store_matches_naive_reference(ops in prop::collection::vec(op_strategy(), 1..120)) {
-        let mut store = PersistentStore::new();
+        let (mut store, valve, probe) = store_with_valve();
         let mut model = NaiveStore::default();
 
         for op in &ops {
@@ -116,11 +198,32 @@ proptest! {
                     }));
                     prop_assert_eq!(got, want);
                 }
+                Op::WriteLine { addr, data } => {
+                    store.write_line(PAddr(*addr), *data);
+                    for (i, b) in data.iter().enumerate() {
+                        model.write(addr + i as u64, *b);
+                    }
+                }
+                Op::ReadLine { addr } => {
+                    let got = store.read_line(PAddr(*addr));
+                    let want: [u8; LINE] = std::array::from_fn(|i| model.read(addr + i as u64));
+                    prop_assert_eq!(got, want);
+                }
                 Op::ZeroRange { addr, len } => {
                     store.zero_range(PAddr(*addr), *len);
                     for a in *addr..addr + len {
                         model.write(a, 0);
                     }
+                }
+                Op::CloseValve => {
+                    if probe.is_open() {
+                        close(&valve, &probe);
+                    }
+                    model.frozen = true;
+                }
+                Op::OpenValve => {
+                    valve.lock().unwrap().open_fully();
+                    model.frozen = false;
                 }
             }
         }

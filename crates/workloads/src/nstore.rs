@@ -181,9 +181,16 @@ impl Table {
         None
     }
 
-    /// Reads a whole row (timed).
-    pub fn read_row(&self, sys: &mut System, core: CoreId, addr: PAddr) -> Vec<u8> {
-        sys.load_vec(core, addr, self.row_bytes as usize)
+    /// Reads the whole row at `addr` into `row` (timed), which must be
+    /// exactly one row long.
+    pub fn read_row(&self, sys: &mut System, core: CoreId, addr: PAddr, row: &mut [u8]) {
+        debug_assert_eq!(
+            row.len() as u64,
+            self.row_bytes,
+            "row buffer of {}",
+            self.name
+        );
+        sys.load_bytes(core, addr, row);
     }
 }
 
@@ -205,7 +212,9 @@ mod tests {
         let addr = t.insert_initial(&mut s, 7, &[1u8; 64]);
         assert_eq!(t.lookup(&mut s, CoreId(0), 7), Some(addr));
         assert_eq!(t.lookup(&mut s, CoreId(0), 8), None);
-        assert_eq!(t.read_row(&mut s, CoreId(0), addr), vec![1u8; 64]);
+        let mut row = [0u8; 64];
+        t.read_row(&mut s, CoreId(0), addr, &mut row);
+        assert_eq!(row, [1u8; 64]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use engines::system::System;
 use simcore::{CoreId, PAddr, SimRng};
 
-use crate::shadow;
+use crate::shadow::Shadow;
 use crate::spec::WorkloadSpec;
 use crate::TxWorkload;
 
@@ -34,8 +34,8 @@ pub struct PBTree {
     root: u64,
     root_meta: PAddr,
     rng: SimRng,
-    /// Every committed `(key, value)`, sorted by key (see the `shadow` module).
-    shadow: Vec<(u64, u64)>,
+    /// Every committed `(key, value)`, in key order.
+    shadow: Shadow,
     version: u64,
 }
 
@@ -51,7 +51,7 @@ impl PBTree {
             root: 0,
             root_meta: PAddr(0),
             rng: SimRng::seed(spec.seed ^ 0xB433).fork(stream),
-            shadow: Vec::new(),
+            shadow: Shadow::default(),
             version: 0,
         }
     }
@@ -188,7 +188,7 @@ impl PBTree {
         }
         let root = self.root;
         self.insert_nonfull(sys, core, root, key, value);
-        shadow::upsert(&mut self.shadow, key, value);
+        self.shadow.upsert(key, value);
     }
 
     fn collect_inorder(&self, sys: &System, n: u64, out: &mut Vec<(u64, u64)>) {
@@ -247,7 +247,7 @@ impl TxWorkload for PBTree {
             self.insert(sys, core, key, value);
         } else {
             let idx = self.rng.below(self.shadow.len() as u64);
-            let key = self.shadow[idx as usize].0;
+            let key = self.shadow.key_at(idx as usize);
             self.insert(sys, core, key, value);
         }
         sys.tx_end(core, tx);
@@ -257,7 +257,10 @@ impl TxWorkload for PBTree {
         let mut got = Vec::with_capacity(self.shadow.len());
         self.collect_inorder(sys, self.root, &mut got);
         let sorted = got.windows(2).all(|w| w[0].0 < w[1].0);
-        got.iter().zip(&self.shadow).filter(|(a, b)| a != b).count()
+        got.iter()
+            .zip(self.shadow.iter())
+            .filter(|(a, b)| a != b)
+            .count()
             + got.len().abs_diff(self.shadow.len())
             + usize::from(!sorted)
     }

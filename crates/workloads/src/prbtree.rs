@@ -9,7 +9,7 @@
 use engines::system::System;
 use simcore::{CoreId, PAddr, SimRng};
 
-use crate::shadow;
+use crate::shadow::Shadow;
 use crate::spec::WorkloadSpec;
 use crate::TxWorkload;
 
@@ -35,8 +35,8 @@ pub struct PRbTree {
     root_meta: PAddr,
     root: u64,
     rng: SimRng,
-    /// Every committed `(key, value)`, sorted by key (see the `shadow` module).
-    shadow: Vec<(u64, u64)>,
+    /// Every committed `(key, value)`, in key order.
+    shadow: Shadow,
     version: u64,
 }
 
@@ -51,7 +51,7 @@ impl PRbTree {
             root_meta: PAddr(0),
             root: NIL,
             rng: SimRng::seed(spec.seed ^ 0xB7EE).fork(stream),
-            shadow: Vec::new(),
+            shadow: Shadow::default(),
             version: 0,
         }
     }
@@ -187,7 +187,7 @@ impl PRbTree {
             let k = self.get(sys, core, cur, KEY);
             if k == key {
                 self.set(sys, core, cur, VALUE, value);
-                shadow::upsert(&mut self.shadow, key, value);
+                self.shadow.upsert(key, value);
                 return;
             }
             parent = cur;
@@ -214,7 +214,7 @@ impl PRbTree {
             self.set(sys, core, parent, RIGHT, z);
         }
         self.insert_fixup(sys, core, z);
-        shadow::upsert(&mut self.shadow, key, value);
+        self.shadow.upsert(key, value);
     }
 
     /// Checks the red-black invariants via untimed reads; returns the
@@ -280,7 +280,7 @@ impl TxWorkload for PRbTree {
         } else {
             // Update an existing key (uniform over the shadow key space).
             let idx = self.rng.below(self.shadow.len() as u64);
-            let key = self.shadow[idx as usize].0;
+            let key = self.shadow.key_at(idx as usize);
             self.insert(sys, core, key, value);
         }
         sys.tx_end(core, tx);
@@ -300,7 +300,11 @@ impl TxWorkload for PRbTree {
             got.push((sys.peek_u64(PAddr(n + KEY)), sys.peek_u64(PAddr(n + VALUE))));
             cur = sys.peek_u64(PAddr(n + RIGHT));
         }
-        let mismatches = got.iter().zip(&self.shadow).filter(|(a, b)| a != b).count()
+        let mismatches = got
+            .iter()
+            .zip(self.shadow.iter())
+            .filter(|(a, b)| a != b)
+            .count()
             + got.len().abs_diff(self.shadow.len());
         mismatches + self.check_invariants(sys)
     }

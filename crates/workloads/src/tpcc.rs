@@ -18,6 +18,7 @@ use crate::TxWorkload;
 const DISTRICTS: u64 = 10;
 const CUSTOMERS: u64 = 512;
 const ITEMS: u64 = 1024;
+const CUSTOMER_ROW_BYTES: usize = 192;
 
 /// The TPC-C New-Order benchmark (one warehouse per worker).
 #[derive(Debug)]
@@ -66,7 +67,7 @@ impl TxWorkload for TpccNewOrder {
 
     fn setup(&mut self, sys: &mut System, _core: CoreId) {
         let mut district = Table::create(sys, "district", DISTRICTS, 64);
-        let mut customer = Table::create(sys, "customer", CUSTOMERS, 192);
+        let mut customer = Table::create(sys, "customer", CUSTOMERS, CUSTOMER_ROW_BYTES as u64);
         let mut item = Table::create(sys, "item", ITEMS, 64);
         let mut stock = Table::create(sys, "stock", ITEMS, 64);
         let order = Table::create(sys, "order", self.spec.items.max(256), 64);
@@ -79,7 +80,7 @@ impl TxWorkload for TpccNewOrder {
             district.insert_initial(sys, d + 1, &row);
         }
         for c in 0..CUSTOMERS {
-            let mut row = [0u8; 192];
+            let mut row = [0u8; CUSTOMER_ROW_BYTES];
             row[..8].copy_from_slice(&(c + 1).to_le_bytes());
             customer.insert_initial(sys, c + 1, &row);
         }
@@ -109,7 +110,7 @@ impl TxWorkload for TpccNewOrder {
         // Read the customer row (discount, last name, credit ...).
         let customer = self.customer.as_ref().expect("setup ran");
         let caddr = customer.lookup(sys, core, c).expect("customer exists");
-        let _ = customer.read_row(sys, core, caddr);
+        customer.read_row(sys, core, caddr, &mut [0; CUSTOMER_ROW_BYTES]);
 
         // Read the district row and take the order id.
         let daddr = self.district_addr(d);

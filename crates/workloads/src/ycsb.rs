@@ -40,6 +40,8 @@ pub struct Ycsb {
     /// Shadow arena: the expected words of every row an update wrote, one
     /// whole row each, in order of first update.
     touched: Vec<u64>,
+    /// Read transactions load their row here.
+    row: Vec<u8>,
     version: u64,
     field_words: u64,
 }
@@ -56,6 +58,7 @@ impl Ycsb {
             zipf: Zipfian::new(spec.items, spec.zipf_theta),
             slot: Vec::new(),
             touched: Vec::new(),
+            row: vec![0; spec.item_bytes as usize],
             version: 0,
             field_words,
         }
@@ -142,13 +145,12 @@ impl TxWorkload for Ycsb {
                 }
             }
         } else {
-            let row = table.read_row(sys, core, addr);
+            table.read_row(sys, core, addr, &mut self.row);
             // Sanity: the record must match the shadow.
             debug_assert_eq!(
-                u64::from_le_bytes(row[..8].try_into().expect("8 bytes")),
+                u64::from_le_bytes(self.row[..8].try_into().expect("8 bytes")),
                 self.expected(key_idx, 0)
             );
-            let _ = row;
         }
         sys.tx_end(core, tx);
     }
