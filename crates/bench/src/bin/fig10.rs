@@ -14,30 +14,23 @@
 //! exports `results/fig10.json` alongside the CSV.
 
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX};
-use hoop_bench::runner::{min_cycles_for, run_parallel, Cell, ExperimentPlan};
+use hoop_bench::runner::{run_cell, run_parallel, Cell, ExperimentPlan, Observers};
 use hoop_bench::RunnerOptions;
+use nvm::TrafficClass;
 use simcore::config::SimConfig;
-use workloads::driver::{build_system, Driver};
 
-/// Probes the slice production rate (bytes/cycle) of a workload at the
-/// default configuration, to size the reserve.
-fn probe_oop_rate(wcfg: hoop_bench::WorkloadConfig, sim: &SimConfig, scale: Scale) -> f64 {
-    let spec = spec_for(wcfg, scale);
+/// The cell that probes `wcfg`'s slice production rate at the default
+/// configuration, to size the reserve: HOOP with an unbounded OOP region
+/// (pure demand) over the measured cells' window. It runs `spec_for`'s
+/// fixed seed, not the row's label-derived one.
+fn probe_cell(wcfg: hoop_bench::WorkloadConfig, sim: &SimConfig, scale: Scale) -> Cell {
     let mut cfg = *sim;
     cfg.hoop.oop_region_bytes = 1 << 30; // unbounded: measure pure demand
     cfg.hoop.mapping_table_bytes = 8 * 1024 * 1024;
-    let mut sys = build_system("HOOP", &cfg);
-    let mut driver = Driver::new(spec, &cfg);
-    driver.setup(&mut sys);
-    // Probe over the same steady-state window the measured cells use.
-    let min_cycles = min_cycles_for(scale, &cfg);
-    let report = driver.run_until(&mut sys, scale.warmup(), scale.measured(), min_cycles);
-    let log_bytes = sys
-        .engine()
-        .device()
-        .traffic()
-        .written(nvm::TrafficClass::Log);
-    log_bytes as f64 / report.cycles.max(1) as f64
+    Cell {
+        spec: spec_for(wcfg, scale),
+        ..Cell::new("HOOP", wcfg, cfg, scale)
+    }
 }
 
 fn main() {
@@ -52,7 +45,13 @@ fn main() {
 
     // Size the reserve per workload for ~11 ms of slice production.
     let budget_ms = 11.5;
-    let rates = run_parallel(&configs, opts.jobs, |w| probe_oop_rate(*w, &sim, scale));
+    let probes = configs.map(|w| probe_cell(w, &sim, scale));
+    // Slice production in bytes per cycle: log-class bytes written over the
+    // probe's measured window.
+    let rates = run_parallel(&probes, opts.jobs, |cell| {
+        let report = run_cell(cell, &Observers::default(), None).report;
+        report.traffic.written(TrafficClass::Log) as f64 / report.cycles.max(1) as f64
+    });
     let mut cells = Vec::new();
     for &period in periods {
         for (wcfg, rate) in configs.into_iter().zip(&rates) {

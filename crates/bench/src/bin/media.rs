@@ -16,19 +16,21 @@
 //!
 //! Output: `results/media.json` (schema-versioned) and
 //! `results/media.csv`. The document is a pure function of the seed:
-//! the fault schedule is a `(seed, line, wear)` hash and all mutable media
-//! state is confined to serial phases.
+//! the fault schedule is a `(seed, line, wear)` hash, all mutable media
+//! state is confined to serial phases, and each cell owns its machine, so
+//! `--jobs N` does not change a byte.
 //!
 //! ```text
-//! media [--quick|--full] [--seed N]
+//! media [--quick|--full] [--seed N] [--jobs N] [--sanitize]
 //! ```
 
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX};
 use hoop_bench::json::Json;
-use hoop_bench::runner::{EnduranceSummary, RunnerOptions, RESULT_SCHEMA_VERSION};
-use nvm::media::MediaSummary;
+use hoop_bench::runner::{
+    write_results_json, Cell, CellResult, EnduranceSummary, ExperimentPlan, RunnerOptions,
+};
 use simcore::config::{MediaConfig, SimConfig};
-use workloads::driver::{build_system, Driver, ENGINES};
+use workloads::driver::{Window, ENGINES};
 
 /// The stress fault schedule: `MediaConfig::enabled(seed)` with the
 /// endurance horizon pulled within the run's reach, so wear-outs, ECC
@@ -53,8 +55,20 @@ fn stress_config(seed: u64, scale: Scale) -> MediaConfig {
     m
 }
 
+/// A cell's wear summary (present: the armed media model tracks wear).
+fn wear(r: &CellResult) -> &EnduranceSummary {
+    r.endurance
+        .as_ref()
+        .expect("media faults imply endurance tracking")
+}
+
 fn main() {
-    let opts = RunnerOptions::from_args();
+    // The armed media model keeps the device's endurance map, so the wear
+    // summary every cell reports costs nothing extra.
+    let opts = RunnerOptions {
+        endurance: true,
+        ..RunnerOptions::from_args()
+    };
     let seed = std::env::args()
         .collect::<Vec<_>>()
         .windows(2)
@@ -66,8 +80,8 @@ fn main() {
         ..SimConfig::default()
     };
 
-    let wcfg = MATRIX[2]; // hashmap-64B: the paper's canonical fine-grained updater
-    let spec = spec_for(wcfg, scale);
+    // hashmap-64B: the paper's canonical fine-grained updater.
+    let wcfg = MATRIX[2];
     // Sized so every engine's run spans several 1 ms patrol-scrub periods
     // (2.5M cycles each): wear-capped but cache-hot lines are only ever
     // *read* by the scrubber, so the retire/remap path needs it to fire.
@@ -75,11 +89,18 @@ fn main() {
         Scale::Quick => 45_000,
         Scale::Full => 150_000,
     };
-    let engines: Vec<&str> = ENGINES
-        .iter()
-        .copied()
+    // Every engine runs the matrix spec's fixed seed over a 200-transaction
+    // warmup and a fixed-length window.
+    let cells = ENGINES
+        .into_iter()
         .chain(["HOOP-MC2", "HOOP-MC4"])
+        .map(|engine| Cell {
+            spec: spec_for(wcfg, scale),
+            window: Window::new(200, txs),
+            ..Cell::new(engine, wcfg, sim, scale)
+        })
         .collect();
+    let results = ExperimentPlan::from_cells("media", cells, scale).run(&opts);
 
     println!(
         "== Media faults: lifetime & UE survival ({} / {} txs, cutoff {}, seed {}) ==",
@@ -90,43 +111,26 @@ fn main() {
         "engine", "hottest", "corrected", "UE", "retired", "spares", "scrubs", "lost", "lifetime"
     );
 
-    let mut results: Vec<(&str, EnduranceSummary, MediaSummary, u64)> = Vec::new();
-    for engine in &engines {
-        // The media model is armed through `sim.media`; attaching it
-        // auto-enables endurance tracking (the schedule is wear-coupled).
-        let mut sys = build_system(engine, &sim);
-        let mut driver = Driver::new(spec, &sim);
-        driver.setup(&mut sys);
-        let r = driver.run(&mut sys, 200, txs);
-        // Demand reads always deliver the store's true bytes (UEs cost
-        // latency and trigger retirement); data loss can only be *declared*
-        // by a recovery path, so a live run must stay both correct and
-        // loss-free — that is the UE-survival claim.
-        assert_eq!(r.verify_errors, 0, "{engine}: corrupted data under faults");
-        let media = sys.media().summary();
-        assert_eq!(media.data_loss, 0, "{engine}: declared data loss mid-run");
-        assert!(media.reads > 0, "{engine}: fault model saw no reads");
-        let wear = EnduranceSummary::from_map(
-            sys.engine()
-                .device()
-                .endurance()
-                .expect("media faults imply endurance tracking"),
-        );
-        results.push((engine, wear, media, r.cycles));
-    }
-
     let cutoff = sim.media.endurance_cutoff;
-    let hoop_life = {
-        let (_, wear, _, _) = results
+    let lifetime_of = |r: &CellResult| cutoff as f64 / wear(r).max_line_writes.max(1) as f64;
+    let hoop_life = lifetime_of(
+        results
             .iter()
-            .find(|(n, _, _, _)| *n == "HOOP")
-            .expect("HOOP ran");
-        cutoff as f64 / wear.max_line_writes.max(1) as f64
-    };
+            .find(|r| r.engine == "HOOP")
+            .expect("HOOP ran"),
+    );
     let mut rows = Vec::new();
     let mut cells = Vec::new();
-    for (engine, wear, media, cycles) in &results {
-        let lifetime = cutoff as f64 / wear.max_line_writes.max(1) as f64;
+    for r in &results {
+        let (engine, media, wear) = (r.engine, r.report.media, wear(r));
+        // Demand reads always deliver the store's true bytes (UEs cost
+        // latency and trigger retirement); data loss can only be *declared*
+        // by a recovery path, so a live run must stay loss-free — that is
+        // the UE-survival claim. (The runner already rejects a cell whose
+        // structures fail verification.)
+        assert_eq!(media.data_loss, 0, "{engine}: declared data loss mid-run");
+        assert!(media.reads > 0, "{engine}: fault model saw no reads");
+        let lifetime = lifetime_of(r);
         let vs_hoop = lifetime / hoop_life;
         println!(
             "{:<10}{:>10}{:>12}{:>8}{:>8}{:>9}{:>9}{:>10}{:>12.2}",
@@ -155,7 +159,7 @@ fn main() {
         ));
         cells.push(Json::obj([
             ("engine", Json::Str(engine.to_string())),
-            ("cycles", Json::UInt(*cycles)),
+            ("cycles", Json::UInt(r.report.cycles)),
             ("endurance", wear.to_json()),
             (
                 "media",
@@ -182,41 +186,24 @@ fn main() {
          spare_exhausted,scrub_rewrites,data_loss,effective_lifetime,lifetime_vs_hoop",
         &rows,
     );
-    let doc = Json::obj([
-        ("schema_version", Json::UInt(RESULT_SCHEMA_VERSION)),
-        ("experiment", Json::Str("media".to_string())),
-        (
-            "scale",
-            Json::Str(
-                match scale {
-                    Scale::Quick => "quick",
-                    Scale::Full => "full",
-                }
-                .to_string(),
+    write_results_json(
+        "media",
+        scale,
+        [
+            ("media_seed", Json::UInt(seed)),
+            ("workload", Json::Str(wcfg.label.to_string())),
+            (
+                "fault_config",
+                Json::obj([
+                    ("endurance_cutoff", Json::UInt(sim.media.endurance_cutoff)),
+                    ("wear_scale", Json::UInt(sim.media.wear_scale)),
+                    ("ecc_t", Json::UInt(u64::from(sim.media.ecc_t))),
+                    ("max_retries", Json::UInt(u64::from(sim.media.max_retries))),
+                    ("spare_lines", Json::UInt(sim.media.spare_lines)),
+                    ("scrub_period_ms", Json::UInt(sim.media.scrub_period_ms)),
+                ]),
             ),
-        ),
-        ("media_seed", Json::UInt(seed)),
-        ("workload", Json::Str(wcfg.label.to_string())),
-        (
-            "fault_config",
-            Json::obj([
-                ("endurance_cutoff", Json::UInt(sim.media.endurance_cutoff)),
-                ("wear_scale", Json::UInt(sim.media.wear_scale)),
-                ("ecc_t", Json::UInt(u64::from(sim.media.ecc_t))),
-                ("max_retries", Json::UInt(u64::from(sim.media.max_retries))),
-                ("spare_lines", Json::UInt(sim.media.spare_lines)),
-                ("scrub_period_ms", Json::UInt(sim.media.scrub_period_ms)),
-            ]),
-        ),
-        ("cells", Json::Arr(cells)),
-    ]);
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        eprintln!("warning: cannot create results/, skipping JSON for media");
-        return;
-    }
-    let path = dir.join("media.json");
-    if std::fs::write(&path, doc.pretty()).is_ok() {
-        eprintln!("wrote {}", path.display());
-    }
+            ("cells", Json::Arr(cells)),
+        ],
+    );
 }

@@ -8,9 +8,9 @@
 //! Runs the (workload × transaction-count) grid on worker threads
 //! (`--jobs N`) and exports `results/table4.json` alongside the CSV.
 
-use hoop_bench::experiments::{write_csv, Scale};
+use hoop_bench::experiments::write_csv;
 use hoop_bench::json::Json;
-use hoop_bench::runner::{RunnerOptions, RESULT_SCHEMA_VERSION};
+use hoop_bench::runner::{write_results_json, RunnerOptions};
 use hoop_bench::tracepack::{table4_counts, table4_plan, TABLE4_CONFIGS};
 use simcore::config::SimConfig;
 
@@ -53,26 +53,5 @@ fn main() {
     let head = format!("txs,{}", configs.map(|c| c.label).join(","));
     write_csv("table4_gc_reduction", &head, &rows);
 
-    let doc = Json::obj([
-        ("schema_version", Json::UInt(RESULT_SCHEMA_VERSION)),
-        ("experiment", Json::Str("table4".to_string())),
-        (
-            "scale",
-            Json::Str(
-                match scale {
-                    Scale::Quick => "quick",
-                    Scale::Full => "full",
-                }
-                .to_string(),
-            ),
-        ),
-        ("cells", Json::Arr(json_rows)),
-    ]);
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/table4.json", doc.pretty()).is_ok()
-    {
-        eprintln!("wrote results/table4.json");
-    } else {
-        eprintln!("warning: cannot write results/table4.json");
-    }
+    write_results_json("table4", scale, [("cells", Json::Arr(json_rows))]);
 }

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Records one engine-blind trace per workload row of the experiment grid
-//! (the Fig. 7/8/9 matrix plus the Table IV rows) into `--dir` (default:
+//! (the Figs. 7–9 matrix plus the Table IV rows) into `--dir` (default:
 //! the committed `traces/quick` pack). Recording is deterministic, so
 //! regenerating an up-to-date pack is byte-identical — CI gates pack
 //! currency with `git diff --exit-code -- traces/`.
@@ -34,14 +34,7 @@ fn main() {
         .map(PathBuf::from)
         .or_else(|| std::env::args().find_map(|a| a.strip_prefix("--dir=").map(PathBuf::from)))
         .unwrap_or_else(|| PathBuf::from(QUICK_PACK_DIR));
-    eprintln!(
-        "recording {} pack into {}",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        },
-        dir.display()
-    );
+    eprintln!("recording {} pack into {}", scale.name(), dir.display());
     record_pack(&dir, scale, opts.jobs, opts.depth);
     println!("trace pack written to {}", dir.display());
 }

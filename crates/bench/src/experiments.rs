@@ -27,6 +27,14 @@ impl Scale {
         }
     }
 
+    /// The scale's name in results documents and logs.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Full => "full",
+        }
+    }
+
     /// Measured transactions per run.
     pub fn measured(self) -> u64 {
         match self {
@@ -54,7 +62,7 @@ impl Scale {
     }
 }
 
-/// One column of Fig. 7/8/9: a workload plus dataset size.
+/// One column of Figs. 7–9: a workload plus dataset size.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkloadConfig {
     /// Display label ("vector-64B", "ycsb-1KB", ...).
@@ -216,7 +224,6 @@ pub fn print_normalized(
     reports: &[RunReport],
     baseline: &str,
     f: impl Fn(&RunReport) -> f64,
-    invert: bool,
 ) -> Vec<String> {
     println!("\n== {title} (normalized to {baseline}) ==");
     print!("{:<13}", "workload");
@@ -236,7 +243,7 @@ pub fn print_normalized(
         let mut row = l.clone();
         for e in ENGINES {
             let v = f(find(reports, e, l));
-            let norm = if invert { base / v } else { v / base };
+            let norm = v / base;
             print!("{norm:>10.3}");
             let _ = write!(row, ",{norm:.4}");
         }

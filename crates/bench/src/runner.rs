@@ -15,10 +15,11 @@
 //!   regardless of which thread finished first.
 //!
 //! [`CellResult`]s carry the full [`RunReport`] including the raw
-//! [`EngineStats`](engines::EngineStats) and
-//! [`HierStats`](memhier::HierStats) counter snapshots, and serialize to a
-//! schema-versioned JSON document (see [`ExperimentPlan::write_json`]) that
-//! CI uploads as an artifact and trajectory tooling can diff across commits.
+//! [`EngineStats`](engines::EngineStats),
+//! [`HierStats`](memhier::HierStats), device-traffic and media-fault
+//! counter snapshots, and serialize to a schema-versioned JSON document
+//! (see [`write_results_json`]) that CI uploads as an artifact and
+//! trajectory tooling can diff across commits.
 //!
 //! Every runner binary also supports trace modes (`--record DIR` /
 //! `--replay DIR`): recording captures each workload row once into a binary
@@ -324,7 +325,8 @@ pub struct CellResult {
 
 impl CellResult {
     /// Serializes the cell (metrics, engine counters, hierarchy counters,
-    /// engine-specific extras) as a JSON object.
+    /// engine-specific extras) as a JSON object. The report's traffic and
+    /// media snapshots are not serialized.
     pub fn to_json(&self) -> Json {
         let r = &self.report;
         let es = &r.engine_stats;
@@ -453,8 +455,8 @@ pub struct ExperimentPlan {
 }
 
 impl ExperimentPlan {
-    /// The §IV-A grid shared by Fig. 7/8/9: the full workload matrix
-    /// (including TPC-C) × every engine.
+    /// The §IV-A grid of Figs. 7–9: the full workload matrix (including
+    /// TPC-C) × every engine.
     pub fn matrix(name: &'static str, sim: SimConfig, scale: Scale) -> ExperimentPlan {
         let cells = MATRIX
             .into_iter()
@@ -548,6 +550,11 @@ impl ExperimentPlan {
     /// schema-versioned document written to `results/<name>.json`. A cell
     /// with a swept parameter gets a `param` key right after its `seed`.
     pub fn results_json(&self, results: &[CellResult]) -> Json {
+        results_document(self.name, self.scale, [("cells", self.cells_json(results))])
+    }
+
+    /// The `cells` array of [`results_json`](ExperimentPlan::results_json).
+    fn cells_json(&self, results: &[CellResult]) -> Json {
         let cells = self
             .cells
             .iter()
@@ -564,40 +571,52 @@ impl ExperimentPlan {
                 json
             })
             .collect();
-        Json::obj([
-            ("schema_version", Json::UInt(RESULT_SCHEMA_VERSION)),
-            ("experiment", Json::Str(self.name.to_string())),
-            (
-                "scale",
-                Json::Str(
-                    match self.scale {
-                        Scale::Quick => "quick",
-                        Scale::Full => "full",
-                    }
-                    .to_string(),
-                ),
-            ),
-            ("cells", Json::Arr(cells)),
-        ])
+        Json::Arr(cells)
     }
 
-    /// Writes `results/<name>.json` (best effort, like
-    /// [`write_csv`](crate::experiments::write_csv): read-only checkouts
-    /// only get a warning).
+    /// Writes [`results_json`](ExperimentPlan::results_json) to
+    /// `results/<name>.json` through [`write_results_json`].
     pub fn write_json(&self, results: &[CellResult]) {
-        let doc = self.results_json(results).pretty();
-        let dir = Path::new("results");
-        if std::fs::create_dir_all(dir).is_err() {
-            eprintln!(
-                "warning: cannot create results/, skipping JSON for {}",
-                self.name
-            );
-            return;
-        }
-        let path = dir.join(format!("{}.json", self.name));
-        if std::fs::write(&path, doc).is_ok() {
-            eprintln!("wrote {}", path.display());
-        }
+        write_results_json(self.name, self.scale, [("cells", self.cells_json(results))]);
+    }
+}
+
+/// A schema-versioned results document: the `schema_version`, `experiment`
+/// and `scale` envelope, followed by `fields`.
+fn results_document(
+    experiment: &str,
+    scale: Scale,
+    fields: impl IntoIterator<Item = (&'static str, Json)>,
+) -> Json {
+    Json::obj(
+        [
+            ("schema_version", Json::UInt(RESULT_SCHEMA_VERSION)),
+            ("experiment", Json::Str(experiment.to_string())),
+            ("scale", Json::Str(scale.name().to_string())),
+        ]
+        .into_iter()
+        .chain(fields),
+    )
+}
+
+/// Writes [`results_document`]`(experiment, scale, fields)` to
+/// `results/<experiment>.json` — the one writer of every results document.
+/// Best effort, like [`write_csv`](crate::experiments::write_csv):
+/// read-only checkouts only get a warning.
+pub fn write_results_json(
+    experiment: &str,
+    scale: Scale,
+    fields: impl IntoIterator<Item = (&'static str, Json)>,
+) {
+    let doc = results_document(experiment, scale, fields).pretty();
+    let dir = Path::new("results");
+    if std::fs::create_dir_all(dir).is_err() {
+        eprintln!("warning: cannot create results/, skipping JSON for {experiment}");
+        return;
+    }
+    let path = dir.join(format!("{experiment}.json"));
+    if std::fs::write(&path, doc).is_ok() {
+        eprintln!("wrote {}", path.display());
     }
 }
 

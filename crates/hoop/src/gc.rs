@@ -103,6 +103,27 @@ pub(crate) struct CommitScan {
     pub scanned_slices: u64,
 }
 
+/// Home line images carrying the newest `(word address, value)` pairs:
+/// each touched line is read from `store` once, at its first word, and the
+/// words are patched in iteration order. Callers pass their coalescing
+/// map's iteration order, so the result's order (which fixes GC's burst
+/// start address) is frozen with it (DESIGN.md §8).
+pub(crate) fn home_line_images(
+    store: &PersistentStore,
+    words: impl IntoIterator<Item = (u64, u64)>,
+) -> DetHashMap<u64, [u8; 64]> {
+    let mut lines: DetHashMap<u64, [u8; 64]> = DetHashMap::default();
+    for (word, value) in words {
+        let line = Line(word / CACHE_LINE_BYTES);
+        let img = lines
+            .entry(line.0)
+            .or_insert_with(|| store.read_line(line.base()));
+        let off = (word % CACHE_LINE_BYTES) as usize;
+        img[off..off + 8].copy_from_slice(&value.to_le_bytes());
+    }
+    lines
+}
+
 /// Scans the region for committed transactions: address-slice records plus
 /// commit-tail data slices (the durable commit points). Blocks and slots are
 /// visited in (block, slot) order and each `(tx, last_slot)` record is kept
@@ -165,7 +186,6 @@ impl HoopEngine {
         records.sort_by_key(|r| std::cmp::Reverse(r.tx));
 
         let mut coalesced: DetHashMap<u64, u64> = DetHashMap::default();
-        let mut scanned_slices = 0u64;
         let mut touches = 0u64;
         for rec in &records {
             let chain = walk_chain(
@@ -176,7 +196,6 @@ impl HoopEngine {
                 &self.base.media,
                 self.base.device.endurance(),
             );
-            scanned_slices += chain.len() as u64;
             let mut tx_lines: DetHashSet<u64> = DetHashSet::default();
             for slice in chain {
                 for w in &slice.words {
@@ -195,7 +214,6 @@ impl HoopEngine {
         // Device reads for the scan (every allocated slice is inspected;
         // chains are then walked from their tails).
         let scan_bytes = scan.scanned_slices * SLICE_BYTES;
-        let _ = scanned_slices;
         let mut t = self.base.burst_spread(
             self.region.base(),
             scan_bytes,
@@ -206,15 +224,10 @@ impl HoopEngine {
         );
 
         // Build migrated line images from home + coalesced words.
-        let mut lines: DetHashMap<u64, [u8; 64]> = DetHashMap::default();
-        for (word, value) in &coalesced {
-            let line = Line(word / CACHE_LINE_BYTES);
-            let img = lines
-                .entry(line.0)
-                .or_insert_with(|| self.base.store.read_line(line.base()));
-            let off = (word % CACHE_LINE_BYTES) as usize;
-            img[off..off + 8].copy_from_slice(&value.to_le_bytes());
-        }
+        // lint:order-frozen: fixes `lines`' order, which picks the burst
+        // start address below; deterministic under the frozen DetHashMap
+        // order.
+        let lines = home_line_images(&self.base.store, coalesced.iter().map(|(&w, &v)| (w, v)));
 
         // Write the newest versions home, once per line (data coalescing);
         // with coalescing ablated, every transaction's line touch is written

@@ -35,7 +35,7 @@ use simcore::config::SimConfig;
 use simcore::persist::Event;
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
-use crate::gc::{read_slice_raw, walk_chain};
+use crate::gc::{home_line_images, read_slice_raw, walk_chain};
 use crate::mapping::MappingTable;
 use crate::oop_buffer::SliceBuilder;
 use crate::recovery::model_recovery_ms;
@@ -326,15 +326,12 @@ impl MultiHoopEngine {
             .device
             .account_untimed(scanned * SLICE_BYTES, Op::Read, TrafficClass::Gc);
 
-        let mut lines: DetHashMap<u64, [u8; 64]> = DetHashMap::default();
-        for (word, (_, value)) in &coalesced {
-            let line = Line(word / CACHE_LINE_BYTES);
-            let img = lines
-                .entry(line.0)
-                .or_insert_with(|| self.base.store.read_line(line.base()));
-            let off = (word % CACHE_LINE_BYTES) as usize;
-            img[off..off + 8].copy_from_slice(&value.to_le_bytes());
-        }
+        let lines = home_line_images(
+            &self.base.store,
+            // lint:order-frozen: one image per line, whatever the order;
+            // the frozen DetHashMap order only fixes the write order.
+            coalesced.iter().map(|(&word, &(_, value))| (word, value)),
+        );
         for (l, img) in &lines {
             self.base.probe.emit(Event::Gc, 0);
             self.base.store.write_line(Line(*l).base(), *img);
@@ -618,7 +615,7 @@ impl PersistenceEngine for MultiHoopEngine {
     }
 
     fn recover(&mut self, threads: usize) -> RecoveryReport {
-        let (committed, prepared, _, scanned) = self.scan_all();
+        let (committed, _, _, scanned) = self.scan_all();
         let txs_replayed = committed.len() as u64;
         if self.base.probe.is_attached() {
             let mut txs: Vec<u32> = committed.iter().copied().collect();
@@ -629,8 +626,6 @@ impl PersistenceEngine for MultiHoopEngine {
         }
         self.migrate_committed_home();
         let scan_bytes = scanned * SLICE_BYTES;
-        let prepared_total: usize = prepared.iter().map(Vec::len).sum();
-        let _ = prepared_total;
         self.base.probe.emit(Event::MappingCleared, 0);
         for ctrl in &mut self.ctrls {
             ctrl.mapping.clear();

@@ -18,11 +18,11 @@ use simcore::det::DetHashMap;
 
 use engines::traits::RecoveryReport;
 use nvm::{Op, TrafficClass};
-use simcore::addr::{Line, CACHE_LINE_BYTES, WORD_BYTES};
+use simcore::addr::{Line, CACHE_LINE_BYTES};
 use simcore::persist::Event;
 
 use crate::engine::HoopEngine;
-use crate::gc::{scan_commit_records, walk_chain};
+use crate::gc::{home_line_images, scan_commit_records, walk_chain};
 use crate::slice::{CommitRecord, SLICE_BYTES};
 
 /// Per-thread scan result: newest `(tx, value)` seen per home word, plus
@@ -136,15 +136,12 @@ impl HoopEngine {
         }
 
         // Phase 3: write the recovered versions home (line-grouped bursts).
-        let mut lines: DetHashMap<u64, [u8; 64]> = DetHashMap::default();
-        for (word, (_, value)) in &global {
-            let line = Line(word / CACHE_LINE_BYTES);
-            let img = lines
-                .entry(line.0)
-                .or_insert_with(|| self.base.store.read_line(line.base()));
-            let off = (word % CACHE_LINE_BYTES) as usize;
-            img[off..off + 8].copy_from_slice(&value.to_le_bytes());
-        }
+        let lines = home_line_images(
+            &self.base.store,
+            // lint:order-frozen: one image per line, whatever the order;
+            // the frozen DetHashMap order only fixes the write order.
+            global.iter().map(|(&word, &(_, value))| (word, value)),
+        );
         for (l, img) in &lines {
             self.base.probe.emit(Event::Recovery, 0);
             self.base.store.write_line(Line(*l).base(), *img);
@@ -179,7 +176,6 @@ impl HoopEngine {
             threads,
             self.base.device.timing().bandwidth_gbps,
         );
-        let _ = global.len() as u64 * WORD_BYTES;
         RecoveryReport {
             modeled_ms,
             bytes_scanned: scan_bytes,

@@ -9,6 +9,8 @@
 use engines::system::System;
 use engines::{EngineStats, PersistenceEngine};
 use memhier::HierStats;
+use nvm::device::TrafficBytes;
+use nvm::media::MediaSummary;
 use simcore::config::SimConfig;
 use simcore::time::cycles_to_ms;
 use simcore::{CoreId, Cycle};
@@ -73,6 +75,12 @@ pub struct RunReport {
     pub engine_stats: EngineStats,
     /// Snapshot of the cache-hierarchy counters at the end of the run.
     pub hier_stats: HierStats,
+    /// Snapshot of the device's per-class traffic counters at the end of
+    /// the run (the measured window's bytes).
+    pub traffic: TrafficBytes,
+    /// Snapshot of the media-fault counters at the end of the run (all zero
+    /// with faults detached; not reset between warmup and measurement).
+    pub media: MediaSummary,
     /// Engine-specific `(name, value)` metrics.
     pub extra_metrics: Vec<(&'static str, f64)>,
 }
@@ -127,6 +135,8 @@ pub fn report_from(
         verify_errors,
         engine_stats: stats.clone(),
         hier_stats: *sys.hier_stats(),
+        traffic,
+        media: sys.media().summary(),
         extra_metrics: engine.extra_metrics(),
     }
 }
@@ -319,6 +329,7 @@ pub const ENGINES: [&str; 7] = ["Opt-Redo", "Opt-Undo", "OSP", "LSM", "LAD", "HO
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::config::MediaConfig;
 
     #[test]
     fn driver_runs_every_workload_on_native() {
@@ -382,6 +393,44 @@ mod tests {
         run_window(&mut sys, &mut src, window);
         assert_eq!(src.seen.len(), 3 + 5 * 64);
         assert_eq!(sys.engine().stats().committed_txs.get(), 5 * 64);
+    }
+
+    /// `report_from`'s snapshots: with faults detached the media counters
+    /// stay zero, with faults armed the model classifies reads, and the
+    /// traffic snapshot is the measured window's (it reproduces
+    /// `write_bytes_per_tx` exactly).
+    #[test]
+    fn report_snapshots_traffic_and_media() {
+        let mut spec = WorkloadSpec::small(WorkloadKind::Hashmap);
+        spec.items = 128;
+        for armed in [false, true] {
+            let cfg = SimConfig {
+                media: if armed {
+                    MediaConfig::enabled(7)
+                } else {
+                    MediaConfig::default()
+                },
+                ..SimConfig::small_for_tests()
+            };
+            for name in ENGINES {
+                let mut sys = build_system(name, &cfg);
+                let mut driver = Driver::new(spec, &cfg);
+                driver.setup(&mut sys);
+                let r = driver.run(&mut sys, 10, 60);
+                assert_eq!(r.verify_errors, 0, "{name}");
+                if armed {
+                    assert!(r.media.reads > 0, "{name}: no classified reads");
+                } else {
+                    assert_eq!(r.media, MediaSummary::default(), "{name}");
+                }
+                assert!(r.traffic.total_written() > 0, "{name}");
+                assert_eq!(
+                    r.traffic.total_written() as f64 / r.txs as f64,
+                    r.write_bytes_per_tx,
+                    "{name}"
+                );
+            }
+        }
     }
 
     #[test]
