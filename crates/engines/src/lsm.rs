@@ -45,8 +45,9 @@ const GC_PERIOD_MS: f64 = 10.0;
 #[derive(Clone, Debug)]
 struct LogRecord {
     line: Line,
-    /// (word index in line, value) pairs, newest-last.
-    words: Vec<(u8, u64)>,
+    /// (word index in line, value) pairs, newest-last, allocated to their
+    /// exact count.
+    words: Box<[(u8, u64)]>,
 }
 
 /// The LSNVMM-style software log-structured engine.
@@ -146,6 +147,8 @@ impl LsmEngine {
             TrafficClass::Gc,
         );
         let _ = t;
+        // lint:order-frozen: the home-write order sets the crash-point
+        // order of the migration's `Gc` events.
         for (l, img) in lines {
             self.base.probe.emit(Event::Gc, now);
             self.base.store.write_line(Line(l).base(), img);
@@ -309,6 +312,8 @@ impl PersistenceEngine for LsmEngine {
         let done = self.base.write_burst(slot, bytes, now, TrafficClass::Log);
         let mut clean_lines = Vec::with_capacity(per_line.len());
         let mut batch: Vec<u64> = Vec::with_capacity(per_line.len());
+        // lint:order-frozen: sets the log's record order and the order of
+        // the payload (crash-point) events (DESIGN.md §8).
         for (l, ws) in per_line {
             clean_lines.push(Line(l));
             // The log append carries every word update durably; the burst
@@ -317,7 +322,7 @@ impl PersistenceEngine for LsmEngine {
                 batch.push(l);
                 self.log.push(LogRecord {
                     line: Line(l),
-                    words: ws,
+                    words: ws.into_boxed_slice(),
                 });
             }
         }
@@ -551,9 +556,9 @@ mod tests {
         let txs: [&[(u64, u64)]; 3] = [&[(0, 2), (1, 1)], &[(2, 2)], &[(3, 2), (4, 2)]];
         let value = |line: u64, w: u64| 0x100 * line + w + 1;
         let run = |e: &mut LsmEngine| {
-            for &lines in &txs {
+            for &touched in &txs {
                 let tx = e.tx_begin(CoreId(0), 0);
-                for &(line, words) in lines {
+                for &(line, words) in touched {
                     for w in 0..words {
                         let bytes = value(line, w).to_le_bytes();
                         e.on_store(CoreId(0), tx, PAddr(line * 64 + w * 8), &bytes, 0);
@@ -593,8 +598,8 @@ mod tests {
             3,
             "one per committed record"
         );
-        for (i, &lines) in txs.iter().enumerate() {
-            for &(line, words) in lines {
+        for (i, &touched) in txs.iter().enumerate() {
+            for &(line, words) in touched {
                 for w in 0..8 {
                     let got = e.durable().read_u64(PAddr(line * 64 + w * 8));
                     let want = if i < 2 && w < words {

@@ -589,6 +589,49 @@ mod tests {
         assert_eq!(s.engine().durable().read_u64(a), 7);
     }
 
+    /// Seeding granularity is invisible: one 72-byte `write_initial` that
+    /// straddles a page boundary leaves the same volatile image, durable
+    /// image and coalesced `Init` records as its nine 8-byte words, on every
+    /// engine of this crate.
+    #[test]
+    fn one_seed_record_equals_its_words() {
+        type Build = fn(&SimConfig) -> Box<dyn PersistenceEngine>;
+        let engines: [Build; 6] = [
+            |c| Box::new(NativeEngine::new(c)),
+            |c| Box::new(crate::redo::OptRedoEngine::new(c)),
+            |c| Box::new(crate::undo::OptUndoEngine::new(c)),
+            |c| Box::new(crate::osp::OspEngine::new(c)),
+            |c| Box::new(crate::lsm::LsmEngine::new(c)),
+            |c| Box::new(crate::lad::LadEngine::new(c)),
+        ];
+        let cfg = SimConfig::small_for_tests();
+        let data: Vec<u8> = (1..=72).collect();
+        for build in engines {
+            let seed = |words: bool| {
+                let mut s = System::new(build(&cfg), &cfg);
+                let region = s.alloc(3 * 4096);
+                let at = PAddr((region.0 / 4096 + 2) * 4096 - 32);
+                s.start_recording(true);
+                if words {
+                    for (i, w) in data.chunks(8).enumerate() {
+                        s.write_initial(at.offset(i as u64 * 8), w);
+                    }
+                } else {
+                    s.write_initial(at, &data);
+                }
+                let inits = crate::trace::coalesce_inits(s.take_trace());
+                let volatile = s.peek_vec(region, 3 * 4096);
+                let durable = s.engine().durable().read_vec(region, 3 * 4096);
+                (at.0 % 4096, inits, volatile, durable)
+            };
+            let (offset, inits, volatile, durable) = seed(false);
+            assert_eq!(offset, 4064);
+            assert_eq!(inits.len(), 1);
+            assert_eq!(volatile, durable);
+            assert_eq!(seed(true), (offset, inits, volatile, durable));
+        }
+    }
+
     #[test]
     fn next_core_balances() {
         let mut s = sys();

@@ -74,3 +74,33 @@ impl Event {
         }
     }
 }
+
+/// Coalesces runs of [`Event::Init`] over contiguous addresses into single
+/// records. A run has one payload mode (all elided or all carried) and fits
+/// a `u32` length. Seeding a region in one `write_initial` or in any split
+/// of it into contiguous pieces therefore coalesces to the same records,
+/// which keeps recorded set-up sections independent of seeding granularity.
+pub fn coalesce_inits(raw: Vec<Event>) -> Vec<Event> {
+    let mut out: Vec<Event> = Vec::with_capacity(raw.len());
+    for ev in raw {
+        if let (
+            Some(Event::Init {
+                addr: pa,
+                len: pl,
+                data: pd,
+            }),
+            Event::Init { addr, len, data },
+        ) = (out.last_mut(), &ev)
+        {
+            let contiguous = *pa + u64::from(*pl) == *addr;
+            let same_mode = pd.is_empty() == data.is_empty();
+            if contiguous && same_mode && u64::from(*pl) + u64::from(*len) <= u32::MAX as u64 {
+                *pl += *len;
+                pd.extend_from_slice(data);
+                continue;
+            }
+        }
+        out.push(ev);
+    }
+    out
+}

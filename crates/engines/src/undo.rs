@@ -184,6 +184,8 @@ impl PersistenceEngine for OptUndoEngine {
         let start = now.max(entry.log_done);
         let mut to_write = 0u64;
         let mut clean_lines = Vec::with_capacity(entry.lines.len());
+        // lint:order-frozen: sets the order of the clean lines handed back
+        // to the system; the byte count is a commutative sum.
         for (l, t) in &entry.lines {
             clean_lines.push(Line(*l));
             if !t.evicted {
@@ -203,6 +205,8 @@ impl PersistenceEngine for OptUndoEngine {
             .write_burst(first, to_write, start, TrafficClass::Data);
         // All write-set data (ordered burst now, or an earlier steal
         // write-back) is durably home by `done`.
+        // lint:order-frozen: the home-write order sets the crash-point order
+        // of the payload events.
         for (l, t) in entry.lines {
             let line = Line(l);
             if t.evicted {

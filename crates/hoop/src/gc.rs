@@ -249,6 +249,8 @@ impl HoopEngine {
                 TrafficClass::Gc,
             );
         }
+        // lint:order-frozen: the home-write order sets the crash-point order
+        // of the `GcHome` events.
         for (l, img) in &lines {
             let line = Line(*l);
             // Algorithm 1, lines 22-23: the home write drops the mapping

@@ -332,6 +332,8 @@ impl MultiHoopEngine {
             // the frozen DetHashMap order only fixes the write order.
             coalesced.iter().map(|(&word, &(_, value))| (word, value)),
         );
+        // lint:order-frozen: the home-write order sets the crash-point order
+        // of the `Gc` events.
         for (l, img) in &lines {
             self.base.probe.emit(Event::Gc, 0);
             self.base.store.write_line(Line(*l).base(), *img);

@@ -127,6 +127,8 @@ impl HoopEngine {
         let mut scanned_slices = 0u64;
         for (local, slices) in locals {
             scanned_slices += slices;
+            // lint:order-frozen: the newest version wins whatever the order,
+            // but the insertion order fixes `global`'s iteration order.
             for (word, (tx, value)) in local {
                 let e = global.entry(word).or_insert((tx, value));
                 if tx > e.0 {
@@ -142,6 +144,8 @@ impl HoopEngine {
             // the frozen DetHashMap order only fixes the write order.
             global.iter().map(|(&word, &(_, value))| (word, value)),
         );
+        // lint:order-frozen: the home-write order sets the crash-point order
+        // of the `Recovery` events.
         for (l, img) in &lines {
             self.base.probe.emit(Event::Recovery, 0);
             self.base.store.write_line(Line(*l).base(), *img);

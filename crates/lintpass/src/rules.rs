@@ -35,7 +35,7 @@
 //!
 //! | rule | rejects |
 //! |------|---------|
-//! | `order-sensitive-iteration` | `.iter()`/`.keys()`/`.values()`/`.drain()` on a receiver declared `DetHashMap`/`DetHashSet` in the same file, unless annotated `lint:order-frozen` |
+//! | `order-sensitive-iteration` | `.iter()`/`.keys()`/`.values()`/`.drain()` on a receiver declared `DetHashMap`/`DetHashSet` in the same file, or a `for … in` loop over such a receiver itself (`in map`, `in &map`, `in &mut self.map`), unless annotated `lint:order-frozen` |
 //! | `shard-shared-mut` | `static mut`, `thread_local!`, or interior-mutability containers (`Rc<`, `RefCell<`, `Cell<`, `UnsafeCell<`, `Mutex<`, `RwLock<`) in simulation crates — `--jobs` runs cells concurrently on host threads, and shared mutable state would couple one cell's result to another's schedule — unless annotated `lint:shard-serial` |
 //! | `sim-state-float` | casting a float-tainted expression to an integer/`Cycle` type |
 //! | `lossy-cycle-cast` | `as` truncation of a cycle/clock-named counter to a sub-64-bit integer |
@@ -714,6 +714,46 @@ fn det_container_names(ctx: &FileCtx<'_>) -> BTreeSet<String> {
     names
 }
 
+/// For a `for` keyword at token `i`, the index of the iterated container
+/// when the iterable is a bare, optionally borrowed path (`map`, `&map`,
+/// `&mut self.map`) followed directly by the loop body. Such a loop walks
+/// the container in the order its `.iter()` would. `tok(k)` gives the
+/// text and kind of token `k < n`.
+pub(crate) fn for_loop_container<'s>(
+    n: usize,
+    tok: impl Fn(usize) -> (&'s str, TokenKind),
+    i: usize,
+) -> Option<usize> {
+    if tok(i) != ("for", TokenKind::Ident) {
+        return None;
+    }
+    let mut j = i + 1;
+    while j < n && !matches!(tok(j).0, "in" | "{" | ";") {
+        j += 1;
+    }
+    if j >= n || tok(j).0 != "in" {
+        return None;
+    }
+    j += 1;
+    if j < n && tok(j).0 == "&" {
+        j += 1;
+        if j < n && tok(j).0 == "mut" {
+            j += 1;
+        }
+    }
+    let mut last = None;
+    while j < n && tok(j).1 == TokenKind::Ident {
+        last = Some(j);
+        j += 1;
+        if j + 1 < n && tok(j).0 == "." {
+            j += 1;
+        } else {
+            break;
+        }
+    }
+    last.filter(|_| j < n && tok(j).0 == "{")
+}
+
 fn rule_order_sensitive_iteration(ctx: &mut FileCtx<'_>) {
     let typed = det_container_names(ctx);
     if typed.is_empty() {
@@ -727,6 +767,14 @@ fn rule_order_sensitive_iteration(ctx: &mut FileCtx<'_>) {
         }
         if ctx.kind(i - 2) == Some(TokenKind::Ident) && typed.contains(ctx.text(i - 2)) {
             hits.push(i);
+        }
+    }
+    let n = ctx.sig.len();
+    for i in 0..n {
+        if let Some(c) = for_loop_container(n, |k| (ctx.text(k), ctx.sig[k].kind), i) {
+            if typed.contains(ctx.text(c)) {
+                hits.push(c);
+            }
         }
     }
     for i in hits {
@@ -906,7 +954,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         }
         "order-sensitive-iteration" => {
             "order-sensitive-iteration: .iter()/.keys()/.values()/.drain()\n\
-             on a receiver declared DetHashMap/DetHashSet in the same file.\n\
+             on a receiver declared DetHashMap/DetHashSet in the same file,\n\
+             or a `for ... in` loop over such a receiver itself (`in map`,\n\
+             `in &map`, `in &mut self.map`).\n\
              Det containers fix the seed, but their iteration order is\n\
              still insertion-history-dependent; if it feeds simulated\n\
              state, annotate the site lint:order-frozen to freeze it into\n\

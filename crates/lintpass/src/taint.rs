@@ -6,7 +6,8 @@
 //! the same significant-token view the persist-order rules use:
 //!
 //! **Sources** (where taint is seeded):
-//! * iteration over a `DetHashMap`/`DetHashSet` receiver whose site is
+//! * iteration over a `DetHashMap`/`DetHashSet` receiver (an ordered
+//!   iteration method, or a `for` loop over the receiver itself) whose site is
 //!   *not* frozen into the contract (a `lint:order-frozen` marker or an
 //!   order-sensitive-iteration allow) — the seed is fixed but the order
 //!   is insertion-history-dependent;
@@ -45,7 +46,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::TokenKind;
 use crate::parse::{functions, sig_tokens, FnItem, SigTok};
-use crate::rules::ORDERED_ITER_METHODS;
+use crate::rules::{for_loop_container, ORDERED_ITER_METHODS};
 
 /// Pseudo-variable standing for a function's return value.
 const RET: &str = "<ret>";
@@ -335,7 +336,13 @@ fn extract(
                 i = j.max(i + 1);
                 continue;
             }
-            let (rhs, stop) = scan_rhs(toks, j + 1, end, det, raw_lines);
+            let (mut rhs, stop) = scan_rhs(toks, j + 1, end, det, raw_lines);
+            // `for <pat> in &map {` iterates the container itself.
+            if let Some(c) = for_loop_container(end, |k| (toks[k].text, toks[k].kind), i) {
+                rhs.source |= det.contains(toks[c].text)
+                    && !line_is_frozen(raw_lines, t.line)
+                    && !line_is_frozen(raw_lines, toks[c].line);
+            }
             for (name, at) in pat {
                 out.push(Assign {
                     lhs: name,

@@ -726,6 +726,68 @@ fn order_frozen_marker_suppresses_and_is_recorded() {
 }
 
 #[test]
+fn order_sensitive_iteration_fires_on_for_over_borrowed_field() {
+    let src = "struct E {\n    newest: DetHashMap<u64, u64>,\n}\nimpl E {\n    fn gc(&mut self) {\n        for (w, v) in &self.newest {\n            touch(w, v);\n        }\n    }\n}\n";
+    fires_once(
+        "crates/engines/src/e.rs",
+        src,
+        "order-sensitive-iteration",
+        6,
+        29,
+    );
+}
+
+#[test]
+fn order_sensitive_iteration_fires_on_for_over_owned_local() {
+    let src = "fn f() {\n    let lines: DetHashMap<u64, [u8; 64]> = DetHashMap::default();\n    for (l, img) in lines {\n        write(l, img);\n    }\n}\n";
+    fires_once(
+        "crates/hoop/src/g.rs",
+        src,
+        "order-sensitive-iteration",
+        3,
+        21,
+    );
+}
+
+#[test]
+fn order_sensitive_iteration_fires_on_for_over_mut_borrow() {
+    let src = "struct E { m: DetHashSet<u64> }\nimpl E {\n    fn f(&mut self) {\n        for x in &mut self.m {}\n    }\n}\n";
+    fires_once(
+        "crates/nvm/src/s.rs",
+        src,
+        "order-sensitive-iteration",
+        4,
+        28,
+    );
+}
+
+#[test]
+fn order_frozen_marker_suppresses_a_for_loop() {
+    let src = "fn f() {\n    let lines: DetHashMap<u64, u64> = DetHashMap::default();\n    // lint:order-frozen: sets the crash-point order\n    for (l, v) in &lines {}\n}\n";
+    let r = lint_source("crates/hoop/src/g.rs", src);
+    assert!(r.is_clean(), "findings: {:?}", r.findings);
+    assert_eq!(r.allows.len(), 1);
+    assert_eq!(r.allows[0].rule, "order-sensitive-iteration");
+}
+
+#[test]
+fn for_loops_over_other_iterables_are_not_flagged() {
+    // A Vec field, a range, a method chain on a det map (the method rule's
+    // case, flagged once at `.iter()` if at all), and an `impl … for`
+    // header must not trip the loop form.
+    let src = "struct E { log: Vec<u64>, m: DetHashMap<u64, u64> }\nimpl Clone for E {\n    fn clone(&self) -> E {\n        for x in &self.log {}\n        for i in 0..self.m.len() {}\n        todo!()\n    }\n}\n";
+    clean("crates/engines/src/v.rs", src);
+    let chained = "struct E { m: DetHashMap<u64, u64> }\nimpl E {\n    fn f(&self) {\n        for (k, v) in self.m.iter() {}\n    }\n}\n";
+    fires_once(
+        "crates/engines/src/v.rs",
+        chained,
+        "order-sensitive-iteration",
+        4,
+        30,
+    );
+}
+
+#[test]
 fn vec_iteration_is_not_flagged() {
     let src = "struct E { log: Vec<u64> }\nimpl E {\n    fn f(&self) { for x in self.log.iter() {} }\n}\n";
     clean("crates/engines/src/v.rs", src);
@@ -847,6 +909,20 @@ impl E {
 }
 "#;
     clean("crates/hoop/src/gcfrozen.rs", src);
+}
+
+/// A `for` loop over the det map itself is a taint source like `.drain()`,
+/// and a frozen-order marker on the loop clears it.
+#[test]
+fn det_taint_convicts_a_for_loop_over_a_det_map() {
+    let live = TAINTED_TIMING_ENGINE.replace("self.newest.drain()", "&self.newest");
+    let f = fires_once("crates/hoop/src/gc.rs", &live, "det-taint", 6, 13);
+    assert!(f.snippet.contains("next_gc_cycle"));
+    let frozen = live.replace(
+        "        for (w, v)",
+        "        // lint:order-frozen: fixed by DESIGN.md §8\n        for (w, v)",
+    );
+    clean("crates/hoop/src/gc.rs", &frozen);
 }
 
 #[test]

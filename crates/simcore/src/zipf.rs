@@ -20,6 +20,9 @@ pub struct Zipfian {
     zetan: f64,
     eta: f64,
     zeta2: f64,
+    /// `1 + 0.5^theta`: draws with `u * zetan` below it (and at least 1)
+    /// return item 1.
+    second_cut: f64,
 }
 
 impl Zipfian {
@@ -42,6 +45,7 @@ impl Zipfian {
             zetan,
             eta,
             zeta2,
+            second_cut: 1.0 + 0.5f64.powf(theta),
         }
     }
 
@@ -85,7 +89,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.second_cut {
             return 1;
         }
         let spread = (self.eta * u - self.eta + 1.0).max(f64::MIN_POSITIVE);
@@ -167,6 +171,34 @@ mod tests {
         let exact: f64 = (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum();
         let approx = Zipfian::zeta(n, theta);
         assert!((exact - approx).abs() / exact < 1e-3);
+    }
+
+    /// The exact normalisation is the plain left-to-right sum, bit for bit.
+    #[test]
+    fn zetan_is_the_direct_sum() {
+        for (n, theta) in [(32_768u64, 0.99), (4096, 0.99), (37, 0.5)] {
+            let direct: f64 = (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum();
+            let z = Zipfian::new(n, theta);
+            assert_eq!(z.zetan.to_bits(), direct.to_bits(), "n={n}");
+            assert_eq!(z.p_first().to_bits(), (1.0 / direct).to_bits());
+        }
+    }
+
+    /// A clone of a used generator draws exactly what a freshly
+    /// normalised one draws: the generator keeps no state between draws.
+    #[test]
+    fn clone_draws_like_a_fresh_generator() {
+        let shared = Zipfian::ycsb(32_768);
+        let mut warm = SimRng::seed(1);
+        for _ in 0..100 {
+            shared.next(&mut warm);
+        }
+        let clone = shared.clone();
+        let fresh = Zipfian::ycsb(32_768);
+        let (mut a, mut b) = (SimRng::seed(11), SimRng::seed(11));
+        for _ in 0..10_000 {
+            assert_eq!(clone.next(&mut a), fresh.next(&mut b));
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use nvm::device::TrafficBytes;
 use nvm::media::MediaSummary;
 use simcore::config::SimConfig;
 use simcore::time::cycles_to_ms;
+use simcore::zipf::Zipfian;
 use simcore::{CoreId, Cycle};
 
 use crate::pbtree::PBTree;
@@ -27,13 +28,24 @@ use crate::TxWorkload;
 
 /// Builds one workload instance (deterministic per `stream`).
 pub fn build_workload(spec: WorkloadSpec, stream: u64) -> Box<dyn TxWorkload> {
+    build_with(spec, stream, &mut None)
+}
+
+/// [`build_workload`], taking the spec's Zipfian from `zipf` and building
+/// it there on first use, so that workers built from one spec normalise it
+/// once.
+fn build_with(spec: WorkloadSpec, stream: u64, zipf: &mut Option<Zipfian>) -> Box<dyn TxWorkload> {
+    let mut zipf = || {
+        zipf.get_or_insert_with(|| Zipfian::new(spec.items, spec.zipf_theta))
+            .clone()
+    };
     match spec.kind {
-        WorkloadKind::Vector => Box::new(PVector::new(spec, stream)),
-        WorkloadKind::Hashmap => Box::new(PHashmap::new(spec, stream)),
+        WorkloadKind::Vector => Box::new(PVector::with_zipf(spec, stream, zipf())),
+        WorkloadKind::Hashmap => Box::new(PHashmap::with_zipf(spec, stream, zipf())),
         WorkloadKind::Queue => Box::new(PQueue::new(spec, stream)),
         WorkloadKind::RbTree => Box::new(PRbTree::new(spec, stream)),
         WorkloadKind::BTree => Box::new(PBTree::new(spec, stream)),
-        WorkloadKind::Ycsb => Box::new(Ycsb::new(spec, stream)),
+        WorkloadKind::Ycsb => Box::new(Ycsb::with_zipf(spec, stream, zipf())),
         WorkloadKind::Tpcc => Box::new(TpccNewOrder::new(spec, stream)),
     }
 }
@@ -216,12 +228,14 @@ impl std::fmt::Debug for Driver {
 }
 
 impl Driver {
-    /// Builds one workload instance per worker core of `cfg`.
+    /// Builds one workload instance per worker core of `cfg`; the workers
+    /// share one normalisation of the spec's Zipfian.
     pub fn new(spec: WorkloadSpec, cfg: &SimConfig) -> Self {
         let workers = cfg.worker_threads as usize;
+        let mut zipf = None;
         Driver {
             workloads: (0..workers)
-                .map(|w| build_workload(spec, w as u64))
+                .map(|w| build_with(spec, w as u64, &mut zipf))
                 .collect(),
             workers,
             issued: vec![0; workers],
@@ -430,6 +444,78 @@ mod tests {
                     "{name}"
                 );
             }
+        }
+    }
+
+    /// The Zipfian-driven workloads at the quick specs' 128 items, with
+    /// 64-B and 1-KB items.
+    fn seeded_specs() -> impl Iterator<Item = WorkloadSpec> {
+        [
+            WorkloadKind::Vector,
+            WorkloadKind::Hashmap,
+            WorkloadKind::Ycsb,
+        ]
+        .into_iter()
+        .flat_map(|kind| [WorkloadSpec::small(kind), WorkloadSpec::large(kind)])
+        .map(|spec| WorkloadSpec { items: 128, ..spec })
+    }
+
+    /// Straight after set-up every worker verifies, and the durable image
+    /// equals the volatile one over the whole seeded region, on every
+    /// engine.
+    #[test]
+    fn seeding_verifies_and_is_durable_on_every_engine() {
+        let cfg = SimConfig::small_for_tests();
+        for spec in seeded_specs() {
+            for name in ENGINES {
+                let mut sys = build_system(name, &cfg);
+                let start = sys.alloc(64);
+                let mut driver = Driver::new(spec, &cfg);
+                driver.setup(&mut sys);
+                let len = (sys.alloc(64).0 - start.0) as usize;
+                let what = format!("{name} {}-{}B", spec.kind, spec.item_bytes);
+                assert_eq!(driver.verify(&sys), 0, "{what}");
+                let volatile = sys.peek_vec(start, len);
+                assert!(volatile.iter().any(|&b| b != 0), "{what}: nothing seeded");
+                assert!(
+                    volatile == sys.engine().durable().read_vec(start, len),
+                    "{what}: durable image differs from the volatile one"
+                );
+            }
+        }
+    }
+
+    /// The workers of one `Driver` share a Zipfian; they seed and issue
+    /// exactly what separately built workers do.
+    #[test]
+    fn seeding_and_draws_match_separately_built_workers() {
+        let cfg = SimConfig::small_for_tests();
+        let workers = cfg.worker_threads;
+        for spec in seeded_specs() {
+            let mut shared = System::new_capture(&cfg);
+            shared.start_recording(true);
+            let mut driver = Driver::new(spec, &cfg);
+            driver.setup(&mut shared);
+            let mut alone = System::new_capture(&cfg);
+            alone.start_recording(true);
+            let mut built: Vec<_> = (0..workers)
+                .map(|w| build_workload(spec, u64::from(w)))
+                .collect();
+            for (w, wl) in (0..workers).zip(&mut built) {
+                wl.setup(&mut alone, CoreId(w));
+            }
+            for (c, wl) in (0..workers).zip(&mut built) {
+                for _ in 0..50 {
+                    driver.run_one(&mut shared, CoreId(c));
+                    wl.run_tx(&mut alone, CoreId(c));
+                }
+            }
+            assert!(
+                shared.take_trace() == alone.take_trace(),
+                "{}-{}B",
+                spec.kind,
+                spec.item_bytes
+            );
         }
     }
 

@@ -105,8 +105,11 @@ impl Table {
         while sys.peek_u64(self.bucket_addr(b)) != 0 {
             b = (b + 1) & (self.buckets - 1);
         }
-        sys.write_initial(self.bucket_addr(b), &(key | 1 << 63).to_le_bytes());
-        sys.write_initial(self.bucket_addr(b).offset(8), &addr.0.to_le_bytes());
+        // The bucket as one record: the tag, then the row address.
+        let mut bucket = [0u8; 16];
+        bucket[..8].copy_from_slice(&(key | 1 << 63).to_le_bytes());
+        bucket[8..].copy_from_slice(&addr.0.to_le_bytes());
+        sys.write_initial(self.bucket_addr(b), &bucket);
         self.slot_keys[(slot % self.capacity) as usize] = key;
         addr
     }

@@ -43,6 +43,12 @@ pub struct PHashmap {
 impl PHashmap {
     /// Creates the workload from its spec.
     pub fn new(spec: WorkloadSpec, stream: u64) -> Self {
+        Self::with_zipf(spec, stream, Zipfian::new(spec.items, spec.zipf_theta))
+    }
+
+    /// [`new`](PHashmap::new) with the spec's entry-popularity generator
+    /// already built.
+    pub fn with_zipf(spec: WorkloadSpec, stream: u64, zipf: Zipfian) -> Self {
         let buckets = (spec.items * 2).next_power_of_two();
         assert!(buckets <= u64::from(NO_ROW), "row index fits a slot");
         PHashmap {
@@ -51,7 +57,7 @@ impl PHashmap {
             buckets,
             bucket_bytes: 8 + spec.item_bytes,
             rng: SimRng::seed(spec.seed ^ 0xA5A5).fork(stream),
-            zipf: Zipfian::new(spec.items, spec.zipf_theta),
+            zipf,
             slot: vec![NO_ROW; buckets as usize],
             rows: Vec::new(),
             inserted: Vec::new(),
@@ -160,6 +166,7 @@ impl TxWorkload for PHashmap {
         self.base = sys.alloc(self.buckets * self.bucket_bytes);
         let entries = self.spec.items / 2;
         self.rows.reserve(entries as usize * self.row_words());
+        let mut bytes = Vec::with_capacity(self.bucket_bytes as usize);
         for i in 0..entries {
             let key = i * 2 + 1; // nonzero keys
             let mut b = self.hash(key);
@@ -168,11 +175,14 @@ impl TxWorkload for PHashmap {
             }
             let payload = (0..self.payload_words()).map(|field| key.wrapping_mul(field + 1));
             let row = self.push_row(b, key, payload);
-            // The bucket's words in order: the key, then the payload.
-            let addr = self.bucket_addr(b);
-            for (i, v) in self.rows[row * self.row_words()..].iter().enumerate() {
-                sys.write_initial(addr.offset(i as u64 * 8), &v.to_le_bytes());
-            }
+            // The bucket as one record: the key, then the payload.
+            bytes.clear();
+            bytes.extend(
+                self.rows[row * self.row_words()..]
+                    .iter()
+                    .flat_map(|v| v.to_le_bytes()),
+            );
+            sys.write_initial(self.bucket_addr(b), &bytes);
         }
     }
 

@@ -33,13 +33,19 @@ impl PVector {
     /// Creates the workload from its spec (call
     /// [`setup`](TxWorkload::setup) before running transactions).
     pub fn new(spec: WorkloadSpec, stream: u64) -> Self {
+        Self::with_zipf(spec, stream, Zipfian::new(spec.items, spec.zipf_theta))
+    }
+
+    /// [`new`](PVector::new) with the spec's item-popularity generator
+    /// already built.
+    pub fn with_zipf(spec: WorkloadSpec, stream: u64, zipf: Zipfian) -> Self {
         let fields = spec.item_bytes / 8;
         PVector {
             spec,
             base: PAddr(0),
             len: 0,
             rng: SimRng::seed(spec.seed).fork(stream),
-            zipf: Zipfian::new(spec.items, spec.zipf_theta),
+            zipf,
             shadow: vec![0; (spec.items * fields) as usize],
             version: 1,
         }
@@ -75,15 +81,20 @@ impl TxWorkload for PVector {
 
     fn setup(&mut self, sys: &mut System, _core: CoreId) {
         self.base = sys.alloc(self.spec.items * self.spec.item_bytes);
-        // Pre-populate half the capacity, like the paper's benchmarks.
-        let fields = self.fields();
+        // Pre-populate half the capacity, like the paper's benchmarks:
+        // word `i` of the prefix holds `i + 1`, seeded one item at a time.
         self.len = self.spec.items / 2;
-        for item in 0..self.len {
-            for field in 0..fields {
-                let v = item.wrapping_mul(fields) + field + 1;
-                sys.write_initial(self.word_addr(item, field), &v.to_le_bytes());
-                self.shadow[(item * fields + field) as usize] = v;
+        let fields = self.fields() as usize;
+        let mut bytes = Vec::with_capacity(self.spec.item_bytes as usize);
+        let prefix = self.shadow.chunks_exact_mut(fields).take(self.len as usize);
+        for (item, words) in prefix.enumerate() {
+            bytes.clear();
+            for (field, v) in words.iter_mut().enumerate() {
+                *v = (item * fields + field) as u64 + 1;
+                bytes.extend_from_slice(&v.to_le_bytes());
             }
+            let addr = self.base.offset(item as u64 * self.spec.item_bytes);
+            sys.write_initial(addr, &bytes);
         }
     }
 

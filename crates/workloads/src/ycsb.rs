@@ -49,13 +49,19 @@ pub struct Ycsb {
 impl Ycsb {
     /// Creates the workload from its spec.
     pub fn new(spec: WorkloadSpec, stream: u64) -> Self {
+        Self::with_zipf(spec, stream, Zipfian::new(spec.items, spec.zipf_theta))
+    }
+
+    /// [`new`](Ycsb::new) with the spec's key-popularity generator already
+    /// built.
+    pub fn with_zipf(spec: WorkloadSpec, stream: u64, zipf: Zipfian) -> Self {
         // One YCSB field is ~1/10 of the record, rounded to whole words.
         let field_words = (spec.item_bytes / 10 / 8).max(1);
         Ycsb {
             spec,
             table: None,
             rng: SimRng::seed(spec.seed ^ 0x9C5B).fork(stream),
-            zipf: Zipfian::new(spec.items, spec.zipf_theta),
+            zipf,
             slot: Vec::new(),
             touched: Vec::new(),
             row: vec![0; spec.item_bytes as usize],
