@@ -108,3 +108,25 @@ fn committed_trace_replays_identically_on_every_engine() {
         );
     }
 }
+
+/// The encoder is canonical over the committed pack: every file decodes and
+/// re-encodes to exactly its bytes.
+#[test]
+fn committed_pack_reencodes_byte_identically() {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(pack_dir())
+        .expect("committed pack directory")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "trace"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "no traces in the committed pack");
+    for path in files {
+        let bytes = std::fs::read(&path).expect("committed trace reads");
+        let tf = TraceReader::decode(&bytes).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(
+            tf.encode() == bytes,
+            "{} does not re-encode to its own bytes",
+            path.display()
+        );
+    }
+}

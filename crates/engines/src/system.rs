@@ -140,6 +140,14 @@ impl System {
         self.recording.take().unwrap_or_default()
     }
 
+    /// Moves out the events captured since recording started or since the
+    /// last drain, and keeps recording into the same buffer (empty if
+    /// recording was never started). Draining after every transaction
+    /// keeps the buffer one transaction long.
+    pub fn drain_trace(&mut self) -> impl Iterator<Item = Event> + '_ {
+        self.recording.iter_mut().flat_map(|t| t.drain(..))
+    }
+
     fn record(&mut self, ev: Event) {
         if let Some(t) = &mut self.recording {
             t.push(ev);
@@ -172,9 +180,9 @@ impl System {
                 addr: addr.0,
                 len: data.len() as u32,
                 data: if self.record_values {
-                    data.to_vec()
+                    data.into()
                 } else {
-                    Vec::new()
+                    Box::default()
                 },
             });
         }
@@ -355,7 +363,7 @@ impl System {
                 Event::Store {
                     core,
                     addr,
-                    data: data.to_vec(),
+                    data: data.into(),
                 }
             } else {
                 Event::StoreShape {

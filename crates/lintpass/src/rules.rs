@@ -35,7 +35,7 @@
 //!
 //! | rule | rejects |
 //! |------|---------|
-//! | `order-sensitive-iteration` | `.iter()`/`.keys()`/`.values()`/`.drain()` on a receiver declared `DetHashMap`/`DetHashSet` in the same file, or a `for … in` loop over such a receiver itself (`in map`, `in &map`, `in &mut self.map`), unless annotated `lint:order-frozen` |
+//! | `order-sensitive-iteration` | `.iter()`/`.keys()`/`.values()`/`.drain()` on a receiver declared `DetHashMap`/`DetHashSet` in the same file or bound by `let` to a call of a workspace function returning one, or a `for … in` loop over such a receiver itself (`in map`, `in &map`, `in &mut self.map`), unless annotated `lint:order-frozen` |
 //! | `shard-shared-mut` | `static mut`, `thread_local!`, or interior-mutability containers (`Rc<`, `RefCell<`, `Cell<`, `UnsafeCell<`, `Mutex<`, `RwLock<`) in simulation crates — `--jobs` runs cells concurrently on host threads, and shared mutable state would couple one cell's result to another's schedule — unless annotated `lint:shard-serial` |
 //! | `sim-state-float` | casting a float-tainted expression to an integer/`Cycle` type |
 //! | `lossy-cycle-cast` | `as` truncation of a cycle/clock-named counter to a sub-64-bit integer |
@@ -411,7 +411,7 @@ pub fn analyze(path: &str, source: &str, graph: &CallGraph, taint: &TaintIndex) 
         }
     }
     if ctx.in_scope(ITER_SCOPE) {
-        rule_order_sensitive_iteration(&mut ctx);
+        rule_order_sensitive_iteration(&mut ctx, taint.det_returns());
         rule_shard_shared_mut(&mut ctx);
     }
     if ctx.in_scope(NUMERIC_SCOPE) {
@@ -684,34 +684,81 @@ fn is_call(toks: &[SigTok<'_>], i: usize) -> bool {
     toks[i].kind == TokenKind::Ident && toks.get(i + 1).is_some_and(|t| t.text == "(")
 }
 
-/// Collects names declared with a `DetHashMap`/`DetHashSet` type annotation
-/// anywhere in the file (struct fields and annotated `let`s).
-fn det_container_names(ctx: &FileCtx<'_>) -> BTreeSet<String> {
+/// Whether `name` is a det container type.
+fn is_det_container(name: &str) -> bool {
+    name == "DetHashMap" || name == "DetHashSet"
+}
+
+/// Collects the names bound to a `DetHashMap`/`DetHashSet` anywhere in the
+/// file: a `name: [path::]DetHashMap` annotation (struct fields and
+/// annotated `let`s), or `let [mut] name = [path::]f(..)` where `f` is one
+/// of `det_fns`, the workspace functions that declare such a return type.
+/// det-taint's iteration sources use the same vocabulary. `tok(k)` gives
+/// the text and kind of token `k < n`.
+pub(crate) fn det_container_names<'s>(
+    n: usize,
+    tok: impl Fn(usize) -> (&'s str, TokenKind),
+    det_fns: &BTreeSet<String>,
+) -> BTreeSet<String> {
+    let ident = |k: usize| k < n && tok(k).1 == TokenKind::Ident;
+    let text_is = |k: usize, s: &str| k < n && tok(k).0 == s;
     let mut names = BTreeSet::new();
-    for i in 0..ctx.sig.len() {
-        let t = ctx.text(i);
-        if t != "DetHashMap" && t != "DetHashSet" {
-            continue;
-        }
-        // Walk left over `segment::` path prefixes.
-        let mut j = i;
-        while j >= 3
-            && ctx.is(j - 1, ":")
-            && ctx.is(j - 2, ":")
-            && ctx.kind(j - 3) == Some(TokenKind::Ident)
-        {
-            j -= 3;
-        }
-        // Expect `name :` immediately before the (possibly qualified) type.
-        if j >= 2
-            && ctx.is(j - 1, ":")
-            && !ctx.is(j - 2, ":")
-            && ctx.kind(j - 2) == Some(TokenKind::Ident)
-        {
-            names.insert(ctx.text(j - 2).to_string());
+    for i in 0..n {
+        if is_det_container(tok(i).0) {
+            // Walk left over `segment::` path prefixes.
+            let mut j = i;
+            while j >= 3 && text_is(j - 1, ":") && text_is(j - 2, ":") && ident(j - 3) {
+                j -= 3;
+            }
+            // Expect `name :` immediately before the (possibly qualified) type.
+            if j >= 2 && text_is(j - 1, ":") && !text_is(j - 2, ":") && ident(j - 2) {
+                names.insert(tok(j - 2).0.to_string());
+            }
+        } else if tok(i) == ("let", TokenKind::Ident) {
+            let mut j = i + 1;
+            if text_is(j, "mut") {
+                j += 1;
+            }
+            if !ident(j) || !text_is(j + 1, "=") {
+                continue;
+            }
+            // Walk right over `segment::` path prefixes to the callee.
+            let mut k = j + 2;
+            while ident(k) && text_is(k + 1, ":") && text_is(k + 2, ":") {
+                k += 3;
+            }
+            if ident(k) && text_is(k + 1, "(") && det_fns.contains(tok(k).0) {
+                names.insert(tok(j).0.to_string());
+            }
         }
     }
     names
+}
+
+/// Whether `f`'s signature declares a `[path::]DetHashMap` or
+/// `[path::]DetHashSet` return type.
+pub(crate) fn returns_det_container(toks: &[SigTok<'_>], f: &FnItem) -> bool {
+    let open = f.body.0.saturating_sub(1).min(toks.len());
+    let mut depth = 0i64;
+    for k in f.name_idx + 1..open {
+        match toks[k].text {
+            "(" | "[" => depth += 1,
+            ")" | "]" => depth -= 1,
+            "-" if depth == 0 && toks.get(k + 1).is_some_and(|t| t.text == ">") => {
+                let mut r = k + 2;
+                while r + 2 < open
+                    && toks[r].kind == TokenKind::Ident
+                    && toks[r + 1].text == ":"
+                    && toks[r + 2].text == ":"
+                {
+                    r += 3;
+                }
+                return r < open && is_det_container(toks[r].text);
+            }
+            _ => {}
+        }
+    }
+    false
 }
 
 /// For a `for` keyword at token `i`, the index of the iterated container
@@ -754,8 +801,8 @@ pub(crate) fn for_loop_container<'s>(
     last.filter(|_| j < n && tok(j).0 == "{")
 }
 
-fn rule_order_sensitive_iteration(ctx: &mut FileCtx<'_>) {
-    let typed = det_container_names(ctx);
+fn rule_order_sensitive_iteration(ctx: &mut FileCtx<'_>, det_fns: &BTreeSet<String>) {
+    let typed = det_container_names(ctx.sig.len(), |k| (ctx.text(k), ctx.sig[k].kind), det_fns);
     if typed.is_empty() {
         return;
     }

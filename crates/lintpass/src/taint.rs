@@ -46,7 +46,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::TokenKind;
 use crate::parse::{functions, sig_tokens, FnItem, SigTok};
-use crate::rules::{for_loop_container, ORDERED_ITER_METHODS};
+use crate::rules::{
+    det_container_names, for_loop_container, returns_det_container, ORDERED_ITER_METHODS,
+};
 
 /// Pseudo-variable standing for a function's return value.
 const RET: &str = "<ret>";
@@ -167,35 +169,9 @@ fn line_is_frozen(raw_lines: &[&str], line: u32) -> bool {
     false
 }
 
-/// Names declared with a `DetHashMap`/`DetHashSet` type annotation
-/// anywhere in the file (struct fields and annotated `let`s) — the same
-/// receiver vocabulary `order-sensitive-iteration` uses.
-fn det_names(toks: &[SigTok<'_>]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for i in 0..toks.len() {
-        let t = toks[i].text;
-        if t != "DetHashMap" && t != "DetHashSet" {
-            continue;
-        }
-        // Walk left over `segment::` path prefixes.
-        let mut j = i;
-        while j >= 3
-            && toks[j - 1].text == ":"
-            && toks[j - 2].text == ":"
-            && toks[j - 3].kind == TokenKind::Ident
-        {
-            j -= 3;
-        }
-        // Expect `name :` immediately before the (possibly qualified) type.
-        if j >= 2
-            && toks[j - 1].text == ":"
-            && toks[j - 2].text != ":"
-            && toks[j - 2].kind == TokenKind::Ident
-        {
-            names.insert(toks[j - 2].text.to_string());
-        }
-    }
-    names
+/// Det-container names of a file (see [`det_container_names`]).
+fn det_names(toks: &[SigTok<'_>], det_fns: &BTreeSet<String>) -> BTreeSet<String> {
+    det_container_names(toks.len(), |k| (toks[k].text, toks[k].kind), det_fns)
 }
 
 /// Scans an expression from `start`, collecting variable reads, calls,
@@ -562,8 +538,14 @@ fn local_taint(assigns: &[Assign], fn_tainted: &BTreeSet<String>) -> BTreeSet<St
 /// Workspace-level taint index: per-function assignment facts merged by
 /// function name (same total-on-collision discipline as
 /// [`crate::callgraph`]), solved to the tainted-returns fixpoint.
+///
+/// Facts are extracted at [`TaintIndex::solve`], once every file is known:
+/// a `let` bound to a call of a det-container-returning function is an
+/// iteration source even when that function lives in another file.
 #[derive(Default)]
 pub struct TaintIndex {
+    sources: Vec<String>,
+    det_fns: BTreeSet<String>,
     fns: BTreeMap<String, Vec<Assign>>,
     tainted: BTreeSet<String>,
     solved: bool,
@@ -575,26 +557,40 @@ impl TaintIndex {
         Self::default()
     }
 
-    /// Extracts and merges the assignment facts of every function in
-    /// `source`. Invalidates any previous [`TaintIndex::solve`].
+    /// Adds `source` to the index. Invalidates any previous
+    /// [`TaintIndex::solve`].
     pub fn add_file(&mut self, source: &str) {
-        let toks = sig_tokens(source);
-        let det = det_names(&toks);
-        let raw_lines: Vec<&str> = source.lines().collect();
-        for f in functions(&toks) {
-            let assigns = extract(&toks, &f, &det, &raw_lines);
-            if !assigns.is_empty() {
-                self.fns.entry(f.name).or_default().extend(assigns);
-            }
-        }
+        self.sources.push(source.to_string());
         self.solved = false;
     }
 
-    /// Solves the cross-function tainted-returns fixpoint. Idempotent;
-    /// monotone (the set only grows per round), hence terminating.
+    /// Extracts every file's facts and solves the cross-function
+    /// tainted-returns fixpoint. Idempotent; monotone (the set only grows
+    /// per round), hence terminating.
     pub fn solve(&mut self) {
         if self.solved {
             return;
+        }
+        self.det_fns.clear();
+        for source in &self.sources {
+            let toks = sig_tokens(source);
+            for f in functions(&toks) {
+                if returns_det_container(&toks, &f) {
+                    self.det_fns.insert(f.name);
+                }
+            }
+        }
+        self.fns.clear();
+        for source in &self.sources {
+            let toks = sig_tokens(source);
+            let det = det_names(&toks, &self.det_fns);
+            let raw_lines: Vec<&str> = source.lines().collect();
+            for f in functions(&toks) {
+                let assigns = extract(&toks, &f, &det, &raw_lines);
+                if !assigns.is_empty() {
+                    self.fns.entry(f.name).or_default().extend(assigns);
+                }
+            }
         }
         self.tainted.clear();
         loop {
@@ -614,6 +610,13 @@ impl TaintIndex {
             }
         }
         self.solved = true;
+    }
+
+    /// The indexed functions that declare a `DetHashMap`/`DetHashSet`
+    /// return type. Requires [`TaintIndex::solve`] to have run.
+    pub fn det_returns(&self) -> &BTreeSet<String> {
+        debug_assert!(self.solved, "query before solve()");
+        &self.det_fns
     }
 
     /// Whether the named function's return value is taint-carrying.
@@ -646,7 +649,7 @@ impl TaintIndex {
 /// they are directly reportable by the rule layer.
 pub fn file_hits(source: &str, index: &TaintIndex) -> Vec<usize> {
     let toks = sig_tokens(source);
-    let det = det_names(&toks);
+    let det = det_names(&toks, index.det_returns());
     let raw_lines: Vec<&str> = source.lines().collect();
     let mut hits = Vec::new();
     for f in functions(&toks) {

@@ -799,6 +799,63 @@ fn order_sensitive_iteration_is_scoped_to_sim_crates() {
     clean("crates/bench/src/x.rs", src);
 }
 
+/// A local bound to a call of a function that declares a det-container
+/// return type is a det container too: the GC/recovery shape
+/// `let lines = home_line_images(..); for (l, img) in &lines`.
+const LET_BOUND_DET_RETURN: &str = "fn images() -> DetHashMap<u64, [u8; 64]> {\n    DetHashMap::default()\n}\nfn f() {\n    let lines = gc::images();\n    for (l, img) in &lines {\n        write(l, img);\n    }\n}\n";
+
+#[test]
+fn order_sensitive_iteration_fires_on_let_bound_det_return() {
+    fires_once(
+        "crates/hoop/src/r.rs",
+        LET_BOUND_DET_RETURN,
+        "order-sensitive-iteration",
+        6,
+        22,
+    );
+}
+
+#[test]
+fn order_frozen_marker_suppresses_let_bound_det_return() {
+    let src = LET_BOUND_DET_RETURN.replace(
+        "    for (l, img)",
+        "    // lint:order-frozen: the write order is the contract\n    for (l, img)",
+    );
+    let r = clean("crates/hoop/src/r.rs", &src);
+    assert_eq!(r.allows.len(), 1);
+    assert_eq!(r.allows[0].rule, "order-sensitive-iteration");
+}
+
+#[test]
+fn let_bound_call_without_det_return_is_not_a_det_container() {
+    // A wrapped det container is not iterable as one, and a call to an
+    // unknown function proves nothing.
+    let src = "fn images() -> Option<DetHashMap<u64, u64>> {\n    None\n}\nfn f() {\n    let a = images();\n    let b = other();\n    for x in &a {}\n    for y in &b {}\n}\n";
+    clean("crates/hoop/src/r.rs", src);
+}
+
+#[test]
+fn let_bound_det_return_is_seen_across_files() {
+    use lintpass::rules::analyze;
+    use lintpass::taint::TaintIndex;
+    let gc = "pub(crate) fn home_line_images(words: &[u64]) -> simcore::det::DetHashMap<u64, [u8; 64]> {\n    DetHashMap::default()\n}\n";
+    let recovery = "fn recover(&mut self) {\n    let mut lines = home_line_images(&[]);\n    for (l, img) in &lines {}\n}\n";
+    let mut taint = TaintIndex::new();
+    taint.add_file(gc);
+    taint.add_file(recovery);
+    taint.solve();
+    let mut graph = lintpass::callgraph::CallGraph::default();
+    graph.solve();
+    let r = analyze("crates/hoop/src/recovery.rs", recovery, &graph, &taint);
+    let hits: Vec<(usize, usize)> = r
+        .findings
+        .iter()
+        .filter(|f| f.rule == "order-sensitive-iteration")
+        .map(|f| (f.line, f.col))
+        .collect();
+    assert_eq!(hits, vec![(3, 22)]);
+}
+
 // ---------------------------------------------------------- sim-state-float
 
 #[test]

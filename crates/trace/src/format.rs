@@ -177,6 +177,35 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Length of every event record's fixed header
+/// `[kind u8][core u8][len u32][addr u64]`.
+const EVENT_HEADER: usize = 14;
+
+/// Length of the file header before the checksummed body: magic, version,
+/// reserved word and checksum.
+const FILE_HEADER: usize = 24;
+
+/// Length of the body's fixed fields, from `kind` through `label_len`.
+const BODY_FIXED: usize = 52;
+
+/// A count or length as the format's `u32`.
+///
+/// # Panics
+///
+/// Panics if it does not fit: version 1 cannot represent it.
+fn u32_len(n: usize, what: &str) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| panic!("{what} of {n} does not fit format v1's u32"))
+}
+
+/// On-disk size of one event record (header plus payload).
+fn event_bytes(ev: &Event) -> usize {
+    EVENT_HEADER
+        + match ev {
+            Event::Store { data, .. } | Event::Init { data, .. } => data.len(),
+            _ => 0,
+        }
+}
+
 fn encode_event(buf: &mut Vec<u8>, ev: &Event) {
     match ev {
         Event::TxBegin { core } => push_record(buf, EV_TX_BEGIN, *core, 0, 0, &[]),
@@ -199,117 +228,67 @@ fn encode_event(buf: &mut Vec<u8>, ev: &Event) {
     }
 }
 
-/// Incremental trace encoder. Feed setup events, then each core's measured
-/// events; [`TraceWriter::finish`] computes the checksum and returns the
-/// file bytes.
-#[derive(Debug)]
-pub struct TraceWriter {
-    header: TraceHeader,
-    setup: Vec<u8>,
-    setup_count: u32,
-    cores: Vec<Vec<u8>>,
-    core_counts: Vec<u32>,
-    tx_counts: Vec<u32>,
-}
-
-impl TraceWriter {
-    /// Starts a trace for `header`.
-    pub fn new(header: TraceHeader) -> Self {
-        let workers = header.workers as usize;
-        TraceWriter {
-            header,
-            setup: Vec::new(),
-            setup_count: 0,
-            cores: vec![Vec::new(); workers],
-            core_counts: vec![0; workers],
-            tx_counts: vec![0; workers],
-        }
-    }
-
-    /// Appends one event to the ordered setup section.
-    pub fn push_setup(&mut self, ev: &Event) {
-        encode_event(&mut self.setup, ev);
-        self.setup_count += 1;
-    }
-
-    /// Appends one measured event to its core's stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an [`Event::Init`] (setup-only) or a core outside the
-    /// header's worker range.
-    pub fn push_event(&mut self, ev: &Event) {
-        let core = ev.core().expect("Init events belong to the setup section");
-        let buf = &mut self.cores[core as usize];
-        encode_event(buf, ev);
-        self.core_counts[core as usize] += 1;
-        if matches!(ev, Event::TxEnd { .. }) {
-            self.tx_counts[core as usize] += 1;
-        }
-    }
-
-    /// Finalizes the trace and returns the complete file bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any core's completed-transaction count differs from the
-    /// header's `txs_per_core` — the recorder must deliver exactly the
-    /// advertised depth.
-    pub fn finish(self) -> Vec<u8> {
-        for (c, &n) in self.tx_counts.iter().enumerate() {
-            assert_eq!(
-                n, self.header.txs_per_core,
-                "core {c} recorded {n} transactions, header says {}",
-                self.header.txs_per_core
-            );
-        }
-        let h = &self.header;
-        let mut body = Vec::new();
-        body.push(kind_code(h.spec.kind));
-        body.push(h.workers);
-        body.extend_from_slice(&0u16.to_le_bytes());
-        body.extend_from_slice(&h.spec.item_bytes.to_le_bytes());
-        body.extend_from_slice(&h.spec.items.to_le_bytes());
-        body.extend_from_slice(&h.spec.seed.to_le_bytes());
-        body.extend_from_slice(&h.spec.zipf_theta.to_bits().to_le_bytes());
-        body.extend_from_slice(&h.spec.update_fraction.to_bits().to_le_bytes());
-        body.extend_from_slice(&h.txs_per_core.to_le_bytes());
-        body.extend_from_slice(&(h.label.len() as u32).to_le_bytes());
-        body.extend_from_slice(h.label.as_bytes());
-        body.extend_from_slice(&self.setup_count.to_le_bytes());
-        body.extend_from_slice(&self.setup);
-        for (core, count) in self.cores.iter().zip(&self.core_counts) {
-            body.extend_from_slice(&count.to_le_bytes());
-            body.extend_from_slice(core);
-        }
-        let mut out = Vec::with_capacity(body.len() + 24);
-        out.extend_from_slice(&TRACE_MAGIC);
-        out.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
-    }
-
-    /// [`finish`](TraceWriter::finish) and write the bytes to `path`.
-    pub fn write_to(self, path: &Path) -> Result<(), TraceError> {
-        let bytes = self.finish();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| TraceError::Io(format!("{}: {e}", dir.display())))?;
-            }
-        }
-        std::fs::write(path, bytes).map_err(|e| TraceError::Io(format!("{}: {e}", path.display())))
-    }
-}
-
 fn push_record(buf: &mut Vec<u8>, kind: u8, core: u8, len: u32, addr: u64, payload: &[u8]) {
-    buf.push(kind);
-    buf.push(core);
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&addr.to_le_bytes());
+    let mut head = [0u8; EVENT_HEADER];
+    head[0] = kind;
+    head[1] = core;
+    head[2..6].copy_from_slice(&len.to_le_bytes());
+    head[6..].copy_from_slice(&addr.to_le_bytes());
+    buf.extend_from_slice(&head);
     buf.extend_from_slice(payload);
+}
+
+/// Groups one core's event stream into whole transactions, each at its
+/// exact length, checking core ownership and transaction discipline. The
+/// decoder and the recorder share it.
+pub(crate) struct TxSplitter {
+    core: u8,
+    txs: Vec<Vec<Event>>,
+    /// The open transaction. It leaves at its exact length at its `TxEnd`;
+    /// only this buffer ever grows.
+    open: Vec<Event>,
+}
+
+impl TxSplitter {
+    /// A splitter for `core`'s stream; `depth`, the expected transaction
+    /// count, is used only as a capacity.
+    pub(crate) fn new(core: u8, depth: usize) -> Self {
+        TxSplitter {
+            core,
+            txs: Vec::with_capacity(depth),
+            open: Vec::new(),
+        }
+    }
+
+    fn corrupt(&self, what: &str) -> Result<(), TraceError> {
+        Err(TraceError::Corrupt(format!("core {}: {what}", self.core)))
+    }
+
+    /// Appends the stream's next event.
+    pub(crate) fn push(&mut self, ev: Event) -> Result<(), TraceError> {
+        if ev.core() != Some(self.core) {
+            return self.corrupt(&format!("stream holds {ev:?}"));
+        }
+        match (self.open.is_empty(), &ev) {
+            (true, Event::TxBegin { .. }) => self.open.push(ev),
+            (true, _) => return self.corrupt("event outside a transaction"),
+            (false, Event::TxBegin { .. }) => return self.corrupt("nested TxBegin"),
+            (false, Event::TxEnd { .. }) => {
+                self.open.push(ev);
+                self.txs.push(self.open.drain(..).collect());
+            }
+            (false, _) => self.open.push(ev),
+        }
+        Ok(())
+    }
+
+    /// The stream's transactions, or an error if it ends inside one.
+    pub(crate) fn finish(self) -> Result<Vec<Vec<Event>>, TraceError> {
+        if !self.open.is_empty() {
+            self.corrupt("stream ends inside a transaction")?;
+        }
+        Ok(self.txs)
+    }
 }
 
 /// Decoder for the binary format: validates magic, version, and checksum,
@@ -332,26 +311,34 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self, reading: &'static str) -> Result<[u8; N], TraceError> {
+        Ok(self
+            .take(N, reading)?
+            .try_into()
+            .expect("take returns N bytes"))
+    }
+
+    /// An upper bound on the records still to come, each at least
+    /// `min_bytes` long: caps a capacity read from the file, so a bad count
+    /// cannot reserve more memory than the bytes could ever hold.
+    fn fit(&self, count: u32, min_bytes: usize) -> usize {
+        (count as usize).min((self.bytes.len() - self.pos) / min_bytes)
+    }
+
     fn u8(&mut self, reading: &'static str) -> Result<u8, TraceError> {
         Ok(self.take(1, reading)?[0])
     }
 
     fn u16(&mut self, reading: &'static str) -> Result<u16, TraceError> {
-        Ok(u16::from_le_bytes(
-            self.take(2, reading)?.try_into().unwrap(),
-        ))
+        Ok(u16::from_le_bytes(self.array(reading)?))
     }
 
     fn u32(&mut self, reading: &'static str) -> Result<u32, TraceError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, reading)?.try_into().unwrap(),
-        ))
+        Ok(u32::from_le_bytes(self.array(reading)?))
     }
 
     fn u64(&mut self, reading: &'static str) -> Result<u64, TraceError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, reading)?.try_into().unwrap(),
-        ))
+        Ok(u64::from_le_bytes(self.array(reading)?))
     }
 }
 
@@ -395,7 +382,7 @@ impl TraceReader {
             .map_err(|_| TraceError::Corrupt("label is not UTF-8".into()))?;
 
         let setup_count = c.u32("setup count")?;
-        let mut setup = Vec::new();
+        let mut setup = Vec::with_capacity(c.fit(setup_count, EVENT_HEADER));
         for _ in 0..setup_count {
             setup.push(Self::event(&mut c, workers)?);
         }
@@ -403,47 +390,11 @@ impl TraceReader {
         let mut per_core = Vec::with_capacity(workers as usize);
         for want_core in 0..workers {
             let count = c.u32("event count")?;
-            let mut txs: Vec<Vec<Event>> = Vec::with_capacity(txs_per_core as usize);
-            let mut open: Option<Vec<Event>> = None;
+            let mut split = TxSplitter::new(want_core, c.fit(txs_per_core, 2 * EVENT_HEADER));
             for _ in 0..count {
-                let ev = Self::event(&mut c, workers)?;
-                match ev.core() {
-                    Some(core) if core == want_core => {}
-                    Some(core) => {
-                        return Err(TraceError::Corrupt(format!(
-                            "event for core {core} inside core {want_core}'s stream"
-                        )))
-                    }
-                    None => {
-                        return Err(TraceError::Corrupt(format!(
-                            "init record inside core {want_core}'s stream"
-                        )))
-                    }
-                }
-                match (&mut open, &ev) {
-                    (None, Event::TxBegin { .. }) => open = Some(vec![ev]),
-                    (None, _) => {
-                        return Err(TraceError::Corrupt(format!(
-                            "core {want_core}: event outside a transaction"
-                        )))
-                    }
-                    (Some(_), Event::TxBegin { .. }) => {
-                        return Err(TraceError::Corrupt(format!(
-                            "core {want_core}: nested TxBegin"
-                        )))
-                    }
-                    (Some(tx), Event::TxEnd { .. }) => {
-                        tx.push(ev);
-                        txs.push(open.take().expect("open transaction"));
-                    }
-                    (Some(tx), _) => tx.push(ev),
-                }
+                split.push(Self::event(&mut c, workers)?)?;
             }
-            if open.is_some() {
-                return Err(TraceError::Corrupt(format!(
-                    "core {want_core}: trailing unterminated transaction"
-                )));
-            }
+            let txs = split.finish()?;
             if txs.len() as u32 != txs_per_core {
                 return Err(TraceError::Corrupt(format!(
                     "core {want_core}: {} transactions, header says {txs_per_core}",
@@ -486,10 +437,10 @@ impl TraceReader {
     }
 
     fn event(c: &mut Cursor<'_>, workers: u8) -> Result<Event, TraceError> {
-        let kind = c.u8("event kind")?;
-        let core = c.u8("event core")?;
-        let len = c.u32("event length")?;
-        let addr = c.u64("event address")?;
+        let head: [u8; EVENT_HEADER] = c.array("event header")?;
+        let (kind, core) = (head[0], head[1]);
+        let len = u32::from_le_bytes(head[2..6].try_into().expect("4 bytes"));
+        let addr = u64::from_le_bytes(head[6..].try_into().expect("8 bytes"));
         let payload = if kind == EV_STORE || kind == EV_INIT {
             c.take(len as usize, "event payload")?
         } else {
@@ -512,19 +463,19 @@ impl TraceReader {
             EV_STORE => Event::Store {
                 core,
                 addr,
-                data: payload.to_vec(),
+                data: payload.into(),
             },
             EV_STORE_SHAPE => Event::StoreShape { core, addr, len },
             EV_LOAD => Event::Load { core, addr, len },
             EV_INIT => Event::Init {
                 addr,
                 len,
-                data: payload.to_vec(),
+                data: payload.into(),
             },
             EV_INIT_SHAPE => Event::Init {
                 addr,
                 len,
-                data: Vec::new(),
+                data: Box::default(),
             },
             other => return Err(TraceError::Corrupt(format!("unknown event kind {other}"))),
         })
@@ -532,20 +483,77 @@ impl TraceReader {
 }
 
 impl TraceFile {
-    /// Encodes this trace back to file bytes (the writer round-trip).
+    /// Encodes this trace to file bytes. The body is written once, into a
+    /// buffer sized up front, and its checksum is then patched into the
+    /// header.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is not well formed: a stream count other than
+    /// `workers`, a stream whose transaction count differs from
+    /// `txs_per_core`, a measured event not issued by its stream's core
+    /// (an `Init` included), or a count the format's `u32` cannot hold. The
+    /// recorder must deliver exactly the advertised shape.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = TraceWriter::new(self.header.clone());
+        let h = &self.header;
+        assert_eq!(
+            self.per_core.len(),
+            h.workers as usize,
+            "{} streams, header says {} workers",
+            self.per_core.len(),
+            h.workers
+        );
+        let events = |evs: &[Event]| evs.iter().map(event_bytes).sum::<usize>();
+        let size = FILE_HEADER
+            + BODY_FIXED
+            + h.label.len()
+            + 4
+            + events(&self.setup)
+            + self
+                .per_core
+                .iter()
+                .map(|txs| 4 + txs.iter().map(|tx| events(tx)).sum::<usize>())
+                .sum::<usize>();
+
+        let mut out = Vec::with_capacity(size);
+        out.extend_from_slice(&TRACE_MAGIC);
+        out.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes()); // checksum, patched below
+        out.push(kind_code(h.spec.kind));
+        out.push(h.workers);
+        out.extend_from_slice(&0u16.to_le_bytes());
+        out.extend_from_slice(&h.spec.item_bytes.to_le_bytes());
+        out.extend_from_slice(&h.spec.items.to_le_bytes());
+        out.extend_from_slice(&h.spec.seed.to_le_bytes());
+        out.extend_from_slice(&h.spec.zipf_theta.to_bits().to_le_bytes());
+        out.extend_from_slice(&h.spec.update_fraction.to_bits().to_le_bytes());
+        out.extend_from_slice(&h.txs_per_core.to_le_bytes());
+        out.extend_from_slice(&u32_len(h.label.len(), "label").to_le_bytes());
+        out.extend_from_slice(h.label.as_bytes());
+        out.extend_from_slice(&u32_len(self.setup.len(), "setup section").to_le_bytes());
         for ev in &self.setup {
-            w.push_setup(ev);
+            encode_event(&mut out, ev);
         }
-        for txs in &self.per_core {
-            for tx in txs {
-                for ev in tx {
-                    w.push_event(ev);
-                }
+        for (c, txs) in self.per_core.iter().enumerate() {
+            assert_eq!(
+                txs.len(),
+                h.txs_per_core as usize,
+                "core {c} recorded {} transactions, header says {}",
+                txs.len(),
+                h.txs_per_core
+            );
+            let count: usize = txs.iter().map(Vec::len).sum();
+            out.extend_from_slice(&u32_len(count, "core stream").to_le_bytes());
+            for ev in txs.iter().flatten() {
+                assert_eq!(ev.core(), Some(c as u8), "core {c}'s stream holds {ev:?}");
+                encode_event(&mut out, ev);
             }
         }
-        w.finish()
+        debug_assert_eq!(out.len(), size);
+        let checksum = fnv1a(&out[FILE_HEADER..]);
+        out[16..FILE_HEADER].copy_from_slice(&checksum.to_le_bytes());
+        out
     }
 
     /// Encodes and writes this trace to `path`, creating parent
@@ -611,19 +619,19 @@ mod tests {
                 Event::Init {
                     addr: 0x1000,
                     len: 128,
-                    data: vec![],
+                    data: Box::default(),
                 },
                 Event::Init {
                     addr: 0x2000,
                     len: 3,
-                    data: vec![1, 2, 3],
+                    data: vec![1, 2, 3].into(),
                 },
                 // Setup-time transaction (the trees pre-populate like this).
                 Event::TxBegin { core: 0 },
                 Event::Store {
                     core: 0,
                     addr: 0x3000,
-                    data: vec![7; 8],
+                    data: vec![7; 8].into(),
                 },
                 Event::TxEnd { core: 0 },
             ],
@@ -677,6 +685,46 @@ mod tests {
             TraceReader::decode(&bytes),
             Err(TraceError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn stream_structure_is_checked() {
+        let split = |evs: Vec<Event>| {
+            let mut split = TxSplitter::new(1, 0);
+            for ev in evs {
+                split.push(ev)?;
+            }
+            split.finish()
+        };
+        let (begin, end) = (Event::TxBegin { core: 1 }, Event::TxEnd { core: 1 });
+        let load = Event::Load {
+            core: 1,
+            addr: 0,
+            len: 8,
+        };
+        let init = Event::Init {
+            addr: 0,
+            len: 8,
+            data: Box::default(),
+        };
+        let txs = split(vec![
+            begin.clone(),
+            load.clone(),
+            end.clone(),
+            begin.clone(),
+            end.clone(),
+        ])
+        .expect("well formed");
+        assert_eq!(txs.iter().map(Vec::len).collect::<Vec<_>>(), [3, 2]);
+        for bad in [
+            vec![load.clone()],
+            vec![begin.clone(), begin.clone(), end.clone()],
+            vec![begin.clone(), load],
+            vec![begin.clone(), Event::TxEnd { core: 0 }],
+            vec![begin, init, end],
+        ] {
+            assert!(matches!(split(bad), Err(TraceError::Corrupt(_))));
+        }
     }
 
     #[test]

@@ -42,8 +42,6 @@ pub mod format;
 pub mod record;
 pub mod replay;
 
-pub use format::{
-    Event, TraceError, TraceFile, TraceHeader, TraceReader, TraceWriter, TRACE_FORMAT_VERSION,
-};
+pub use format::{Event, TraceError, TraceFile, TraceHeader, TraceReader, TRACE_FORMAT_VERSION};
 pub use record::{default_txs_per_core, record_workload, RecordOptions};
 pub use replay::{replay, replay_cell, ReplayWindow};

@@ -3,7 +3,8 @@
 //! Three properties, over arbitrary well-formed traces:
 //!
 //! 1. **Lossless round-trip**: encode → decode reproduces the `TraceFile`
-//!    exactly (and re-encoding is byte-stable — the writer is canonical).
+//!    exactly, with every transaction at its exact length (and re-encoding
+//!    is byte-stable — the encoder is canonical).
 //! 2. **Truncation safety**: cutting the byte stream at *any* length yields
 //!    a `TraceError`, never a panic — a half-written pack must fail loudly.
 //! 3. **Corruption safety**: flipping any single body byte is caught by the
@@ -47,7 +48,7 @@ fn arb_body_event() -> impl Strategy<Value = Event> {
             Event::Store {
                 core: 0,
                 addr,
-                data,
+                data: data.into(),
             }
         }),
         (any::<u64>(), 1u32..4096).prop_map(|(addr, len)| Event::StoreShape { core: 0, addr, len }),
@@ -73,9 +74,9 @@ fn arb_setup() -> impl Strategy<Value = Vec<Event>> {
             addr,
             len,
             data: if values {
-                vec![0xAB; len as usize]
+                vec![0xAB; len as usize].into()
             } else {
-                Vec::new()
+                Box::default()
             },
         }]
     });
@@ -144,7 +145,11 @@ proptest! {
         let bytes = trace.encode();
         let decoded = TraceReader::decode(&bytes).expect("well-formed trace decodes");
         prop_assert_eq!(&decoded, &trace);
-        // Re-encoding is byte-stable (the writer is canonical).
+        // Every decoded transaction is held at its exact length.
+        for tx in decoded.per_core.iter().flatten() {
+            prop_assert_eq!(tx.capacity(), tx.len());
+        }
+        // Re-encoding is byte-stable (the encoder is canonical).
         prop_assert_eq!(decoded.encode(), bytes);
     }
 
