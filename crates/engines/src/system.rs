@@ -22,9 +22,9 @@
 //! assert_eq!(sys.load_u64(CoreId(0), a), 42);
 //! ```
 
-use memhier::Hierarchy;
+use memhier::{Evicted, Hierarchy};
 use nvm::PersistentStore;
-use simcore::addr::lines_covering;
+use simcore::addr::{lines_covering, Line, CACHE_LINE_BYTES};
 use simcore::alloc::BumpAllocator;
 use simcore::persist::{self, Probe};
 use simcore::stats::Histogram;
@@ -58,6 +58,9 @@ pub struct System {
     capture_only: bool,
     next_capture_tx: u64,
     probe: Probe,
+    /// Routes every access through the line-by-line reference walk.
+    #[cfg(test)]
+    by_line_reference: bool,
 }
 
 impl std::fmt::Debug for System {
@@ -93,6 +96,8 @@ impl System {
             capture_only: false,
             next_capture_tx: 1,
             probe: Probe::detached(),
+            #[cfg(test)]
+            by_line_reference: false,
         }
     }
 
@@ -278,7 +283,85 @@ impl System {
         self.clocks[c] += self.engine.tick(self.clocks[c]);
     }
 
+    /// Runs an access of `len` bytes at `addr` through the hierarchy, line
+    /// by line, and returns its latency. An access inside one line (every
+    /// word and aligned line access) skips the line iterator; either way an
+    /// L1 hit stays inline and everything after an LLC miss goes through
+    /// [`finish_llc_miss`](System::finish_llc_miss).
+    #[inline(always)]
     fn access_lines(&mut self, core: CoreId, addr: PAddr, len: u64, write: bool) -> Cycle {
+        #[cfg(test)]
+        if self.by_line_reference {
+            return self.access_lines_reference(core, addr, len, write);
+        }
+        let persistent = write && self.active_tx[core.index()].is_some();
+        if addr.0 % CACHE_LINE_BYTES + len <= CACHE_LINE_BYTES {
+            return self.access_line(core, addr.line(), write, persistent, 0);
+        }
+        let mut latency = 0;
+        for line in lines_covering(addr, len) {
+            latency += self.access_line(core, line, write, persistent, latency);
+        }
+        latency
+    }
+
+    /// One line of [`access_lines`](System::access_lines), `before` cycles
+    /// into the access: the hierarchy's latency, plus the engine's on a
+    /// miss.
+    #[inline(always)]
+    fn access_line(
+        &mut self,
+        core: CoreId,
+        line: Line,
+        write: bool,
+        persistent: bool,
+        before: Cycle,
+    ) -> Cycle {
+        let res = self.hier.access(core, line, write, persistent);
+        // Only a fill evicts, so a hit never carries an eviction.
+        debug_assert!(res.llc_miss || res.evicted.is_none());
+        if !res.llc_miss {
+            return res.latency;
+        }
+        let at = self.clocks[core.index()] + before + res.latency;
+        res.latency + self.finish_llc_miss(core, line, res.evicted, at)
+    }
+
+    /// The engine's side of an LLC miss on `line` at cycle `at`: it serves
+    /// the fill, then receives the dirty line the fill pushed out of the
+    /// LLC, if any (the probe sees the eviction first). Returns the fill
+    /// latency. Out of line: only misses pay for the call.
+    #[inline(never)]
+    fn finish_llc_miss(
+        &mut self,
+        core: CoreId,
+        line: Line,
+        evicted: Option<Evicted>,
+        at: Cycle,
+    ) -> Cycle {
+        let fill = self.engine.on_llc_miss(core, line, at).latency;
+        if let Some(ev) = evicted {
+            let data = self.volatile.read_line(ev.line.base());
+            self.probe.emit(
+                persist::Event::EvictDirty(ev.line, ev.persistent),
+                at + fill,
+            );
+            self.engine
+                .on_evict_dirty(ev.line, ev.persistent, &data, at + fill);
+        }
+        fill
+    }
+
+    /// The line-by-line walk `access_lines` replaces, kept as the reference
+    /// its differential test compares against.
+    #[cfg(test)]
+    fn access_lines_reference(
+        &mut self,
+        core: CoreId,
+        addr: PAddr,
+        len: u64,
+        write: bool,
+    ) -> Cycle {
         let c = core.index();
         let in_tx = self.active_tx[c].is_some();
         let mut latency = 0;
@@ -499,12 +582,170 @@ impl System {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use proptest::prelude::*;
+    use simcore::persist::Subscriber;
+
     use super::*;
     use crate::native::NativeEngine;
 
     fn sys() -> System {
         let cfg = SimConfig::small_for_tests();
         System::new(Box::new(NativeEngine::new(&cfg)), &cfg)
+    }
+
+    type Build = fn(&SimConfig) -> Box<dyn PersistenceEngine>;
+
+    /// Every engine of this crate.
+    const ENGINES: [Build; 6] = [
+        |c| Box::new(NativeEngine::new(c)),
+        |c| Box::new(crate::redo::OptRedoEngine::new(c)),
+        |c| Box::new(crate::undo::OptUndoEngine::new(c)),
+        |c| Box::new(crate::osp::OspEngine::new(c)),
+        |c| Box::new(crate::lsm::LsmEngine::new(c)),
+        |c| Box::new(crate::lad::LadEngine::new(c)),
+    ];
+
+    /// One access of a differential stream: `core` loads or stores `len`
+    /// bytes at byte `offset` of line `line` of the test region, inside a
+    /// transaction when `tx` (opening or closing one on `core` as needed).
+    #[derive(Clone, Copy, Debug)]
+    struct Access {
+        core: u8,
+        store: bool,
+        tx: bool,
+        line: u64,
+        offset: u64,
+        len: u64,
+    }
+
+    /// Lines of the differential test region: three times what the
+    /// differential configuration's LLC holds, so streams of a few dozen
+    /// accesses already force fills and dirty evictions.
+    const REGION_LINES: u64 = 192;
+
+    /// [`SimConfig::small_for_tests`] with 4-set caches (1 KiB L1, 2 KiB L2,
+    /// 4 KiB LLC).
+    fn differential_config() -> SimConfig {
+        let mut cfg = SimConfig::small_for_tests();
+        cfg.l1.capacity_bytes = 1024;
+        cfg.l2.capacity_bytes = 2048;
+        cfg.llc.capacity_bytes = 4096;
+        cfg
+    }
+
+    fn access_strategy() -> impl Strategy<Value = Access> {
+        // Word-aligned, unaligned, and line-straddling (starting up to 7
+        // bytes before a line boundary) offsets.
+        let offset = prop_oneof![
+            (0..8u64).prop_map(|w| w * 8),
+            0..64u64,
+            (1..8u64).prop_map(|b| 64 - b),
+        ];
+        (
+            (0..2u8, any::<bool>(), any::<bool>()),
+            (0..REGION_LINES, offset, 1..=200u64),
+        )
+            .prop_map(|((core, store, tx), (line, offset, len))| Access {
+                core,
+                store,
+                tx,
+                line,
+                offset,
+                len,
+            })
+    }
+
+    /// Logs every probe event with its cycle.
+    #[derive(Default)]
+    struct EventLog(Vec<String>);
+
+    impl Subscriber for EventLog {
+        fn on(&mut self, ev: &persist::Event<'_>, now: Cycle) -> bool {
+            self.0.push(format!("{ev:?}@{now}"));
+            true
+        }
+    }
+
+    /// What a run of `accesses` leaves observable: the values loaded, every
+    /// core's clock, the hierarchy and engine statistics, the probe events,
+    /// and the durable region after a final drain.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        loaded: Vec<Vec<u8>>,
+        clocks: Vec<Cycle>,
+        hier: memhier::HierStats,
+        engine: String,
+        events: Vec<String>,
+        durable: Vec<u8>,
+    }
+
+    fn observe(build: Build, accesses: &[Access], by_line_reference: bool) -> Observed {
+        let cfg = differential_config();
+        let mut s = System::new(build(&cfg), &cfg);
+        s.by_line_reference = by_line_reference;
+        let log = Arc::new(Mutex::new(EventLog::default()));
+        s.attach_probe(Probe::new(log.clone()));
+        let bytes = (REGION_LINES * 64 + 256) as usize;
+        let region = s.alloc(bytes as u64);
+        let mut open: [Option<TxId>; 2] = [None; 2];
+        let mut loaded = Vec::new();
+        for (i, a) in accesses.iter().enumerate() {
+            let core = CoreId(a.core);
+            let slot = &mut open[a.core as usize];
+            match (a.tx, *slot) {
+                (true, None) => *slot = Some(s.tx_begin(core)),
+                (false, Some(tx)) => {
+                    s.tx_end(core, tx);
+                    *slot = None;
+                }
+                _ => {}
+            }
+            let addr = region.offset(a.line * 64 + a.offset);
+            if a.store {
+                let data: Vec<u8> = (0..a.len).map(|b| (i as u64 + b) as u8).collect();
+                s.store_bytes(core, addr, &data);
+            } else {
+                let mut buf = vec![0; a.len as usize];
+                s.load_bytes(core, addr, &mut buf);
+                loaded.push(buf);
+            }
+        }
+        for (c, tx) in open.iter().enumerate() {
+            if let Some(tx) = *tx {
+                s.tx_end(CoreId(c as u8), tx);
+            }
+        }
+        s.drain();
+        let events = std::mem::take(&mut log.lock().expect("event log").0);
+        Observed {
+            loaded,
+            clocks: s.clocks.clone(),
+            hier: *s.hier_stats(),
+            engine: format!("{:?} {:?}", s.engine().stats(), s.engine().extra_metrics()),
+            events,
+            durable: s.engine().durable().read_vec(region, bytes),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `access_lines`' one-line shortcut and its out-of-line miss tail
+        /// leave loads, clocks, hierarchy and engine statistics, probe
+        /// events and the durable image exactly as the line-by-line
+        /// reference walk does, on every engine of this crate.
+        #[test]
+        fn access_path_matches_line_by_line_reference(
+            accesses in prop::collection::vec(access_strategy(), 1..64)
+        ) {
+            for build in ENGINES {
+                let fast = observe(build, &accesses, false);
+                let reference = observe(build, &accesses, true);
+                prop_assert_eq!(fast, reference);
+            }
+        }
     }
 
     #[test]
@@ -603,18 +844,9 @@ mod tests {
     /// engine of this crate.
     #[test]
     fn one_seed_record_equals_its_words() {
-        type Build = fn(&SimConfig) -> Box<dyn PersistenceEngine>;
-        let engines: [Build; 6] = [
-            |c| Box::new(NativeEngine::new(c)),
-            |c| Box::new(crate::redo::OptRedoEngine::new(c)),
-            |c| Box::new(crate::undo::OptUndoEngine::new(c)),
-            |c| Box::new(crate::osp::OspEngine::new(c)),
-            |c| Box::new(crate::lsm::LsmEngine::new(c)),
-            |c| Box::new(crate::lad::LadEngine::new(c)),
-        ];
         let cfg = SimConfig::small_for_tests();
         let data: Vec<u8> = (1..=72).collect();
-        for build in engines {
+        for build in ENGINES {
             let seed = |words: bool| {
                 let mut s = System::new(build(&cfg), &cfg);
                 let region = s.alloc(3 * 4096);

@@ -35,8 +35,10 @@ const WAY_MISS: u32 = u32::MAX;
 /// slot a 4-way set is 64 B (8-way 128 B), but the `Vec<Slot>` holding the
 /// sets is only 8-byte aligned, so a 4-way set straddles two host cache
 /// lines unless the array happens to start 64-B aligned (the L1 arrays of
-/// one HOOP/YCSB run sat at offsets 16 and 48 mod 64). Whether a 64-B
-/// aligned array would speed up the hit path is unmeasured.
+/// one HOOP/YCSB run sat at offsets 16 and 48 mod 64). Padding the array so
+/// that every set starts on a 64-B line was measured on the inlined hit
+/// path and not kept: tree-btree −0.9 % (3 of 4 pairs, inside the noise),
+/// read-ycsb −3.1 % in one round and +2.4 % in the next.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     tag: u64,
@@ -155,7 +157,10 @@ impl Cache {
 
     /// Looks up `line`; on a hit, refreshes LRU and optionally marks the
     /// line dirty/persistent. Returns whether it hit.
-    #[inline]
+    ///
+    /// Forced inline: it is the whole of an L1 hit, and under fat LTO a
+    /// plain hint left it an out-of-line call.
+    #[inline(always)]
     pub fn touch(&mut self, line: Line, write: bool, persistent: bool) -> bool {
         self.tick += 1;
         match self.find_update(line) {

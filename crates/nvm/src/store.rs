@@ -220,8 +220,11 @@ impl PersistentStore {
     }
 
     /// Reads `N` bytes at `addr`: a fixed-size copy when they lie in one
-    /// page, else the slice path.
-    #[inline]
+    /// page, else the slice path. Forced inline, like
+    /// [`write_array`](PersistentStore::write_array): every simulated word
+    /// or line load ends here, and under fat LTO a plain hint left it an
+    /// out-of-line call.
+    #[inline(always)]
     fn read_array<const N: usize>(&self, addr: PAddr) -> [u8; N] {
         let mut out = [0; N];
         let in_page = (addr.0 % PAGE_BYTES) as usize;
@@ -237,7 +240,7 @@ impl PersistentStore {
 
     /// Durably writes `N` bytes at `addr`: a fixed-size copy when they lie
     /// in one page, else the slice path.
-    #[inline]
+    #[inline(always)]
     fn write_array<const N: usize>(&mut self, addr: PAddr, data: &[u8; N]) {
         if !self.valve.is_open() {
             return;
