@@ -39,8 +39,9 @@ use hoop_bench::json::Json;
 /// Alternating pairs per workload.
 const PAIRS: usize = 5;
 /// The perfbench workloads the gate runs: the engine write path, the
-/// LLC-miss path and the cache-hit path.
-const WORKLOADS: [&str; 3] = ["write-hashmap", "read-ycsb", "tree-btree"];
+/// LLC-miss path, the cache-hit path, and trace record, encode and decode
+/// plus the replay loop.
+const WORKLOADS: [&str; 4] = ["write-hashmap", "read-ycsb", "tree-btree", "replay-hashmap"];
 /// `--seconds` per run: one full pass over the seven cells.
 const SECONDS: &str = "3";
 /// The benchmark declaration; its `host_s` and `peak_rss_mib` bounds are

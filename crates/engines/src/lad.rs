@@ -143,12 +143,16 @@ impl PersistenceEngine for LadEngine {
         let lines = self.active.remove(&tx).expect("commit of unknown tx");
         let bytes = lines.len() as u64 * CACHE_LINE_BYTES;
         let first = lines
+            // lint:order-frozen: the first key is the commit burst's start
+            // address; deterministic under the frozen DetHashMap order.
             .keys()
             .next()
             .map(|l| Line(*l).base())
             .unwrap_or(PAddr(0));
         let done = self.base.write_burst(first, bytes, now, TrafficClass::Data);
         if self.base.probe.is_attached() {
+            // lint:order-frozen: sets the crash-point order of the
+            // `DataPersisted` events.
             for l in lines.keys() {
                 // The ordered home burst makes every queued line durable.
                 self.base
@@ -167,6 +171,8 @@ impl PersistenceEngine for LadEngine {
             .emit(Event::CommitRecord(tx), done + COMMIT_PROTOCOL_CYCLES);
         let mut clean_lines = Vec::with_capacity(lines.len());
         if accepted {
+            // lint:order-frozen: sets the ADR queue's entry order, which
+            // recovery replays oldest-first.
             for (l, img) in &lines {
                 self.queue.push(QueuedLine {
                     tx: tx.0,
@@ -180,6 +186,8 @@ impl PersistenceEngine for LadEngine {
                 self.queue.drain(..excess);
             }
         }
+        // lint:order-frozen: sets the home-write order and the order of the
+        // clean lines handed back to the system.
         for (l, img) in lines {
             clean_lines.push(Line(l));
             self.base.store.write_line(Line(l).base(), img);

@@ -295,6 +295,8 @@ impl PersistenceEngine for LsmEngine {
         let words = self.active.remove(&tx).expect("commit of unknown tx");
         // Group words by line into log records.
         let mut per_line: DetHashMap<u64, Vec<(u8, u64)>> = DetHashMap::default();
+        // lint:order-frozen: sets `per_line`'s insertion order, hence its
+        // layout, and the word order inside each log record.
         for (w, v) in &words {
             per_line
                 .entry(*w / CACHE_LINE_BYTES)
@@ -336,6 +338,8 @@ impl PersistenceEngine for LsmEngine {
             self.committed_len = self.log.len();
             self.committed_txs_in_log += 1;
         }
+        // lint:order-frozen: sets `newest`'s insertion order, hence the
+        // layout its GC drain walks.
         for (w, v) in words {
             self.newest.insert(w, v);
         }

@@ -213,6 +213,7 @@ impl PersistenceEngine for OspEngine {
         // Wait for all eager shadow persists, then persist the committed-bit
         // metadata, then pay the (batched) TLB shootdown.
         let mut done = now;
+        // lint:order-frozen: max() over the write set — order-independent.
         for t in lines.values() {
             done = done.max(t.persisted_at);
         }
@@ -221,6 +222,8 @@ impl PersistenceEngine for OspEngine {
         // (one persist-ordering event per write-set line). Every shadow line
         // is durable once the waits resolve — strictly before the
         // committed-bit flip below.
+        // lint:order-frozen: sets the shadow log's record order and the
+        // order of the payload (crash-point) events.
         for (l, t) in &lines {
             if self
                 .base
@@ -255,6 +258,8 @@ impl PersistenceEngine for OspEngine {
         // Flipping the committed copy makes the shadow data the new home
         // image.
         let mut clean_lines = Vec::with_capacity(lines.len());
+        // lint:order-frozen: sets the home-write order and the order of the
+        // clean lines handed back to the system.
         for (l, t) in lines {
             clean_lines.push(Line(l));
             self.base.store.write_line(Line(l).base(), t.image);

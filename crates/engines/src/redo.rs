@@ -92,6 +92,8 @@ impl OptRedoEngine {
         }
         let lines = std::mem::take(&mut self.pending);
         let bytes = lines.len() as u64 * CACHE_LINE_BYTES;
+        // lint:order-frozen: the first key is the checkpoint burst's start
+        // address; deterministic under the frozen DetHashMap order.
         let first = Line(*lines.keys().next().expect("nonempty")).base();
         // Checkpointing is asynchronous background work: stagger it.
         self.base.burst_spread(
@@ -102,6 +104,8 @@ impl OptRedoEngine {
             Op::Write,
             TrafficClass::Checkpoint,
         );
+        // lint:order-frozen: the home-write order sets the crash-point
+        // order of the checkpoint's `Gc` events.
         for (l, img) in lines {
             self.base.probe.emit(Event::Gc, now);
             self.base.store.write_line(Line(l).base(), img);
@@ -213,6 +217,8 @@ impl PersistenceEngine for OptRedoEngine {
         self.log_head = (self.log_head + bytes) % (1 << 32);
         let done = self.base.write_burst(slot, bytes, now, TrafficClass::Log);
         let mut clean_lines = Vec::with_capacity(lines.len());
+        // lint:order-frozen: sets the log's record order, the order of the
+        // payload (crash-point) events and `pending`'s insertion order.
         for (l, img) in lines {
             clean_lines.push(Line(l));
             if self.base.probe.emit(Event::PayloadWrite(tx, Line(l)), now) {

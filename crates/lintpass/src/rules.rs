@@ -689,47 +689,142 @@ fn is_det_container(name: &str) -> bool {
     name == "DetHashMap" || name == "DetHashSet"
 }
 
+/// The names a file binds to a `DetHashMap`/`DetHashSet`.
+#[derive(Default)]
+pub(crate) struct DetNames {
+    /// Annotated names (fields and annotated `let`s): they match as the
+    /// last segment of any path, `m` or `self.m`.
+    annotated: BTreeSet<String>,
+    /// `let`-bound locals: they match only as a bare name, so a local
+    /// `words` says nothing about a field `rec.words`.
+    locals: BTreeSet<String>,
+}
+
+impl DetNames {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.annotated.is_empty() && self.locals.is_empty()
+    }
+
+    /// Whether `name` is a det container where it appears; `dotted` says
+    /// it follows a `.` (it ends a longer path).
+    pub(crate) fn matches(&self, name: &str, dotted: bool) -> bool {
+        self.annotated.contains(name) || (!dotted && self.locals.contains(name))
+    }
+}
+
 /// Collects the names bound to a `DetHashMap`/`DetHashSet` anywhere in the
-/// file: a `name: [path::]DetHashMap` annotation (struct fields and
-/// annotated `let`s), or `let [mut] name = [path::]f(..)` where `f` is one
-/// of `det_fns`, the workspace functions that declare such a return type.
+/// file. Four shapes bind one:
+///
+/// - a `name: [path::]DetHashMap` annotation (struct fields and annotated
+///   `let`s);
+/// - `let [mut] name = [path::]f(..)` where `f` is one of `det_fns`, the
+///   workspace functions that declare such a return type;
+/// - `let [mut] name = a.b.m.remove(..)` where `m` is annotated as a
+///   `DetHashMap` whose *values* are det containers (the per-transaction
+///   write sets an engine takes out at commit);
+/// - `let [mut] name = [std::][mem::]take(&mut a.b.m)` where `m` is itself
+///   a det container.
+///
 /// det-taint's iteration sources use the same vocabulary. `tok(k)` gives
 /// the text and kind of token `k < n`.
 pub(crate) fn det_container_names<'s>(
     n: usize,
     tok: impl Fn(usize) -> (&'s str, TokenKind),
     det_fns: &BTreeSet<String>,
-) -> BTreeSet<String> {
+) -> DetNames {
     let ident = |k: usize| k < n && tok(k).1 == TokenKind::Ident;
     let text_is = |k: usize, s: &str| k < n && tok(k).0 == s;
-    let mut names = BTreeSet::new();
+    // From `k`, past `segment::` path prefixes to the final segment.
+    let skip_path = |mut k: usize| {
+        while ident(k) && text_is(k + 1, ":") && text_is(k + 2, ":") {
+            k += 3;
+        }
+        k
+    };
+    // From `k`, over a field path `a.b.m`: the index of `m` (when the path
+    // has at least one segment) and of the token after it.
+    let field_path = |mut k: usize| {
+        let mut last = None;
+        while ident(k) {
+            last = Some(k);
+            if !text_is(k + 1, ".") || !ident(k + 2) {
+                return (last, k + 1);
+            }
+            k += 2;
+        }
+        (last, k)
+    };
+    let mut names = DetNames::default();
+    // Annotated names whose type is `DetHashMap<K, V>` with `V` a det
+    // container.
+    let mut nested = BTreeSet::new();
     for i in 0..n {
-        if is_det_container(tok(i).0) {
-            // Walk left over `segment::` path prefixes.
-            let mut j = i;
-            while j >= 3 && text_is(j - 1, ":") && text_is(j - 2, ":") && ident(j - 3) {
-                j -= 3;
+        if !is_det_container(tok(i).0) {
+            continue;
+        }
+        // Walk left over `segment::` path prefixes.
+        let mut j = i;
+        while j >= 3 && text_is(j - 1, ":") && text_is(j - 2, ":") && ident(j - 3) {
+            j -= 3;
+        }
+        // Expect `name :` immediately before the (possibly qualified) type.
+        if j < 2 || !text_is(j - 1, ":") || text_is(j - 2, ":") || !ident(j - 2) {
+            continue;
+        }
+        let name = tok(j - 2).0.to_string();
+        // The value type follows the first comma at generic depth 1.
+        if text_is(i + 1, "<") {
+            let mut depth = 0i32;
+            let mut k = i + 1;
+            while k < n {
+                match tok(k).0 {
+                    "<" | "(" | "[" => depth += 1,
+                    ">" | ")" | "]" => depth -= 1,
+                    "," if depth == 1 => break,
+                    _ => {}
+                }
+                if depth == 0 {
+                    break;
+                }
+                k += 1;
             }
-            // Expect `name :` immediately before the (possibly qualified) type.
-            if j >= 2 && text_is(j - 1, ":") && !text_is(j - 2, ":") && ident(j - 2) {
-                names.insert(tok(j - 2).0.to_string());
+            if text_is(k, ",") && is_det_container(tok(skip_path(k + 1)).0) {
+                nested.insert(name.clone());
             }
-        } else if tok(i) == ("let", TokenKind::Ident) {
-            let mut j = i + 1;
-            if text_is(j, "mut") {
-                j += 1;
-            }
-            if !ident(j) || !text_is(j + 1, "=") {
-                continue;
-            }
-            // Walk right over `segment::` path prefixes to the callee.
-            let mut k = j + 2;
-            while ident(k) && text_is(k + 1, ":") && text_is(k + 2, ":") {
-                k += 3;
-            }
-            if ident(k) && text_is(k + 1, "(") && det_fns.contains(tok(k).0) {
-                names.insert(tok(j).0.to_string());
-            }
+        }
+        names.annotated.insert(name);
+    }
+    // `let` bindings, after every annotation is known.
+    for i in 0..n {
+        if tok(i) != ("let", TokenKind::Ident) {
+            continue;
+        }
+        let mut j = i + 1;
+        if text_is(j, "mut") {
+            j += 1;
+        }
+        if !ident(j) || !text_is(j + 1, "=") {
+            continue;
+        }
+        let k = skip_path(j + 2);
+        let call = ident(k) && text_is(k + 1, "(");
+        let det = if call && det_fns.contains(tok(k).0) {
+            true
+        } else if call && tok(k).0 == "take" && text_is(k + 2, "&") && text_is(k + 3, "mut") {
+            let (last, after) = field_path(k + 4);
+            text_is(after, ")") && last.is_some_and(|m| names.matches(tok(m).0, m > k + 4))
+        } else {
+            // `a.b.m.remove(`: the path's last segment is the method.
+            let (last, after) = field_path(j + 2);
+            last.is_some_and(|r| {
+                r >= j + 4
+                    && tok(r).0 == "remove"
+                    && text_is(after, "(")
+                    && nested.contains(tok(r - 2).0)
+            })
+        };
+        if det {
+            names.locals.insert(tok(j).0.to_string());
         }
     }
     names
@@ -812,14 +907,16 @@ fn rule_order_sensitive_iteration(ctx: &mut FileCtx<'_>, det_fns: &BTreeSet<Stri
         if !ORDERED_ITER_METHODS.contains(&m) || !ctx.is(i + 1, "(") || !ctx.is(i - 1, ".") {
             continue;
         }
-        if ctx.kind(i - 2) == Some(TokenKind::Ident) && typed.contains(ctx.text(i - 2)) {
+        if ctx.kind(i - 2) == Some(TokenKind::Ident)
+            && typed.matches(ctx.text(i - 2), i >= 3 && ctx.is(i - 3, "."))
+        {
             hits.push(i);
         }
     }
     let n = ctx.sig.len();
     for i in 0..n {
         if let Some(c) = for_loop_container(n, |k| (ctx.text(k), ctx.sig[k].kind), i) {
-            if typed.contains(ctx.text(c)) {
+            if typed.matches(ctx.text(c), ctx.is(c - 1, ".")) {
                 hits.push(c);
             }
         }

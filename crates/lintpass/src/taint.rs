@@ -47,7 +47,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::lexer::TokenKind;
 use crate::parse::{functions, sig_tokens, FnItem, SigTok};
 use crate::rules::{
-    det_container_names, for_loop_container, returns_det_container, ORDERED_ITER_METHODS,
+    det_container_names, for_loop_container, returns_det_container, DetNames, ORDERED_ITER_METHODS,
 };
 
 /// Pseudo-variable standing for a function's return value.
@@ -170,7 +170,7 @@ fn line_is_frozen(raw_lines: &[&str], line: u32) -> bool {
 }
 
 /// Det-container names of a file (see [`det_container_names`]).
-fn det_names(toks: &[SigTok<'_>], det_fns: &BTreeSet<String>) -> BTreeSet<String> {
+fn det_names(toks: &[SigTok<'_>], det_fns: &BTreeSet<String>) -> DetNames {
     det_container_names(toks.len(), |k| (toks[k].text, toks[k].kind), det_fns)
 }
 
@@ -182,7 +182,7 @@ fn scan_rhs(
     toks: &[SigTok<'_>],
     start: usize,
     end: usize,
-    det: &BTreeSet<String>,
+    det: &DetNames,
     raw_lines: &[&str],
 ) -> (Rhs, usize) {
     let mut r = Rhs::default();
@@ -265,7 +265,8 @@ fn scan_rhs(
                     // the marker directly above the `.values()` call, the
                     // same anchor `order-sensitive-iteration` uses.
                     let method_line = toks[j - 1].line;
-                    if det.contains(recv_last)
+                    let dotted = segs.len() > 2 || (i > 0 && toks[i - 1].text == ".");
+                    if det.matches(recv_last, dotted)
                         && ORDERED_ITER_METHODS.contains(&callee)
                         && !line_is_frozen(raw_lines, t.line)
                         && !line_is_frozen(raw_lines, method_line)
@@ -285,12 +286,7 @@ fn scan_rhs(
 }
 
 /// Extracts the assignment facts of one function body.
-fn extract(
-    toks: &[SigTok<'_>],
-    f: &FnItem,
-    det: &BTreeSet<String>,
-    raw_lines: &[&str],
-) -> Vec<Assign> {
+fn extract(toks: &[SigTok<'_>], f: &FnItem, det: &DetNames, raw_lines: &[&str]) -> Vec<Assign> {
     let end = f.body.1.min(toks.len());
     let is_fold = f.name == "fold";
     let mut out = Vec::new();
@@ -315,7 +311,7 @@ fn extract(
             let (mut rhs, stop) = scan_rhs(toks, j + 1, end, det, raw_lines);
             // `for <pat> in &map {` iterates the container itself.
             if let Some(c) = for_loop_container(end, |k| (toks[k].text, toks[k].kind), i) {
-                rhs.source |= det.contains(toks[c].text)
+                rhs.source |= det.matches(toks[c].text, toks[c - 1].text == ".")
                     && !line_is_frozen(raw_lines, t.line)
                     && !line_is_frozen(raw_lines, toks[c].line);
             }

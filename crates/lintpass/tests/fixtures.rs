@@ -856,6 +856,61 @@ fn let_bound_det_return_is_seen_across_files() {
     assert_eq!(hits, vec![(3, 22)]);
 }
 
+/// A write set taken out of a det map whose values are det maps: the
+/// engines' commit shape `let lines = self.active.remove(&tx).expect(..)`.
+const REMOVED_DET_VALUE: &str = "struct E {\n    active: DetHashMap<u64, DetHashMap<u64, u64>>,\n}\nimpl E {\n    fn commit(&mut self, tx: u64) {\n        let lines = self.active.remove(&tx).expect(\"known tx\");\n        for (l, v) in lines {\n            write(l, v);\n        }\n    }\n}\n";
+
+/// A det field moved out whole: Opt-Redo's checkpoint shape
+/// `let lines = std::mem::take(&mut self.pending)`.
+const TAKEN_DET_FIELD: &str = "struct E {\n    pending: DetHashMap<u64, u64>,\n}\nimpl E {\n    fn checkpoint(&mut self) {\n        let lines = std::mem::take(&mut self.pending);\n        let first = lines.keys().next();\n    }\n}\n";
+
+#[test]
+fn order_sensitive_iteration_fires_on_removed_det_value() {
+    fires_once(
+        "crates/engines/src/e.rs",
+        REMOVED_DET_VALUE,
+        "order-sensitive-iteration",
+        7,
+        23,
+    );
+}
+
+#[test]
+fn order_sensitive_iteration_fires_on_taken_det_field() {
+    fires_once(
+        "crates/engines/src/e.rs",
+        TAKEN_DET_FIELD,
+        "order-sensitive-iteration",
+        7,
+        27,
+    );
+}
+
+#[test]
+fn order_frozen_marker_suppresses_removed_and_taken_containers() {
+    for (src, site) in [
+        (REMOVED_DET_VALUE, "        for (l, v)"),
+        (TAKEN_DET_FIELD, "        let first"),
+    ] {
+        let frozen = src.replace(
+            site,
+            &format!("        // lint:order-frozen: sets the write order\n{site}"),
+        );
+        let r = clean("crates/engines/src/e.rs", &frozen);
+        assert_eq!(r.allows.len(), 1);
+        assert_eq!(r.allows[0].rule, "order-sensitive-iteration");
+    }
+}
+
+#[test]
+fn removed_or_taken_non_det_values_are_not_det_containers() {
+    // A det map of vectors yields a vector; taking a vector field yields a
+    // vector; and a let-bound local `words` says nothing about a field
+    // `rec.words` elsewhere in the file.
+    let src = "struct R { words: Box<[u64]> }\nstruct E {\n    active: DetHashMap<u64, Vec<u64>>,\n    nested: DetHashMap<u64, DetHashMap<u64, u64>>,\n    log: Vec<u64>,\n}\nimpl E {\n    fn f(&mut self, tx: u64, rec: &R) {\n        let a = self.active.remove(&tx).unwrap_or_default();\n        let b = std::mem::take(&mut self.log);\n        for x in a {}\n        for y in b {}\n        for z in &rec.words {}\n    }\n    fn g(&mut self, tx: u64) {\n        let words = self.nested.remove(&tx).unwrap_or_default();\n        let _ = words.len();\n    }\n}\n";
+    clean("crates/engines/src/v.rs", src);
+}
+
 // ---------------------------------------------------------- sim-state-float
 
 #[test]

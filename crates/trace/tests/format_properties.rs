@@ -1,20 +1,28 @@
 //! Property tests for the binary trace format.
 //!
-//! Three properties, over arbitrary well-formed traces:
+//! Three properties over arbitrary well-formed traces, and three of the
+//! checksum alone:
 //!
 //! 1. **Lossless round-trip**: encode → decode reproduces the `TraceFile`
 //!    exactly, with every transaction at its exact length (and re-encoding
 //!    is byte-stable — the encoder is canonical).
 //! 2. **Truncation safety**: cutting the byte stream at *any* length yields
 //!    a `TraceError`, never a panic — a half-written pack must fail loudly.
-//! 3. **Corruption safety**: flipping any single body byte is caught by the
-//!    checksum (or record validation), again as an error, never a panic.
+//! 3. **Corruption safety**: flipping any single byte, header included, is
+//!    caught by the magic, version, reserved-field or checksum check (or by
+//!    record validation), again as an error, never a panic.
+//! 4. **The checksum sees every byte**: on bodies of 0–4 KiB, and on every
+//!    length from 0 to 70 (each tail length around the 32-byte stripe),
+//!    flipping any one byte changes [`checksum`] itself, whatever the
+//!    parser would make of the bytes.
+//! 5. **Known answers** pin the function, so a silent change to it fails.
 //!
 //! The strategies are written against the workspace's in-tree proptest shim
 //! (integer ranges, tuples, `vec`, `prop_map`, `prop_oneof` — no flat-map),
 //! so shapes are generated at a fixed maximum and cut down in a final map.
 
 use proptest::prelude::*;
+use trace::format::checksum;
 use trace::{Event, TraceFile, TraceHeader, TraceReader};
 use workloads::spec::{WorkloadKind, WorkloadSpec};
 
@@ -168,11 +176,60 @@ proptest! {
         flip in 1u8..=255,
     ) {
         let mut bytes = trace.encode();
-        // Corrupt the checksummed body only (offset 24 onward); magic and
-        // version corruption are covered by the format unit tests.
-        let body_start = 24usize;
-        let pos = body_start + (pos_pick % (bytes.len() - body_start) as u64) as usize;
+        let pos = (pos_pick % bytes.len() as u64) as usize;
         bytes[pos] ^= flip;
-        prop_assert!(TraceReader::decode(&bytes).is_err());
+        prop_assert!(TraceReader::decode(&bytes).is_err(), "flip at byte {} decoded", pos);
     }
+
+    #[test]
+    fn checksum_changes_on_any_byte_flip(
+        body in prop::collection::vec(any::<u8>(), 1..=4096),
+        pos_pick in any::<u64>(),
+        flip in 1u8..=255,
+    ) {
+        let pos = (pos_pick % body.len() as u64) as usize;
+        let mut flipped = body.clone();
+        flipped[pos] ^= flip;
+        prop_assert!(checksum(&body) != checksum(&flipped), "flip at byte {}", pos);
+    }
+
+    #[test]
+    fn checksum_changes_at_every_tail_length(
+        body in prop::collection::vec(any::<u8>(), 70..=70),
+        pos_pick in any::<u64>(),
+        flip in 1u8..=255,
+    ) {
+        for len in 1..=body.len() {
+            let pos = (pos_pick % len as u64) as usize;
+            let mut flipped = body[..len].to_vec();
+            flipped[pos] ^= flip;
+            prop_assert!(checksum(&body[..len]) != checksum(&flipped), "length {}", len);
+        }
+    }
+}
+
+/// The empty body has a checksum too, distinct from every one-byte body.
+#[test]
+fn checksum_of_empty_and_one_byte_bodies_differ() {
+    let empty = checksum(&[]);
+    for b in 0..=255u8 {
+        assert_ne!(checksum(&[b]), empty, "byte {b:#04x}");
+    }
+}
+
+/// Published xxHash64 (seed 0) answers, one per code path: the empty
+/// input, a short input (tail bytes only) and a 39-byte input (one
+/// 32-byte stripe, then a 4-byte word and 3 tail bytes). A 136-byte
+/// pattern covers four stripes and an 8-byte tail word; its answer is
+/// this implementation's own, pinned.
+#[test]
+fn checksum_known_answers() {
+    assert_eq!(checksum(b""), 0xef46_db37_51d8_e999);
+    assert_eq!(checksum(b"abc"), 0x44bc_2cf5_ad77_0999);
+    assert_eq!(
+        checksum(b"Nobody inspects the spammish repetition"),
+        0xfbce_a83c_8a37_8bf1
+    );
+    let pattern: Vec<u8> = (0..=135u8).map(|i| i.wrapping_mul(37)).collect();
+    assert_eq!(checksum(&pattern), 0x85d4_ea78_1cca_0d57);
 }
