@@ -1,23 +1,26 @@
 //! Token-aware static analyzer for the HOOP reproduction (`lintpass`).
 //!
 //! The workspace's determinism and persist-order lint: a real lexer
-//! ([`lexer`]) and a flow-sensitive analysis stack: [`parse`] recovers per-function bodies from the lossless
-//! token stream, [`cfg`] builds basic-block control-flow graphs (if/else,
-//! match arms, loops with break/continue, early return, `?`), [`dataflow`]
-//! runs a forward must/may/must-zero evidence analysis over them (the dual
-//! loop model), and [`callgraph`] solves transitive per-function summaries
-//! to a worklist fixpoint so helper-function persists propagate through
-//! calls at any depth, with a backward *observed-by-caller* bit for
-//! sanitizer visibility. On that stack, [`rules`] implements the
-//! determinism/safety rules plus the persistency family — most importantly
-//! **persist-order**, the static complement of the runtime persistency
-//! sanitizer: a commit event must be *dominated* by a payload
+//! ([`lexer`]) and a flow-sensitive analysis stack: [`parse`] recovers
+//! per-function bodies from the lossless token stream, [`cfg`] builds
+//! basic-block control-flow graphs (if/else, match arms, loops with
+//! break/continue, early return, `?`), [`dataflow`] runs a forward
+//! must/may/must-zero evidence analysis over them (the dual loop model),
+//! and [`callgraph`] solves transitive per-function summaries to a worklist
+//! fixpoint so helper-function persists propagate through calls at any
+//! depth, with a backward *observed-by-caller* bit for sanitizer
+//! visibility. On that stack, [`rules`] implements the persistency family —
+//! most importantly **persist-order**, the static complement of the runtime
+//! persistency sanitizer: a commit event must be *dominated* by a payload
 //! persist (the paper's §III-G ordering, Fig. 4), with the branch-shaped
 //! violation split out as **commit-in-branch**, the loop-carried-dominance
 //! gap surfaced as the **persist-in-loop-only** advisory, and the
 //! sanitizer's own visibility proven by **hook-coverage**. A second
 //! family, [`taint`], tracks order-sensitive values (**det-taint**) from
-//! their sources into simulated state.
+//! their sources into simulated state, and scope-based determinism rules
+//! cover the simulation crates. Generic checks that need no knowledge of
+//! this repo (`std` hash containers, host clocks, `unsafe`) are left to
+//! rustc and clippy, configured by the workspace's root `clippy.toml`.
 //!
 //! The analyzer is *hermetic*: no dependencies, not even in-tree ones, so it
 //! can never be broken by the crates it checks and builds in a bare
@@ -29,8 +32,6 @@
 //! * [`lint_paths`] / [`lint_paths_rel`] — walk directories twice: pass 1
 //!   builds the workspace call graph from persistency-scoped files, pass 2
 //!   analyzes every `.rs` file against it.
-//! * [`baseline`] — committed-baseline gating (CI fails only on new
-//!   findings; stale entries demand a refresh).
 //! * [`report::to_json`] — the schema-versioned `results/lint.json` export.
 //! * [`cfg_dot_at`] — Graphviz dot of the CFG of the function containing a
 //!   given line (`xtask lint --cfg-dot`, CI failure artifacts).
@@ -40,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
@@ -50,8 +50,7 @@ pub mod report;
 pub mod rules;
 pub mod taint;
 
-pub use baseline::{gate, Baseline, BaselineEntry, GateOutcome};
-pub use report::{Allow, BaselineSummary, Finding, LintReport};
+pub use report::{Allow, Finding, LintReport};
 
 use std::fs;
 use std::io;
@@ -120,8 +119,8 @@ pub fn collect_files(roots: &[PathBuf]) -> io::Result<Vec<PathBuf>> {
 }
 
 /// Scans every `.rs` file under `roots`. When `rel_root` is given, reported
-/// paths are made relative to it (the form committed in the baseline and
-/// exported to JSON, so reports are machine-independent).
+/// paths are made relative to it (the form exported to JSON, so reports are
+/// machine-independent).
 ///
 /// Two passes: the first builds the workspace call graph from every file in
 /// the persistency scope (`crates/engines`, `crates/hoop`) and the taint

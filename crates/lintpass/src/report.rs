@@ -1,7 +1,7 @@
 //! Finding/report types and the schema-versioned JSON export.
 //!
 //! The JSON document written to `results/lint.json` is versioned under
-//! `"schema": "hoop-lint/3"` and fully deterministic: findings are reported
+//! `"schema": "hoop-lint/4"` and fully deterministic: findings are reported
 //! in file-walk order (sorted paths) with repo-relative paths, and the
 //! per-rule count map enumerates every known rule (zeros included) so
 //! downstream tooling never has to special-case missing keys.
@@ -11,7 +11,10 @@
 //! the `stale_allows` array (annotations that no longer suppress anything —
 //! warnings, never failures); `/3` adds the `persist-in-loop-only` /
 //! `det-taint` count keys and the `advisories` array (warning-severity
-//! findings from the dual loop model — printed and exported, never gated).
+//! findings from the dual loop model — printed and exported, never gated);
+//! `/4` drops the count keys of the six generic rules the compiler now
+//! checks (`det-hash`, `wall-clock`, `thread-rng`, `par-iter`,
+//! `unsafe-safety`, `forbid-unsafe`) and the `baseline` block.
 
 use crate::rules::{rule_counts, RULE_IDS};
 
@@ -24,7 +27,7 @@ pub struct Finding {
     pub line: usize,
     /// 1-based column of the offending token.
     pub col: usize,
-    /// Rule identifier (`det-hash`, `persist-order`, ...).
+    /// Rule identifier (`persist-order`, `det-taint`, ...).
     pub rule: &'static str,
     /// The offending source line, trimmed.
     pub snippet: String,
@@ -47,8 +50,9 @@ pub struct Allow {
     pub path: String,
     /// 1-based line of the suppressed finding.
     pub line: usize,
-    /// Rule that was suppressed.
-    pub rule: &'static str,
+    /// Rule that was suppressed (for a stale allow, the name the marker
+    /// gives, which need not be a rule).
+    pub rule: String,
 }
 
 /// Result of scanning a set of files.
@@ -57,7 +61,7 @@ pub struct LintReport {
     /// Violations (empty for a clean tree).
     pub findings: Vec<Finding>,
     /// Warning-severity findings (`persist-in-loop-only`): printed and
-    /// exported, but never gated against the baseline and never a failure.
+    /// exported, but never a failure.
     pub advisories: Vec<Finding>,
     /// Annotated exceptions that suppressed a finding.
     pub allows: Vec<Allow>,
@@ -100,11 +104,10 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Serializes a report (plus optional baseline accounting) as the
-/// `hoop-lint/3` JSON document.
-pub fn to_json(report: &LintReport, baseline: Option<&BaselineSummary>) -> String {
+/// Serializes a report as the `hoop-lint/4` JSON document.
+pub fn to_json(report: &LintReport) -> String {
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"hoop-lint/3\",\n");
+    s.push_str("{\n  \"schema\": \"hoop-lint/4\",\n");
     s.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
     s.push_str("  \"counts\": {");
     let counts = rule_counts(report);
@@ -191,12 +194,6 @@ pub fn to_json(report: &LintReport, baseline: Option<&BaselineSummary>) -> Strin
     } else {
         "\n  ]"
     });
-    if let Some(b) = baseline {
-        s.push_str(&format!(
-            ",\n  \"baseline\": {{\"entries\": {}, \"matched\": {}, \"new\": {}, \"fixed\": {}}}",
-            b.entries, b.matched, b.new, b.fixed
-        ));
-    }
     s.push_str("\n}\n");
     s
 }
@@ -248,19 +245,6 @@ pub fn taint_to_json(index: &crate::taint::TaintIndex, report: &LintReport) -> S
     s
 }
 
-/// Baseline accounting embedded in the JSON export.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BaselineSummary {
-    /// Entries in the committed baseline.
-    pub entries: usize,
-    /// Findings matched (suppressed) by the baseline.
-    pub matched: usize,
-    /// Findings NOT in the baseline (these fail CI).
-    pub new: usize,
-    /// Baseline entries with no matching finding (stale — require refresh).
-    pub fixed: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,8 +254,8 @@ mod tests {
             path: "crates/x/src/a.rs".into(),
             line: 3,
             col: 9,
-            rule: "det-hash",
-            snippet: "let m = HashMap::new();".into(),
+            rule: "lossy-cycle-cast",
+            snippet: "let lo = now as u32;".into(),
         }
     }
 
@@ -279,7 +263,7 @@ mod tests {
     fn display_includes_position_and_rule() {
         let msg = finding().to_string();
         assert!(msg.contains("crates/x/src/a.rs:3:9"));
-        assert!(msg.contains("det-hash"));
+        assert!(msg.contains("lossy-cycle-cast"));
     }
 
     #[test]
@@ -293,18 +277,18 @@ mod tests {
             allows: vec![Allow {
                 path: "b.rs".into(),
                 line: 1,
-                rule: "wall-clock",
+                rule: "shard-shared-mut".into(),
             }],
             stale_allows: vec![Allow {
                 path: "c.rs".into(),
                 line: 7,
-                rule: "det-hash",
+                rule: "wall-clock".into(),
             }],
             files_scanned: 2,
         };
-        let j = to_json(&report, None);
-        assert!(j.contains("\"schema\": \"hoop-lint/3\""));
-        assert!(j.contains("\"det-hash\": 1"));
+        let j = to_json(&report);
+        assert!(j.contains("\"schema\": \"hoop-lint/4\""));
+        assert!(j.contains("\"lossy-cycle-cast\": 1"));
         assert!(j.contains("\"persist-order\": 0"));
         assert!(j.contains("\"commit-in-branch\": 0"));
         assert!(j.contains("\"hook-coverage\": 0"));
@@ -313,10 +297,16 @@ mod tests {
         assert!(j.contains("\"det-taint\": 0"));
         assert!(j.contains("\"advisories\": ["));
         assert!(j.contains("\"files_scanned\": 2"));
-        assert!(j.contains("HashMap::new()"));
-        assert!(j.contains("\"wall-clock\""));
+        assert!(j.contains("now as u32"));
+        assert!(j.contains("\"b.rs\", \"line\": 1, \"rule\": \"shard-shared-mut\""));
         assert!(j.contains("\"stale_allows\": ["));
-        assert!(j.contains("\"c.rs\", \"line\": 7"));
+        // A stale allow may name a retired rule; it is exported as given.
+        assert!(j.contains("\"c.rs\", \"line\": 7, \"rule\": \"wall-clock\""));
+        // Nine rules and no baseline block: the six generic rules are the
+        // compiler's, so they have no count key.
+        assert_eq!(j.matches("\n    \"").count(), 9);
+        assert!(!j.contains("\"det-hash\""));
+        assert!(!j.contains("baseline"));
     }
 
     #[test]
@@ -328,24 +318,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        let j = to_json(&report, None);
+        let j = to_json(&report);
         assert!(j.contains("a \\\"quoted\\\"\\tsnippet\\\\"));
-    }
-
-    #[test]
-    fn json_baseline_block() {
-        let report = LintReport::default();
-        let j = to_json(
-            &report,
-            Some(&BaselineSummary {
-                entries: 4,
-                matched: 3,
-                new: 0,
-                fixed: 1,
-            }),
-        );
-        assert!(
-            j.contains("\"baseline\": {\"entries\": 4, \"matched\": 3, \"new\": 0, \"fixed\": 1}")
-        );
     }
 }

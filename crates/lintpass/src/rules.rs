@@ -3,19 +3,12 @@
 //! Rules run over the significant-token view of a file (whitespace and
 //! comments filtered out, raw lines kept for snippets and annotations), so
 //! a hazard split across lines is still found and the same text inside a
-//! string or comment never is. Three rule families:
-//!
-//! **Determinism/safety rules** (workspace-wide) — the token re-implementation
-//! of the original regex scanner:
-//!
-//! | rule | rejects |
-//! |------|---------|
-//! | `det-hash` | `HashMap::new` / `HashSet::new` / `::with_capacity` (per-instance `RandomState` seeding — use `simcore::det`) |
-//! | `wall-clock` | `Instant::now()` / `SystemTime` (host time leaking into results) |
-//! | `thread-rng` | `thread_rng` / `rand::random` (OS-seeded randomness) |
-//! | `par-iter` | `par_iter()` / `into_par_iter()` / `par_bridge()` (unordered parallel collection) |
-//! | `unsafe-safety` | `unsafe` without a nearby `// SAFETY:` comment |
-//! | `forbid-unsafe` | a crate root (`src/lib.rs`) missing `#![forbid(unsafe_code)]` |
+//! string or comment never is. The rules here are the ones only this repo
+//! can state: the paper's persist ordering and the determinism contract of
+//! the simulation crates. Generic hygiene (`std` hash containers, host
+//! clocks, `unsafe`) is the compiler's job: the root `clippy.toml` lists
+//! the disallowed types, and CI runs clippy with `-F unsafe_code`. Two rule
+//! families:
 //!
 //! **Flow-sensitive persistency rules** (scoped to `crates/engines`,
 //! `crates/hoop`) — built on the [`crate::parse`] → [`crate::cfg`] →
@@ -50,9 +43,11 @@
 //!
 //! Escapes: `// lint:allow(<rule>)` on the same or preceding comment line
 //! suppresses any rule and is recorded as an audited exception. Markers
-//! are recognized **only inside comments** and only for known rule names;
-//! any marker that suppresses nothing is reported as a *stale allow*
-//! warning (exit-code 0) so annotations cannot rot silently.
+//! are recognized **only inside comments**, and only when the name is made
+//! of `[a-z-]` (so the `<rule>` placeholder in documentation never counts).
+//! A marker that suppresses nothing, including one naming a rule that does
+//! not exist (or no longer does), is reported as a *stale allow* warning
+//! (exit-code 0) so annotations cannot rot silently.
 //! `// lint:order-frozen` is the dedicated marker for
 //! `order-sensitive-iteration` sites whose iteration order is part of the
 //! frozen determinism contract, and `// lint:shard-serial` is the
@@ -74,12 +69,6 @@ use crate::taint::{self, TaintIndex};
 
 /// Every rule the analyzer knows, in the order counts are reported.
 pub const RULE_IDS: &[&str] = &[
-    "det-hash",
-    "wall-clock",
-    "thread-rng",
-    "par-iter",
-    "unsafe-safety",
-    "forbid-unsafe",
     "persist-order",
     "commit-in-branch",
     "order-sensitive-iteration",
@@ -180,9 +169,9 @@ pub fn in_numeric_scope(path: &str) -> bool {
 
 /// One `lint:allow(<rule>)` annotation found in a comment, with whether any
 /// finding actually consumed it.
-struct Marker {
+struct Marker<'s> {
     line: u32,
-    rule: &'static str,
+    rule: &'s str,
     used: bool,
 }
 
@@ -195,21 +184,22 @@ struct FileCtx<'s> {
     /// Significant (code) tokens only.
     sig: Vec<Token>,
     /// `lint:allow` annotations harvested from comment tokens.
-    markers: Vec<Marker>,
+    markers: Vec<Marker<'s>>,
     /// `(rule, line)` pairs already reported — one finding per rule per line.
     seen: BTreeSet<(&'static str, u32)>,
     findings: Vec<Finding>,
     /// Warning-severity findings (`persist-in-loop-only`): printed, exported
-    /// under the report's `advisories` array, never gated or baselined.
+    /// under the report's `advisories` array, never a failure.
     advisories: Vec<Finding>,
     allows: Vec<Allow>,
 }
 
 /// Harvests `lint:allow(<rule>)` markers from the comment tokens of
-/// `source`. Only known rule names count (so documentation like
+/// `source`. Only names made of `[a-z-]` count (so documentation like
 /// `lint:allow(<rule>)` never registers), and only comments (so the same
-/// text inside a string literal never does).
-fn collect_markers(source: &str) -> Vec<Marker> {
+/// text inside a string literal never does). A name that is no rule is
+/// kept: nothing matches it, so it surfaces as a stale allow.
+fn collect_markers(source: &str) -> Vec<Marker<'_>> {
     let mut markers = Vec::new();
     for t in tokenize(source) {
         if !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
@@ -224,8 +214,8 @@ fn collect_markers(source: &str) -> Vec<Marker> {
             let Some(close) = text[start..].find(')') else {
                 break;
             };
-            let name = &text[start..start + close];
-            if let Some(&rule) = RULE_IDS.iter().find(|&&r| r == name) {
+            let rule = &text[start..start + close];
+            if !rule.is_empty() && rule.bytes().all(|b| b.is_ascii_lowercase() || b == b'-') {
                 let line = t.line + text[..at].matches('\n').count() as u32;
                 markers.push(Marker {
                     line,
@@ -345,7 +335,7 @@ impl<'s> FileCtx<'s> {
             self.allows.push(Allow {
                 path: self.path.clone(),
                 line: tok.line as usize,
-                rule,
+                rule: rule.to_string(),
             });
         } else {
             let snippet = self
@@ -376,7 +366,7 @@ impl<'s> FileCtx<'s> {
             .map(|m| Allow {
                 path: self.path.clone(),
                 line: m.line as usize,
-                rule: m.rule,
+                rule: m.rule.to_string(),
             })
             .collect();
         LintReport {
@@ -396,12 +386,6 @@ impl<'s> FileCtx<'s> {
 /// self-contained analysis ([`crate::lint_source`] does).
 pub fn analyze(path: &str, source: &str, graph: &CallGraph, taint: &TaintIndex) -> LintReport {
     let mut ctx = FileCtx::new(path, source);
-    rule_det_hash(&mut ctx);
-    rule_wall_clock(&mut ctx);
-    rule_thread_rng(&mut ctx);
-    rule_par_iter(&mut ctx);
-    rule_unsafe_safety(&mut ctx);
-    rule_forbid_unsafe(&mut ctx);
     if ctx.in_scope(PERSIST_SCOPE) || ctx.in_scope(ITER_SCOPE) {
         let ptoks = parse::sig_tokens(source);
         let fns = parse::functions(&ptoks);
@@ -420,99 +404,6 @@ pub fn analyze(path: &str, source: &str, graph: &CallGraph, taint: &TaintIndex) 
         rule_det_taint(&mut ctx, taint);
     }
     ctx.into_report()
-}
-
-fn rule_det_hash(ctx: &mut FileCtx<'_>) {
-    for i in 0..ctx.sig.len() {
-        let t = ctx.text(i);
-        if (t == "HashMap" || t == "HashSet")
-            && ctx.is(i + 1, ":")
-            && ctx.is(i + 2, ":")
-            && (ctx.is(i + 3, "new") || ctx.is(i + 3, "with_capacity"))
-            && ctx.is(i + 4, "(")
-        {
-            ctx.report("det-hash", i, None);
-        }
-    }
-}
-
-fn rule_wall_clock(ctx: &mut FileCtx<'_>) {
-    for i in 0..ctx.sig.len() {
-        let t = ctx.text(i);
-        if t == "SystemTime" && ctx.kind(i) == Some(TokenKind::Ident) {
-            ctx.report("wall-clock", i, None);
-        }
-        if t == "Instant"
-            && ctx.is(i + 1, ":")
-            && ctx.is(i + 2, ":")
-            && ctx.is(i + 3, "now")
-            && ctx.is(i + 4, "(")
-        {
-            ctx.report("wall-clock", i, None);
-        }
-    }
-}
-
-fn rule_thread_rng(ctx: &mut FileCtx<'_>) {
-    for i in 0..ctx.sig.len() {
-        let t = ctx.text(i);
-        if t == "thread_rng" && ctx.kind(i) == Some(TokenKind::Ident) {
-            ctx.report("thread-rng", i, None);
-        }
-        if t == "rand" && ctx.is(i + 1, ":") && ctx.is(i + 2, ":") && ctx.is(i + 3, "random") {
-            ctx.report("thread-rng", i, None);
-        }
-    }
-}
-
-fn rule_par_iter(ctx: &mut FileCtx<'_>) {
-    for i in 0..ctx.sig.len() {
-        let t = ctx.text(i);
-        if matches!(t, "par_iter" | "into_par_iter" | "par_bridge")
-            && ctx.kind(i) == Some(TokenKind::Ident)
-            && ctx.is(i + 1, "(")
-        {
-            ctx.report("par-iter", i, None);
-        }
-    }
-}
-
-fn rule_unsafe_safety(ctx: &mut FileCtx<'_>) {
-    for i in 0..ctx.sig.len() {
-        if ctx.text(i) != "unsafe" || ctx.kind(i) != Some(TokenKind::Ident) {
-            continue;
-        }
-        let line = ctx.sig[i].line as usize; // 1-based
-        let documented = (line.saturating_sub(3)..line)
-            .any(|k| ctx.raw_lines.get(k).is_some_and(|l| l.contains("SAFETY:")));
-        if !documented {
-            ctx.report("unsafe-safety", i, None);
-        }
-    }
-}
-
-fn rule_forbid_unsafe(ctx: &mut FileCtx<'_>) {
-    if !ctx.path.ends_with("src/lib.rs") {
-        return;
-    }
-    let has_attr = (0..ctx.sig.len()).any(|i| {
-        ctx.is(i, "forbid")
-            && ctx.is(i + 1, "(")
-            && ctx.is(i + 2, "unsafe_code")
-            && ctx.is(i + 3, ")")
-    });
-    if !has_attr {
-        // Synthetic finding at the top of the file (no specific token).
-        if ctx.seen.insert(("forbid-unsafe", 1)) && !ctx.allowed(1, "forbid-unsafe", None) {
-            ctx.findings.push(Finding {
-                path: ctx.path.clone(),
-                line: 1,
-                col: 1,
-                rule: "forbid-unsafe",
-                snippet: "crate root missing #![forbid(unsafe_code)]".to_string(),
-            });
-        }
-    }
 }
 
 /// The flow-sensitive §III-G check: at every commit-event site,
@@ -1027,38 +918,6 @@ pub fn rule_counts(report: &LintReport) -> BTreeMap<&'static str, usize> {
 /// Long-form documentation for one rule (`xtask lint --explain <rule>`).
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
-        "det-hash" => {
-            "det-hash: rejects HashMap::new / HashSet::new / ::with_capacity.\n\
-             std hash containers seed a fresh RandomState per instance, so\n\
-             iteration order differs between runs and leaks into simulated\n\
-             state. Use simcore::det::{DetHashMap, DetHashSet} (fixed-seed)\n\
-             instead."
-        }
-        "wall-clock" => {
-            "wall-clock: rejects Instant::now() and SystemTime.\n\
-             Host time must never feed simulated results; the simulator's\n\
-             own cycle clock is the only time source. Host timing for the\n\
-             bench harness is annotated explicitly."
-        }
-        "thread-rng" => {
-            "thread-rng: rejects thread_rng / rand::random.\n\
-             OS-seeded randomness breaks run-to-run determinism. Use the\n\
-             seeded simcore::det RNG plumbed through the config."
-        }
-        "par-iter" => {
-            "par-iter: rejects par_iter()/into_par_iter()/par_bridge().\n\
-             Unordered parallel collection makes reduction order (and\n\
-             float/counter accumulation) nondeterministic. Parallelism is\n\
-             allowed only across independent simulations with ordered joins."
-        }
-        "unsafe-safety" => {
-            "unsafe-safety: every `unsafe` needs a `// SAFETY:` comment\n\
-             within the three lines above it explaining the invariant."
-        }
-        "forbid-unsafe" => {
-            "forbid-unsafe: every crate root (src/lib.rs) must carry\n\
-             #![forbid(unsafe_code)] so unsafety cannot creep in silently."
-        }
         "persist-order" => {
             "persist-order: a commit event (Event::CommitRecord, or an\n\
              Event::Slice, which may carry a tail slice's commit flag) with\n\
@@ -1085,7 +944,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              covers nothing), but the site is worth knowing about when\n\
              auditing §III-G ordering. Advisories are printed and exported\n\
              under `advisories` in the JSON report; they never fail the\n\
-             gate and are never baselined."
+             lint."
         }
         "commit-in-branch" => {
             "commit-in-branch: a commit event where SOME path\n\

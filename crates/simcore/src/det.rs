@@ -11,15 +11,20 @@
 //! [`DetHashMap`]/[`DetHashSet`] are the same `std` containers with a
 //! fixed-key multiply-rotate hasher (FxHash-style), so iteration order is a
 //! pure function of the insertion sequence. All simulation crates use these
-//! instead of the `std` defaults.
+//! instead of the `std` defaults; the root `clippy.toml` rejects the `std`
+//! types everywhere else, so these three lines are the only place allowed
+//! to name them.
 
+#[allow(clippy::disallowed_types)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 
 /// `HashMap` with a deterministic, fixed-seed hasher.
+#[allow(clippy::disallowed_types)]
 pub type DetHashMap<K, V> = HashMap<K, V, DetState>;
 
 /// `HashSet` with a deterministic, fixed-seed hasher.
+#[allow(clippy::disallowed_types)]
 pub type DetHashSet<T> = HashSet<T, DetState>;
 
 /// Builds a [`DetHashMap`] with space for `capacity` entries.

@@ -2,8 +2,7 @@
 //! dependencies, hermetic by construction).
 //!
 //! ```text
-//! cargo run -p xtask -- lint [PATH...] [--baseline FILE] [--write-baseline]
-//!                            [--json FILE | --no-json]
+//! cargo run -p xtask -- lint [PATH...] [--json FILE | --no-json]
 //!                            [--explain RULE] [--cfg-dot FILE:LINE|FILE:FN]
 //!                            [--callers FILE:FN]
 //! cargo run -p xtask -- crashtest [-- ARGS...]
@@ -12,25 +11,24 @@
 //!
 //! `lint` runs the flow-sensitive analyzer of the `lintpass` crate over the
 //! workspace sources (`crates/`, `src/`, `tests/`, `examples/`; `vendor/`
-//! and `target/` are excluded): the determinism/safety rules plus the
-//! CFG/dataflow-backed `persist-order`, `commit-in-branch` and
-//! `hook-coverage` checks (on fixed-point interprocedural call-graph
-//! summaries, so helper evidence counts at any call depth and a notifying
-//! caller clears its callees), the determinism-taint `det-taint` check, and
-//! the scope-based `order-sensitive-iteration`, `sim-state-float`,
-//! `lossy-cycle-cast` and `shard-shared-mut` checks. The dual loop model
-//! additionally emits the warning-severity `persist-in-loop-only` advisory
-//! (printed and exported, never gated). Findings are gated against the
-//! committed baseline (`lint.baseline` at the workspace root) so CI fails
-//! only on *new* findings — and also on *stale* baseline entries, which
-//! demand a refresh via `--write-baseline` in the same change. A
-//! schema-versioned JSON report is written to `results/lint.json` (plus the
-//! `hoop-taint/1` companion `results/taint.json`) unless `--no-json`; when
-//! those paths cannot be written (read-only checkout) the run degrades to
-//! the stdout summary with a warning instead of failing. For every
-//! *failing* flow-rule finding the enclosing function's CFG is exported as
-//! Graphviz dot under `results/cfg/` so CI can attach it as a debugging
-//! artifact.
+//! and `target/` are excluded): the CFG/dataflow-backed `persist-order`,
+//! `commit-in-branch` and `hook-coverage` checks (on fixed-point
+//! interprocedural call-graph summaries, so helper evidence counts at any
+//! call depth and a notifying caller clears its callees), the
+//! determinism-taint `det-taint` check, and the scope-based
+//! `order-sensitive-iteration`, `sim-state-float`, `lossy-cycle-cast` and
+//! `shard-shared-mut` checks. The dual loop model additionally emits the
+//! warning-severity `persist-in-loop-only` advisory (printed and exported,
+//! never a failure). Generic determinism and safety checks (`std` hash
+//! containers, host clocks, `unsafe`) are clippy's, under the root
+//! `clippy.toml`. Every finding fails the lint; the only escapes are
+//! annotations at the site. A schema-versioned JSON report is written to
+//! `results/lint.json` (plus the `hoop-taint/1` companion
+//! `results/taint.json`) unless `--no-json`; when those paths cannot be
+//! written (read-only checkout) the run degrades to the stdout summary with
+//! a warning instead of failing. For every *failing* flow-rule finding the
+//! enclosing function's CFG is exported as Graphviz dot under `results/cfg/`
+//! so CI can attach it as a debugging artifact.
 //!
 //! `--explain RULE` prints the rationale and fix guidance for one rule
 //! (including the new `det-taint` and `persist-in-loop-only`);
@@ -39,11 +37,11 @@
 //! function's direct and transitive call-graph summary with the shortest
 //! evidence chain behind each bit — the debugging view of the fixpoint.
 //!
-//! Exit codes: `0` clean (or fully baselined), `1` findings (new findings,
-//! stale baseline entries, or a corrupt baseline), `2` scan/IO/usage error.
+//! Exit codes: `0` clean, `1` findings, `2` scan/IO/usage error.
 //! Explicitly annotated `// lint:allow(<rule>)` exceptions are listed so
 //! the audit trail stays visible in CI logs; annotations that no longer
-//! suppress anything are reported as *stale* warnings (never a failure).
+//! suppress anything, or name no rule, are reported as *stale* warnings
+//! (never a failure).
 //!
 //! `crashtest` runs the deterministic crash-point fault-injection harness
 //! (the `hoop-crashtest` crate) in release mode from the workspace root,
@@ -66,7 +64,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lintpass::{gate, rules, Baseline, LintReport};
+use lintpass::{rules, LintReport};
 
 fn workspace_root() -> PathBuf {
     // crates/xtask -> crates -> workspace root
@@ -86,8 +84,6 @@ fn operand<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<
 
 struct LintOpts {
     roots: Vec<PathBuf>,
-    baseline: PathBuf,
-    write_baseline: bool,
     json: Option<PathBuf>,
     explain: Option<String>,
     cfg_dot: Option<String>,
@@ -98,8 +94,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintOpts, String> {
     let root = workspace_root();
     let mut opts = LintOpts {
         roots: Vec::new(),
-        baseline: root.join("lint.baseline"),
-        write_baseline: false,
         json: Some(root.join("results/lint.json")),
         explain: None,
         cfg_dot: None,
@@ -108,8 +102,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintOpts, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--baseline" => opts.baseline = operand(&mut it, "--baseline")?,
-            "--write-baseline" => opts.write_baseline = true,
             "--json" => opts.json = Some(operand(&mut it, "--json")?),
             "--no-json" => opts.json = None,
             "--explain" => {
@@ -296,15 +288,15 @@ fn run_callers(spec: &str) -> u8 {
 }
 
 /// Rules whose findings come out of the CFG/dataflow layer — these get their
-/// enclosing function's CFG exported as dot when they fail the gate.
+/// enclosing function's CFG exported as dot when they fail the lint.
 const FLOW_RULES: [&str; 3] = ["persist-order", "commit-in-branch", "hook-coverage"];
 
 /// Best-effort dot export for failing flow-rule findings: one
 /// `results/cfg/<path with '/'→'_'>__<line>.dot` per finding, so CI can
 /// upload the CFGs a human needs to audit the dataflow verdict. IO errors
 /// are warnings — the artifact must never mask the finding itself.
-fn export_failing_cfgs(root: &std::path::Path, failing: &[&lintpass::Finding]) {
-    let flow: Vec<&&lintpass::Finding> = failing
+fn export_failing_cfgs(root: &std::path::Path, failing: &[lintpass::Finding]) {
+    let flow: Vec<&lintpass::Finding> = failing
         .iter()
         .filter(|f| FLOW_RULES.contains(&f.rule))
         .collect();
@@ -391,53 +383,8 @@ fn lint_main(args: &[String]) -> u8 {
         );
     }
 
-    if opts.write_baseline {
-        if let Err(e) = std::fs::write(&opts.baseline, Baseline::render(&report)) {
-            eprintln!(
-                "xtask lint: cannot write baseline {}: {e}",
-                opts.baseline.display()
-            );
-            return 2;
-        }
-        println!(
-            "xtask lint: wrote baseline {} ({} entr{})",
-            opts.baseline.display(),
-            report.findings.len(),
-            if report.findings.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            }
-        );
-    }
-
-    // Load + gate against the baseline (if present). A corrupt baseline is a
-    // lint failure, not an IO error: it must not silently accept findings.
-    let baseline = match Baseline::load(&opts.baseline) {
-        Ok(Some(Ok(b))) => Some(b),
-        Ok(Some(Err(e))) => {
-            eprintln!(
-                "error: baseline {} is corrupt: {e}",
-                opts.baseline.display()
-            );
-            return 1;
-        }
-        Ok(None) => None,
-        Err(e) => {
-            eprintln!(
-                "xtask lint: cannot read baseline {}: {e}",
-                opts.baseline.display()
-            );
-            return 2;
-        }
-    };
-    let outcome = baseline.as_ref().map(|b| gate(&report, b));
-    let summary = outcome
-        .as_ref()
-        .map(|o| o.summary(baseline.as_ref().map_or(0, |b| b.entries.len())));
-
     if let Some(json_path) = &opts.json {
-        let doc = lintpass::report::to_json(&report, summary.as_ref());
+        let doc = lintpass::report::to_json(&report);
         let write = json_path
             .parent()
             .map_or(Ok(()), std::fs::create_dir_all)
@@ -463,49 +410,24 @@ fn lint_main(args: &[String]) -> u8 {
 
     print_rule_counts(&report);
 
-    let failing: Vec<&lintpass::Finding> = match &outcome {
-        Some(o) => o.new.iter().collect(),
-        None => report.findings.iter().collect(),
-    };
-    let stale = outcome.as_ref().map_or(0, |o| o.fixed.len());
-    for f in &failing {
+    for f in &report.findings {
         eprintln!("error: {f}");
     }
-    if let Some(o) = &outcome {
-        for b in &o.baselined {
-            println!("baselined {}", b);
-        }
-        for e in &o.fixed {
-            eprintln!(
-                "error: baseline entry fixed (stale): [{}] {} — {}",
-                e.rule, e.path, e.snippet
-            );
-        }
-    }
-    export_failing_cfgs(&root, &failing);
+    export_failing_cfgs(&root, &report.findings);
 
-    if failing.is_empty() && stale == 0 {
+    if report.is_clean() {
         println!(
-            "xtask lint: clean — {} files scanned, {} annotated exception(s), {} baselined",
+            "xtask lint: clean — {} files scanned, {} annotated exception(s)",
             report.files_scanned,
             report.allows.len(),
-            outcome.as_ref().map_or(0, |o| o.baselined.len()),
         );
         0
     } else {
-        if stale > 0 {
-            eprintln!(
-                "xtask lint: {stale} stale baseline entr{} — refresh with \
-                 `cargo run -p xtask -- lint --write-baseline` in the same change",
-                if stale == 1 { "y" } else { "ies" }
-            );
-        }
         eprintln!(
-            "xtask lint: {} new finding(s) in {} files — use simcore::det containers, \
-             simulated time, and SimRng; annotate intentional exceptions with \
-             `// lint:allow(<rule>)`, or run `cargo run -p xtask -- lint --explain <rule>` \
-             for the rationale",
-            failing.len(),
+            "xtask lint: {} finding(s) in {} files — annotate an intentional exception \
+             with `// lint:allow(<rule>)` or the rule's dedicated marker, or run \
+             `cargo run -p xtask -- lint --explain <rule>` for the rationale",
+            report.findings.len(),
             report.files_scanned
         );
         1
@@ -540,24 +462,23 @@ fn help_for(subcommand: &str) -> Option<&'static str> {
         "lint" => {
             "usage: cargo run -p xtask -- lint [PATH...] [OPTIONS]\n\
              \n\
-             Flow-sensitive static analysis: determinism/safety rules plus the\n\
-             CFG/dataflow-backed persist-order, commit-in-branch and\n\
-             hook-coverage checks (fixed-point interprocedural summaries: helper\n\
-             evidence counts at any call depth, notifying callers clear their\n\
-             callees), the determinism-taint det-taint check, and the\n\
-             scope-based order-sensitive-iteration, sim-state-float,\n\
-             lossy-cycle-cast and shard-shared-mut checks, gated against the\n\
-             committed baseline. The dual loop model emits the warning-severity\n\
-             persist-in-loop-only advisory (printed/exported, never gated).\n\
-             Failing flow-rule findings export their function's CFG as dot\n\
-             under results/cfg/. Stale lint:allow annotations are warned about\n\
-             (exit 0).\n\
+             Flow-sensitive static analysis: the CFG/dataflow-backed\n\
+             persist-order, commit-in-branch and hook-coverage checks\n\
+             (fixed-point interprocedural summaries: helper evidence counts at\n\
+             any call depth, notifying callers clear their callees), the\n\
+             determinism-taint det-taint check, and the scope-based\n\
+             order-sensitive-iteration, sim-state-float, lossy-cycle-cast and\n\
+             shard-shared-mut checks. Every finding fails. The dual loop model\n\
+             emits the warning-severity persist-in-loop-only advisory\n\
+             (printed/exported, never a failure). Failing flow-rule findings\n\
+             export their function's CFG as dot under results/cfg/. Stale\n\
+             lint:allow annotations, including ones that name no rule, are\n\
+             warned about (exit 0). Generic checks (std hash containers, host\n\
+             clocks, unsafe) are clippy's: see the root clippy.toml.\n\
              \n\
              options:\n\
              \x20 PATH...            directories to scan (default: crates/ src/ tests/ examples/)\n\
-             \x20 --baseline FILE    baseline file (default: lint.baseline)\n\
-             \x20 --write-baseline   rewrite the baseline from this scan\n\
-             \x20 --json FILE        write the JSON report here (default: results/lint.json);\n\
+             \x20 --json FILE       write the JSON report here (default: results/lint.json);\n\
              \x20                    the hoop-taint/1 companion taint.json is written next to\n\
              \x20                    it; an unwritable path degrades to stdout with a warning\n\
              \x20 --no-json          skip the JSON and taint reports\n\
@@ -569,7 +490,7 @@ fn help_for(subcommand: &str) -> Option<&'static str> {
              \x20                    summary, call edges, shortest evidence chains and\n\
              \x20                    tainted-return status, then exit\n\
              \n\
-             exit codes: 0 clean/baselined, 1 new or stale findings, 2 scan/IO/usage error"
+             exit codes: 0 clean, 1 findings, 2 scan/IO/usage error"
         }
         "crashtest" => {
             "usage: cargo run -p xtask -- crashtest [-- ARGS...]\n\
@@ -663,6 +584,8 @@ mod tests {
     #[test]
     fn unknown_flag_is_usage_error() {
         assert_eq!(lint_main(&strs(&["--frobnicate"])), 2);
+        // The retired baseline gate's flags are gone with it.
+        assert_eq!(lint_main(&strs(&["--write-baseline"])), 2);
     }
 
     #[test]
@@ -676,8 +599,6 @@ mod tests {
         let json = blocker.join("lint.json");
         let code = lint_main(&strs(&[
             dir.to_str().unwrap(),
-            "--baseline",
-            dir.join("no-such-baseline").to_str().unwrap(),
             "--json",
             json.to_str().unwrap(),
         ]));
@@ -692,14 +613,12 @@ mod tests {
         let json = dir.join("out/lint.json");
         let code = lint_main(&strs(&[
             dir.to_str().unwrap(),
-            "--baseline",
-            dir.join("no-such-baseline").to_str().unwrap(),
             "--json",
             json.to_str().unwrap(),
         ]));
         assert_eq!(code, 0);
         let doc = std::fs::read_to_string(&json).unwrap();
-        assert!(doc.contains("\"schema\": \"hoop-lint/3\""));
+        assert!(doc.contains("\"schema\": \"hoop-lint/4\""));
         // The taint companion lands next to the lint report.
         let taint = std::fs::read_to_string(json.with_file_name("taint.json")).unwrap();
         assert!(taint.contains("\"schema\": \"hoop-taint/1\""));
