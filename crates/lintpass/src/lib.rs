@@ -15,12 +15,11 @@
 //! persist (the paper's §III-G ordering, Fig. 4), with the branch-shaped
 //! violation split out as **commit-in-branch**, the loop-carried-dominance
 //! gap surfaced as the **persist-in-loop-only** advisory, and the
-//! sanitizer's own visibility proven by **hook-coverage**. A second
-//! family, [`taint`], tracks order-sensitive values (**det-taint**) from
-//! their sources into simulated state, and scope-based determinism rules
-//! cover the simulation crates. Generic checks that need no knowledge of
-//! this repo (`std` hash containers, host clocks, `unsafe`) are left to
-//! rustc and clippy, configured by the workspace's root `clippy.toml`.
+//! sanitizer's own visibility proven by **hook-coverage**. Scope-based
+//! determinism rules cover the simulation crates. Generic checks that need
+//! no knowledge of this repo (`std` hash containers, host clocks, `unsafe`)
+//! are left to rustc and clippy, configured by the workspace's root
+//! `clippy.toml`.
 //!
 //! The analyzer is *hermetic*: no dependencies, not even in-tree ones, so it
 //! can never be broken by the crates it checks and builds in a bare
@@ -30,8 +29,9 @@
 //! * [`lint_source`] — analyze one in-memory file (pure; the call graph is
 //!   built from that file alone, so helper propagation is file-local).
 //! * [`lint_paths`] / [`lint_paths_rel`] — walk directories twice: pass 1
-//!   builds the workspace call graph from persistency-scoped files, pass 2
-//!   analyzes every `.rs` file against it.
+//!   builds the workspace call graph from persistency-scoped files and the
+//!   set of det-container-returning functions from the simulation crates,
+//!   pass 2 analyzes every `.rs` file against them.
 //! * [`report::to_json`] — the schema-versioned `results/lint.json` export.
 //! * [`cfg_dot_at`] — Graphviz dot of the CFG of the function containing a
 //!   given line (`xtask lint --cfg-dot`, CI failure artifacts).
@@ -48,16 +48,15 @@ pub mod lexer;
 pub mod parse;
 pub mod report;
 pub mod rules;
-pub mod taint;
 
 pub use report::{Allow, Finding, LintReport};
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use callgraph::CallGraph;
-use taint::TaintIndex;
 
 /// Builds a call graph from one file's source using the rule vocabulary
 /// (the persist evidence shared with `persist-order`).
@@ -65,19 +64,30 @@ fn graph_add(graph: &mut CallGraph, source: &str) {
     graph.add_file(source, &rules::is_persist_evidence);
 }
 
+/// Adds the names of `source`'s functions that declare a
+/// `DetHashMap`/`DetHashSet` return type: a `let` bound to a call of one is
+/// a det container for `order-sensitive-iteration`.
+fn det_returns_add(det_fns: &mut BTreeSet<String>, source: &str) {
+    let toks = parse::sig_tokens(source);
+    for f in parse::functions(&toks) {
+        if rules::returns_det_container(&toks, &f) {
+            det_fns.insert(f.name);
+        }
+    }
+}
+
 /// Analyzes one file's `source`, reporting against `path` (used both for
 /// messages and for path-scoped rules like `persist-order`). Interprocedural
-/// summaries and the taint index are built from this file alone, so
-/// helper-function persists and tainted returns defined in the same file
-/// propagate; cross-file helpers require [`lint_paths_rel`].
+/// summaries and the det-container-returning functions are taken from this
+/// file alone, so helper-function persists and det returns defined in the
+/// same file count; cross-file helpers require [`lint_paths_rel`].
 pub fn lint_source(path: &str, source: &str) -> LintReport {
     let mut graph = CallGraph::default();
     graph_add(&mut graph, source);
     graph.solve();
-    let mut taint = TaintIndex::new();
-    taint.add_file(source);
-    taint.solve();
-    rules::analyze(path, source, &graph, &taint)
+    let mut det_fns = BTreeSet::new();
+    det_returns_add(&mut det_fns, source);
+    rules::analyze(path, source, &graph, &det_fns)
 }
 
 fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -123,21 +133,21 @@ pub fn collect_files(roots: &[PathBuf]) -> io::Result<Vec<PathBuf>> {
 /// machine-independent).
 ///
 /// Two passes: the first builds the workspace call graph from every file in
-/// the persistency scope (`crates/engines`, `crates/hoop`) and the taint
-/// index from every file in the determinism scope, both solved to their
-/// fixpoints, so a helper defined in `common.rs` counts as evidence at call
-/// sites in `lsm.rs` at any call depth; the second analyzes each file
-/// against them.
+/// the persistency scope (`crates/engines`, `crates/hoop`), solved to its
+/// fixpoint, so a helper defined in `common.rs` counts as evidence at call
+/// sites in `lsm.rs` at any call depth, and collects the functions that
+/// return a det container from every file in the simulation crates; the
+/// second analyzes each file against them.
 pub fn lint_paths_rel(roots: &[PathBuf], rel_root: Option<&Path>) -> io::Result<LintReport> {
-    lint_paths_full(roots, rel_root).map(|(report, _, _)| report)
+    lint_paths_full(roots, rel_root).map(|(report, _)| report)
 }
 
-/// [`lint_paths_rel`] that also returns the solved workspace call graph and
-/// taint index (for `xtask lint --callers` and the taint-report export).
+/// [`lint_paths_rel`] that also returns the solved workspace call graph
+/// (for `xtask lint --callers`).
 pub fn lint_paths_full(
     roots: &[PathBuf],
     rel_root: Option<&Path>,
-) -> io::Result<(LintReport, CallGraph, TaintIndex)> {
+) -> io::Result<(LintReport, CallGraph)> {
     let files = collect_files(roots)?;
     let mut sources = Vec::with_capacity(files.len());
     for f in &files {
@@ -152,22 +162,21 @@ pub fn lint_paths_full(
         sources.push((shown.display().to_string(), source));
     }
     let mut graph = CallGraph::default();
-    let mut taint = TaintIndex::new();
+    let mut det_fns = BTreeSet::new();
     for (path, source) in &sources {
         if rules::in_persist_scope(path) {
             graph_add(&mut graph, source);
         }
         if rules::in_numeric_scope(path) {
-            taint.add_file(source);
+            det_returns_add(&mut det_fns, source);
         }
     }
     graph.solve();
-    taint.solve();
     let mut report = LintReport::default();
     for (path, source) in &sources {
-        report.merge(rules::analyze(path, source, &graph, &taint));
+        report.merge(rules::analyze(path, source, &graph, &det_fns));
     }
-    Ok((report, graph, taint))
+    Ok((report, graph))
 }
 
 /// [`lint_paths_rel`] with paths reported as given (no relativization).

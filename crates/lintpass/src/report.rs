@@ -1,7 +1,7 @@
 //! Finding/report types and the schema-versioned JSON export.
 //!
 //! The JSON document written to `results/lint.json` is versioned under
-//! `"schema": "hoop-lint/4"` and fully deterministic: findings are reported
+//! `"schema": "hoop-lint/5"` and fully deterministic: findings are reported
 //! in file-walk order (sorted paths) with repo-relative paths, and the
 //! per-rule count map enumerates every known rule (zeros included) so
 //! downstream tooling never has to special-case missing keys.
@@ -9,12 +9,14 @@
 //! Schema history: `/1` predates the flow-sensitive analyzer; `/2` adds the
 //! `commit-in-branch` / `shard-shared-mut` / `hook-coverage` count keys and
 //! the `stale_allows` array (annotations that no longer suppress anything —
-//! warnings, never failures); `/3` adds the `persist-in-loop-only` /
-//! `det-taint` count keys and the `advisories` array (warning-severity
+//! warnings, never failures); `/3` adds the `persist-in-loop-only` and
+//! determinism-taint count keys and the `advisories` array (warning-severity
 //! findings from the dual loop model — printed and exported, never gated);
 //! `/4` drops the count keys of the six generic rules the compiler now
 //! checks (`det-hash`, `wall-clock`, `thread-rng`, `par-iter`,
-//! `unsafe-safety`, `forbid-unsafe`) and the `baseline` block.
+//! `unsafe-safety`, `forbid-unsafe`) and the `baseline` block; `/5` drops
+//! the determinism-taint count key (each source it tracked is rejected by
+//! `order-sensitive-iteration` or clippy, or no longer occurs).
 
 use crate::rules::{rule_counts, RULE_IDS};
 
@@ -27,7 +29,7 @@ pub struct Finding {
     pub line: usize,
     /// 1-based column of the offending token.
     pub col: usize,
-    /// Rule identifier (`persist-order`, `det-taint`, ...).
+    /// Rule identifier (`persist-order`, `hook-coverage`, ...).
     pub rule: &'static str,
     /// The offending source line, trimmed.
     pub snippet: String,
@@ -104,10 +106,10 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Serializes a report as the `hoop-lint/4` JSON document.
+/// Serializes a report as the `hoop-lint/5` JSON document.
 pub fn to_json(report: &LintReport) -> String {
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"hoop-lint/4\",\n");
+    s.push_str("{\n  \"schema\": \"hoop-lint/5\",\n");
     s.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
     s.push_str("  \"counts\": {");
     let counts = rule_counts(report);
@@ -198,53 +200,6 @@ pub fn to_json(report: &LintReport) -> String {
     s
 }
 
-/// Serializes the solved taint index plus a report's `det-taint` findings
-/// as the `hoop-taint/1` JSON document (`results/taint.json`): which
-/// functions carry taint through their returns, how much of the workspace
-/// the index covers, and every convicted sink flow. Deterministic (sorted
-/// names, file-walk finding order), so CI can diff it like every other
-/// committed artifact.
-pub fn taint_to_json(index: &crate::taint::TaintIndex, report: &LintReport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"hoop-taint/1\",\n");
-    s.push_str(&format!(
-        "  \"functions_indexed\": {},\n",
-        index.functions_indexed()
-    ));
-    s.push_str("  \"tainted_returns\": [");
-    for (k, name) in index.tainted_returns().enumerate() {
-        if k > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!("\"{}\"", json_escape(name)));
-    }
-    s.push_str("],\n");
-    let hits: Vec<&Finding> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == "det-taint")
-        .collect();
-    s.push_str("  \"findings\": [");
-    for (k, f) in hits.iter().enumerate() {
-        if k > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"path\": \"{}\", \"line\": {}, \"col\": {}, \"snippet\": \"{}\"}}",
-            json_escape(&f.path),
-            f.line,
-            f.col,
-            json_escape(&f.snippet)
-        ));
-    }
-    s.push_str(if hits.is_empty() {
-        "]\n}\n"
-    } else {
-        "\n  ]\n}\n"
-    });
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,14 +242,13 @@ mod tests {
             files_scanned: 2,
         };
         let j = to_json(&report);
-        assert!(j.contains("\"schema\": \"hoop-lint/4\""));
+        assert!(j.contains("\"schema\": \"hoop-lint/5\""));
         assert!(j.contains("\"lossy-cycle-cast\": 1"));
         assert!(j.contains("\"persist-order\": 0"));
         assert!(j.contains("\"commit-in-branch\": 0"));
         assert!(j.contains("\"hook-coverage\": 0"));
         assert!(j.contains("\"shard-shared-mut\": 0"));
         assert!(j.contains("\"persist-in-loop-only\": 1"));
-        assert!(j.contains("\"det-taint\": 0"));
         assert!(j.contains("\"advisories\": ["));
         assert!(j.contains("\"files_scanned\": 2"));
         assert!(j.contains("now as u32"));
@@ -302,9 +256,10 @@ mod tests {
         assert!(j.contains("\"stale_allows\": ["));
         // A stale allow may name a retired rule; it is exported as given.
         assert!(j.contains("\"c.rs\", \"line\": 7, \"rule\": \"wall-clock\""));
-        // Nine rules and no baseline block: the six generic rules are the
-        // compiler's, so they have no count key.
-        assert_eq!(j.matches("\n    \"").count(), 9);
+        // Eight rules and no baseline block: the six generic rules are the
+        // compiler's and the determinism-taint rule is gone, so they have
+        // no count key.
+        assert_eq!(j.matches("\n    \"").count(), 8);
         assert!(!j.contains("\"det-hash\""));
         assert!(!j.contains("baseline"));
     }

@@ -23,16 +23,15 @@
 //! | `hook-coverage` | a `write_burst`/`burst_spread`/`write_home_line` call site in a non-`#[test]` function with no sanitizer-observed `Event::<Variant>` in the body (valve-only variants do not count), no call to a helper whose transitive summary notifies, and no *observed-by-caller* bit (a transitive caller notifies around every call path into it) — statically proving the runtime sanitizer sees every event it claims to shadow |
 //!
 //! **Determinism-scoped semantic rules** (`crates/engines`, `crates/hoop`,
-//! `crates/memhier`, `crates/nvm`, and for the numeric/taint family
-//! `crates/simcore`):
+//! `crates/memhier`, `crates/nvm`, and for every rule but
+//! `shard-shared-mut` `crates/simcore`):
 //!
 //! | rule | rejects |
 //! |------|---------|
-//! | `order-sensitive-iteration` | `.iter()`/`.keys()`/`.values()`/`.drain()` on a receiver declared `DetHashMap`/`DetHashSet` in the same file or bound by `let` to a call of a workspace function returning one, or a `for … in` loop over such a receiver itself (`in map`, `in &map`, `in &mut self.map`), unless annotated `lint:order-frozen` |
+//! | `order-sensitive-iteration` | `.iter()`/`.keys()`/`.values()`/`.drain()` on a receiver declared `DetHashMap`/`DetHashSet` (also behind `&`/`&mut`) in the same file or bound by `let` to a call of a workspace function returning one, or a `for … in` loop over such a receiver itself (`in map`, `in &map`, `in &mut self.map`), unless annotated `lint:order-frozen` |
 //! | `shard-shared-mut` | `static mut`, `thread_local!`, or interior-mutability containers (`Rc<`, `RefCell<`, `Cell<`, `UnsafeCell<`, `Mutex<`, `RwLock<`) in simulation crates — `--jobs` runs cells concurrently on host threads, and shared mutable state would couple one cell's result to another's schedule — unless annotated `lint:shard-serial` |
 //! | `sim-state-float` | casting a float-tainted expression to an integer/`Cycle` type |
 //! | `lossy-cycle-cast` | `as` truncation of a cycle/clock-named counter to a sub-64-bit integer |
-//! | `det-taint` | an order-sensitive value (un-frozen det-container iteration, wall-clock, fold-order float accumulation) flowing through assignments, returns, and the call graph into a simulated-state field; flows into host-only stats are permitted (see [`crate::taint`]) |
 //!
 //! The flow model errs toward **silence**: the dual loop model downgrades
 //! loop-carried dominance to an advisory rather than an error, helper
@@ -65,7 +64,6 @@ use crate::dataflow::evidence_at_sites;
 use crate::lexer::{tokenize, Token, TokenKind};
 use crate::parse::{self, FnItem, SigTok};
 use crate::report::{Allow, Finding, LintReport};
-use crate::taint::{self, TaintIndex};
 
 /// Every rule the analyzer knows, in the order counts are reported.
 pub const RULE_IDS: &[&str] = &[
@@ -77,7 +75,6 @@ pub const RULE_IDS: &[&str] = &[
     "shard-shared-mut",
     "hook-coverage",
     "persist-in-loop-only",
-    "det-taint",
 ];
 
 /// The marker that suppresses a finding on the same or the next line.
@@ -93,14 +90,17 @@ const SHARD_SERIAL: &str = "lint:shard-serial";
 /// Path scope of the persistency rules (`persist-order`,
 /// `commit-in-branch`, `hook-coverage`).
 const PERSIST_SCOPE: &[&str] = &["crates/engines/src/", "crates/hoop/src/"];
-/// Path scope of `order-sensitive-iteration` and `shard-shared-mut`.
-const ITER_SCOPE: &[&str] = &[
+/// Path scope of `shard-shared-mut`. `crates/simcore` is left out: its
+/// `Probe` hands one subscriber to the machine layer and the engine of a
+/// cell behind an `Arc<Mutex<..>>` (`persist.rs`).
+const SHARD_SCOPE: &[&str] = &[
     "crates/engines/src/",
     "crates/hoop/src/",
     "crates/memhier/src/",
     "crates/nvm/src/",
 ];
-/// Path scope of `sim-state-float` and `lossy-cycle-cast`.
+/// Path scope of `order-sensitive-iteration`, `sim-state-float` and
+/// `lossy-cycle-cast`.
 const NUMERIC_SCOPE: &[&str] = &[
     "crates/engines/src/",
     "crates/hoop/src/",
@@ -123,9 +123,8 @@ const HOOK_EVENTS: &[&str] = &["write_burst", "burst_spread", "write_home_line"]
 /// generic types (`Name<..>`) inside simulation crates.
 const SHARED_MUT_TYPES: &[&str] = &["Rc", "RefCell", "Cell", "UnsafeCell", "Mutex", "RwLock"];
 
-/// Iteration methods whose order escapes into simulated state (shared
-/// with the det-taint source vocabulary in [`crate::taint`]).
-pub(crate) const ORDERED_ITER_METHODS: &[&str] =
+/// Iteration methods whose order escapes into simulated state.
+const ORDERED_ITER_METHODS: &[&str] =
     &["iter", "iter_mut", "keys", "values", "values_mut", "drain"];
 
 /// Integer-ish cast targets for `sim-state-float`.
@@ -160,8 +159,9 @@ pub fn in_persist_scope(path: &str) -> bool {
     PERSIST_SCOPE.iter().any(|s| p.contains(s))
 }
 
-/// Whether `path` is inside the numeric/determinism-taint scope (used by
-/// callers to decide which files feed the workspace taint index).
+/// Whether `path` is inside the numeric/determinism scope (used by callers
+/// to decide which files feed the workspace set of det-container-returning
+/// functions).
 pub fn in_numeric_scope(path: &str) -> bool {
     let p = path.replace('\\', "/");
     NUMERIC_SCOPE.iter().any(|s| p.contains(s))
@@ -381,27 +381,32 @@ impl<'s> FileCtx<'s> {
 
 /// Analyzes one file's `source`, reporting against `path` (used both for
 /// messages and for path-scoped rules). `graph` supplies solved transitive
-/// helper summaries and `taint` the solved tainted-returns index for the
-/// interprocedural rules; pass ones built from just this file for
-/// self-contained analysis ([`crate::lint_source`] does).
-pub fn analyze(path: &str, source: &str, graph: &CallGraph, taint: &TaintIndex) -> LintReport {
+/// helper summaries for the persistency rules and `det_fns` the names of
+/// the workspace functions that return a det container; pass ones built
+/// from just this file for self-contained analysis ([`crate::lint_source`]
+/// does).
+pub fn analyze(
+    path: &str,
+    source: &str,
+    graph: &CallGraph,
+    det_fns: &BTreeSet<String>,
+) -> LintReport {
     let mut ctx = FileCtx::new(path, source);
-    if ctx.in_scope(PERSIST_SCOPE) || ctx.in_scope(ITER_SCOPE) {
+    if ctx.in_scope(PERSIST_SCOPE) {
         let ptoks = parse::sig_tokens(source);
         let fns = parse::functions(&ptoks);
-        if ctx.in_scope(PERSIST_SCOPE) {
-            rule_persist_flow(&mut ctx, &ptoks, &fns, graph);
-            rule_hook_coverage(&mut ctx, &ptoks, &fns, graph);
-        }
+        rule_persist_flow(&mut ctx, &ptoks, &fns, graph);
+        rule_hook_coverage(&mut ctx, &ptoks, &fns, graph);
     }
-    if ctx.in_scope(ITER_SCOPE) {
-        rule_order_sensitive_iteration(&mut ctx, taint.det_returns());
+    if ctx.in_scope(NUMERIC_SCOPE) {
+        rule_order_sensitive_iteration(&mut ctx, det_fns);
+    }
+    if ctx.in_scope(SHARD_SCOPE) {
         rule_shard_shared_mut(&mut ctx);
     }
     if ctx.in_scope(NUMERIC_SCOPE) {
         rule_sim_state_float(&mut ctx);
         rule_lossy_cycle_cast(&mut ctx);
-        rule_det_taint(&mut ctx, taint);
     }
     ctx.into_report()
 }
@@ -512,15 +517,6 @@ fn rule_hook_coverage(
     }
 }
 
-/// The determinism-taint rule: delegates source/sink extraction and the
-/// taint fixpoint to [`crate::taint`], then reports each tainted write into
-/// simulated state at the exact written-path token.
-fn rule_det_taint(ctx: &mut FileCtx<'_>, taint: &TaintIndex) {
-    for i in taint::file_hits(ctx.source, taint) {
-        ctx.report("det-taint", i, None);
-    }
-}
-
 /// Shared-mutable-state audit for concurrently running cells: `static mut`,
 /// `thread_local!`, and interior-mutability containers used as types are
 /// flagged inside simulation crates.
@@ -582,7 +578,7 @@ fn is_det_container(name: &str) -> bool {
 
 /// The names a file binds to a `DetHashMap`/`DetHashSet`.
 #[derive(Default)]
-pub(crate) struct DetNames {
+struct DetNames {
     /// Annotated names (fields and annotated `let`s): they match as the
     /// last segment of any path, `m` or `self.m`.
     annotated: BTreeSet<String>,
@@ -592,13 +588,13 @@ pub(crate) struct DetNames {
 }
 
 impl DetNames {
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.annotated.is_empty() && self.locals.is_empty()
     }
 
     /// Whether `name` is a det container where it appears; `dotted` says
     /// it follows a `.` (it ends a longer path).
-    pub(crate) fn matches(&self, name: &str, dotted: bool) -> bool {
+    fn matches(&self, name: &str, dotted: bool) -> bool {
         self.annotated.contains(name) || (!dotted && self.locals.contains(name))
     }
 }
@@ -606,8 +602,8 @@ impl DetNames {
 /// Collects the names bound to a `DetHashMap`/`DetHashSet` anywhere in the
 /// file. Four shapes bind one:
 ///
-/// - a `name: [path::]DetHashMap` annotation (struct fields and annotated
-///   `let`s);
+/// - a `name: [&[mut]] [path::]DetHashMap` annotation (struct fields,
+///   parameters and annotated `let`s);
 /// - `let [mut] name = [path::]f(..)` where `f` is one of `det_fns`, the
 ///   workspace functions that declare such a return type;
 /// - `let [mut] name = a.b.m.remove(..)` where `m` is annotated as a
@@ -616,9 +612,8 @@ impl DetNames {
 /// - `let [mut] name = [std::][mem::]take(&mut a.b.m)` where `m` is itself
 ///   a det container.
 ///
-/// det-taint's iteration sources use the same vocabulary. `tok(k)` gives
-/// the text and kind of token `k < n`.
-pub(crate) fn det_container_names<'s>(
+/// `tok(k)` gives the text and kind of token `k < n`.
+fn det_container_names<'s>(
     n: usize,
     tok: impl Fn(usize) -> (&'s str, TokenKind),
     det_fns: &BTreeSet<String>,
@@ -658,7 +653,14 @@ pub(crate) fn det_container_names<'s>(
         while j >= 3 && text_is(j - 1, ":") && text_is(j - 2, ":") && ident(j - 3) {
             j -= 3;
         }
-        // Expect `name :` immediately before the (possibly qualified) type.
+        // Step over a `&` or `&mut` borrow of the type.
+        if j >= 2 && text_is(j - 1, "mut") && text_is(j - 2, "&") {
+            j -= 2;
+        } else if j >= 1 && text_is(j - 1, "&") {
+            j -= 1;
+        }
+        // Expect `name :` immediately before the (possibly qualified and
+        // borrowed) type.
         if j < 2 || !text_is(j - 1, ":") || text_is(j - 2, ":") || !ident(j - 2) {
             continue;
         }
@@ -752,7 +754,7 @@ pub(crate) fn returns_det_container(toks: &[SigTok<'_>], f: &FnItem) -> bool {
 /// `&mut self.map`) followed directly by the loop body. Such a loop walks
 /// the container in the order its `.iter()` would. `tok(k)` gives the
 /// text and kind of token `k < n`.
-pub(crate) fn for_loop_container<'s>(
+fn for_loop_container<'s>(
     n: usize,
     tok: impl Fn(usize) -> (&'s str, TokenKind),
     i: usize,
@@ -957,9 +959,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         }
         "order-sensitive-iteration" => {
             "order-sensitive-iteration: .iter()/.keys()/.values()/.drain()\n\
-             on a receiver declared DetHashMap/DetHashSet in the same file,\n\
-             or a `for ... in` loop over such a receiver itself (`in map`,\n\
-             `in &map`, `in &mut self.map`).\n\
+             on a receiver declared DetHashMap/DetHashSet (or a borrow of\n\
+             one) in the same file or bound by `let` to a call of a\n\
+             workspace function returning one, or a `for ... in` loop over\n\
+             such a receiver itself (`in map`, `in &map`, `in &mut self.map`).\n\
              Det containers fix the seed, but their iteration order is\n\
              still insertion-history-dependent; if it feeds simulated\n\
              state, annotate the site lint:order-frozen to freeze it into\n\
@@ -998,21 +1001,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              emits device traffic the sanitizer cannot see. Inspect a\n\
              function's solved summary and chains with\n\
              `xtask lint --callers FILE:FN`."
-        }
-        "det-taint" => {
-            "det-taint: an order-sensitive value flowing into simulated\n\
-             state. Sources: iteration over a DetHashMap/DetHashSet\n\
-             receiver not frozen by lint:order-frozen (fixed seed, but\n\
-             insertion-history-dependent order), Instant::now()/SystemTime\n\
-             (host time), and float accumulation under += inside a fn fold\n\
-             body (merge reduction order). Taint propagates through\n\
-             assignments, let/for bindings, returns, and the workspace\n\
-             call graph (tainted-returns fixpoint). Sinks are writes whose\n\
-             path ends in a simulated-state name (cycle/clock/energy/seed/\n\
-             latency/deadline substrings, or now/done/complete/stall/\n\
-             state); paths with a stat/host/bench/wall/report segment are\n\
-             host-only and permitted. Escape with lint:allow(det-taint) or\n\
-             freeze the iteration order with lint:order-frozen."
         }
         _ => return None,
     })

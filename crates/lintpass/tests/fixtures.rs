@@ -599,13 +599,10 @@ fn allow_in_string_or_doc_placeholder_is_not_a_marker() {
 #[test]
 fn order_sensitive_iteration_fires_on_det_map_drain() {
     let src = "struct E {\n    newest: DetHashMap<u64, u64>,\n}\nimpl E {\n    fn gc(&mut self) {\n        for (w, v) in self.newest.drain() {\n            touch(w, v);\n        }\n    }\n}\n";
-    fires_once(
-        "crates/engines/src/e.rs",
-        src,
-        "order-sensitive-iteration",
-        6,
-        35,
-    );
+    // simcore is a simulation crate like the others.
+    for path in ["crates/engines/src/e.rs", "crates/simcore/src/x.rs"] {
+        fires_once(path, src, "order-sensitive-iteration", 6, 35);
+    }
 }
 
 #[test]
@@ -698,6 +695,26 @@ fn vec_iteration_is_not_flagged() {
 }
 
 #[test]
+fn order_sensitive_iteration_fires_on_borrowed_det_param() {
+    let shared = "fn f(m: &DetHashMap<u64, u64>) {\n    let first = m.keys().next();\n}\n";
+    fires_once(
+        "crates/hoop/src/p.rs",
+        shared,
+        "order-sensitive-iteration",
+        2,
+        19,
+    );
+    let exclusive = "fn g(m: &mut simcore::det::DetHashSet<u64>) {\n    for x in m.drain() {}\n}\n";
+    fires_once(
+        "crates/nvm/src/p.rs",
+        exclusive,
+        "order-sensitive-iteration",
+        2,
+        16,
+    );
+}
+
+#[test]
 fn order_sensitive_iteration_is_scoped_to_sim_crates() {
     let src = "struct E { m: DetHashMap<u64, u64> }\nimpl E { fn f(&self) { let _ = self.m.keys().count(); } }\n";
     clean("crates/bench/src/x.rs", src);
@@ -740,24 +757,26 @@ fn let_bound_call_without_det_return_is_not_a_det_container() {
 
 #[test]
 fn let_bound_det_return_is_seen_across_files() {
-    use lintpass::rules::analyze;
-    use lintpass::taint::TaintIndex;
+    // The det-returning function lives in another file of the scan.
+    let root = std::env::temp_dir().join(format!("lintpass-xfile-{}", std::process::id()));
+    let src = root.join("crates/hoop/src");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&src).unwrap();
     let gc = "pub(crate) fn home_line_images(words: &[u64]) -> simcore::det::DetHashMap<u64, [u8; 64]> {\n    DetHashMap::default()\n}\n";
     let recovery = "fn recover(&mut self) {\n    let mut lines = home_line_images(&[]);\n    for (l, img) in &lines {}\n}\n";
-    let mut taint = TaintIndex::new();
-    taint.add_file(gc);
-    taint.add_file(recovery);
-    taint.solve();
-    let mut graph = lintpass::callgraph::CallGraph::default();
-    graph.solve();
-    let r = analyze("crates/hoop/src/recovery.rs", recovery, &graph, &taint);
-    let hits: Vec<(usize, usize)> = r
+    std::fs::write(src.join("gc.rs"), gc).unwrap();
+    std::fs::write(src.join("recovery.rs"), recovery).unwrap();
+    let r = lintpass::lint_paths_rel(std::slice::from_ref(&root), Some(&root)).unwrap();
+    std::fs::remove_dir_all(&root).unwrap();
+    let hits: Vec<(&str, usize, usize)> = r
         .findings
         .iter()
         .filter(|f| f.rule == "order-sensitive-iteration")
-        .map(|f| (f.line, f.col))
+        .map(|f| (f.path.as_str(), f.line, f.col))
         .collect();
-    assert_eq!(hits, vec![(3, 22)]);
+    assert_eq!(hits, vec![("crates/hoop/src/recovery.rs", 3, 22)]);
+    // Alone, the recovery file binds no det container.
+    clean("crates/hoop/src/recovery.rs", recovery);
 }
 
 /// A write set taken out of a det map whose values are det maps: the
@@ -857,111 +876,6 @@ fn lossy_cycle_cast_ignores_non_counters_and_widening() {
         "crates/engines/src/c.rs",
         "fn f(i: usize, now: Cycle) { let a = i as u32; let b = now as u64; let c = now as u128; }\n",
     );
-}
-
-// ---------------------------------------------------------------- det-taint
-
-/// The order-sensitive-flow fixture: iteration order of an un-frozen det
-/// container flows through the loop binding into a timing field. The
-/// iteration itself also trips `order-sensitive-iteration`; `det-taint`
-/// additionally convicts the *flow*, at the exact written-path span.
-const TAINTED_TIMING_ENGINE: &str = r#"
-struct E { newest: DetHashMap<u64, u64> }
-impl E {
-    fn gc(&mut self, now: Cycle) {
-        for (w, v) in self.newest.drain() {
-            self.next_gc_cycle = now + w;
-        }
-    }
-}
-"#;
-
-#[test]
-fn det_taint_convicts_iteration_feeding_a_timing_field() {
-    let f = fires_once(
-        "crates/hoop/src/gc.rs",
-        TAINTED_TIMING_ENGINE,
-        "det-taint",
-        6,
-        13,
-    );
-    assert!(f.snippet.contains("next_gc_cycle"));
-}
-
-#[test]
-fn det_taint_permits_flows_into_host_stats() {
-    // Same live source (the drain still trips order-sensitive-iteration),
-    // but the sink path goes through a `stats` segment: host-only, so
-    // det-taint itself must stay silent.
-    let src = r#"
-struct E { newest: DetHashMap<u64, u64> }
-impl E {
-    fn gc(&mut self, now: Cycle) {
-        for (w, v) in self.newest.drain() {
-            self.stats.last_gc_cycle = now + w;
-        }
-    }
-}
-"#;
-    let r = lint_source("crates/hoop/src/gcstats.rs", src);
-    assert!(
-        r.findings.iter().all(|f| f.rule != "det-taint"),
-        "{:?}",
-        r.findings
-    );
-}
-
-#[test]
-fn det_taint_respects_frozen_iteration_orders() {
-    let src = r#"
-struct E { newest: DetHashMap<u64, u64> }
-impl E {
-    fn gc(&mut self, now: Cycle) {
-        // lint:order-frozen -- DESIGN.md §8 freezes this drain order
-        for (w, v) in self.newest.drain() {
-            self.next_gc_cycle = now + w;
-        }
-    }
-}
-"#;
-    clean("crates/hoop/src/gcfrozen.rs", src);
-}
-
-/// A `for` loop over the det map itself is a taint source like `.drain()`,
-/// and a frozen-order marker on the loop clears it.
-#[test]
-fn det_taint_convicts_a_for_loop_over_a_det_map() {
-    let live = TAINTED_TIMING_ENGINE.replace("self.newest.drain()", "&self.newest");
-    let f = fires_once("crates/hoop/src/gc.rs", &live, "det-taint", 6, 13);
-    assert!(f.snippet.contains("next_gc_cycle"));
-    let frozen = live.replace(
-        "        for (w, v)",
-        "        // lint:order-frozen: fixed by DESIGN.md §8\n        for (w, v)",
-    );
-    clean("crates/hoop/src/gc.rs", &frozen);
-}
-
-#[test]
-fn det_taint_tracks_wall_clock_through_helper_returns() {
-    let src = r#"
-fn host_now(&self) -> u64 { Instant::now().elapsed().as_nanos() as u64 }
-fn arm(&mut self) { self.deadline = self.host_now(); }
-"#;
-    // The wall clock is a taint source; check the det-taint finding at the
-    // sink precisely.
-    let r = lint_source("crates/simcore/src/clock.rs", src);
-    let taint: Vec<_> = r
-        .findings
-        .iter()
-        .filter(|f| f.rule == "det-taint")
-        .collect();
-    assert_eq!(taint.len(), 1, "{:?}", r.findings);
-    assert_eq!((taint[0].line, taint[0].col), (3, 21));
-}
-
-#[test]
-fn det_taint_is_scoped_to_sim_crates() {
-    clean("crates/bench/src/x.rs", TAINTED_TIMING_ENGINE);
 }
 
 // ------------------------------------------------------------------ allows

@@ -230,9 +230,9 @@ struct MediaState {
 pub struct MediaModel(Option<Arc<MediaState>>);
 
 /// SplitMix64-style finalizer: the schedule hash. Statistically independent
-/// outputs for distinct inputs, bit-reproducible everywhere. This is a
-/// *seeded* deterministic source (same family as `simcore::SimRng`), not a
-/// wall-clock-like one — `lintpass`'s det-taint rule whitelists it.
+/// outputs for distinct inputs, bit-reproducible everywhere: a pure
+/// `(seed, identity)` hash, *seeded* like `simcore::SimRng`, with no host
+/// clock or iteration order in it.
 fn media_hash(seed: u64, line: u64, salt: u64, draw: u64) -> u64 {
     let mut z = seed
         ^ line.wrapping_mul(0x9E37_79B9_7F4A_7C15)

@@ -14,24 +14,22 @@
 //! and `target/` are excluded): the CFG/dataflow-backed `persist-order`,
 //! `commit-in-branch` and `hook-coverage` checks (on fixed-point
 //! interprocedural call-graph summaries, so helper evidence counts at any
-//! call depth and a notifying caller clears its callees), the
-//! determinism-taint `det-taint` check, and the scope-based
-//! `order-sensitive-iteration`, `sim-state-float`, `lossy-cycle-cast` and
-//! `shard-shared-mut` checks. The dual loop model additionally emits the
-//! warning-severity `persist-in-loop-only` advisory (printed and exported,
-//! never a failure). Generic determinism and safety checks (`std` hash
-//! containers, host clocks, `unsafe`) are clippy's, under the root
-//! `clippy.toml`. Every finding fails the lint; the only escapes are
+//! call depth and a notifying caller clears its callees), and the
+//! scope-based `order-sensitive-iteration`, `sim-state-float`,
+//! `lossy-cycle-cast` and `shard-shared-mut` checks. The dual loop model
+//! additionally emits the warning-severity `persist-in-loop-only` advisory
+//! (printed and exported, never a failure). Generic determinism and safety
+//! checks (`std` hash containers, host clocks, `unsafe`) are clippy's, under
+//! the root `clippy.toml`. Every finding fails the lint; the only escapes are
 //! annotations at the site. A schema-versioned JSON report is written to
-//! `results/lint.json` (plus the `hoop-taint/1` companion
-//! `results/taint.json`) unless `--no-json`; when those paths cannot be
-//! written (read-only checkout) the run degrades to the stdout summary with
-//! a warning instead of failing. For every *failing* flow-rule finding the
+//! `results/lint.json` unless `--no-json`; when that path cannot be written
+//! (read-only checkout) the run degrades to the stdout summary with a
+//! warning instead of failing. For every *failing* flow-rule finding the
 //! enclosing function's CFG is exported as Graphviz dot under `results/cfg/`
 //! so CI can attach it as a debugging artifact.
 //!
 //! `--explain RULE` prints the rationale and fix guidance for one rule
-//! (including the new `det-taint` and `persist-in-loop-only`);
+//! (including the `persist-in-loop-only` advisory);
 //! `--cfg-dot FILE:LINE` (or `FILE:FUNCTION`) prints a function's CFG as
 //! dot without running the scan; `--callers FILE:FUNCTION` dumps one
 //! function's direct and transitive call-graph summary with the shortest
@@ -201,7 +199,7 @@ fn run_cfg_dot(spec: &str) -> u8 {
 /// `--callers FILE:FUNCTION`: dumps one function's direct and transitive
 /// call-graph summary, its call edges in both directions, and the shortest
 /// evidence chain behind each transitive bit — from the same solved
-/// workspace call graph and taint index the scan itself uses, so the dump
+/// workspace call graph the scan itself uses, so the dump
 /// can never disagree with a verdict.
 fn run_callers(spec: &str) -> u8 {
     use lintpass::callgraph::Fact;
@@ -231,7 +229,7 @@ fn run_callers(spec: &str) -> u8 {
         .iter()
         .map(|d| root.join(d))
         .collect();
-    let (_, graph, taint) = match lintpass::lint_paths_full(&roots, Some(&root)) {
+    let (_, graph) = match lintpass::lint_paths_full(&roots, Some(&root)) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("xtask lint: scan failed: {e}");
@@ -276,14 +274,6 @@ fn run_callers(spec: &str) -> u8 {
              (scope: crates/engines/src/, crates/hoop/src/)"
         ),
     }
-    println!(
-        "  tainted return: {}",
-        if taint.returns_tainted(name) {
-            "yes"
-        } else {
-            "no"
-        }
-    );
     0
 }
 
@@ -360,7 +350,7 @@ fn lint_main(args: &[String]) -> u8 {
         return run_callers(spec);
     }
     let root = workspace_root();
-    let (report, _graph, taint) = match lintpass::lint_paths_full(&opts.roots, Some(&root)) {
+    let report = match lintpass::lint_paths_rel(&opts.roots, Some(&root)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("xtask lint: scan failed: {e}");
@@ -395,15 +385,6 @@ fn lint_main(args: &[String]) -> u8 {
             eprintln!(
                 "warning: cannot write report {} ({e}) — continuing with stdout summary only",
                 json_path.display()
-            );
-        }
-        // The hoop-taint/1 companion rides next to the lint report.
-        let taint_path = json_path.with_file_name("taint.json");
-        let taint_doc = lintpass::report::taint_to_json(&taint, &report);
-        if let Err(e) = std::fs::write(&taint_path, taint_doc) {
-            eprintln!(
-                "warning: cannot write taint report {} ({e}) — continuing",
-                taint_path.display()
             );
         }
     }
@@ -465,30 +446,29 @@ fn help_for(subcommand: &str) -> Option<&'static str> {
              Flow-sensitive static analysis: the CFG/dataflow-backed\n\
              persist-order, commit-in-branch and hook-coverage checks\n\
              (fixed-point interprocedural summaries: helper evidence counts at\n\
-             any call depth, notifying callers clear their callees), the\n\
-             determinism-taint det-taint check, and the scope-based\n\
-             order-sensitive-iteration, sim-state-float, lossy-cycle-cast and\n\
-             shard-shared-mut checks. Every finding fails. The dual loop model\n\
-             emits the warning-severity persist-in-loop-only advisory\n\
-             (printed/exported, never a failure). Failing flow-rule findings\n\
-             export their function's CFG as dot under results/cfg/. Stale\n\
-             lint:allow annotations, including ones that name no rule, are\n\
-             warned about (exit 0). Generic checks (std hash containers, host\n\
-             clocks, unsafe) are clippy's: see the root clippy.toml.\n\
+             any call depth, notifying callers clear their callees), and the\n\
+             scope-based order-sensitive-iteration, sim-state-float,\n\
+             lossy-cycle-cast and shard-shared-mut checks. Every finding\n\
+             fails. The dual loop model emits the warning-severity\n\
+             persist-in-loop-only advisory (printed/exported, never a\n\
+             failure). Failing flow-rule findings export their function's\n\
+             CFG as dot under results/cfg/. Stale lint:allow annotations,\n\
+             including ones that name no rule, are warned about (exit 0).\n\
+             Generic checks (std hash containers, host clocks, unsafe) are\n\
+             clippy's: see the root clippy.toml.\n\
              \n\
              options:\n\
              \x20 PATH...            directories to scan (default: crates/ src/ tests/ examples/)\n\
              \x20 --json FILE       write the JSON report here (default: results/lint.json);\n\
-             \x20                    the hoop-taint/1 companion taint.json is written next to\n\
-             \x20                    it; an unwritable path degrades to stdout with a warning\n\
-             \x20 --no-json          skip the JSON and taint reports\n\
+             \x20                    an unwritable path degrades to stdout with a warning\n\
+             \x20 --no-json          skip the JSON report\n\
              \x20 --explain RULE     print one rule's rationale and fix guidance, then exit\n\
              \x20 --cfg-dot F:LINE   print the CFG (Graphviz dot) of the innermost function\n\
              \x20                    at line LINE of file F, then exit; F:NAME selects the\n\
              \x20                    function named NAME instead\n\
              \x20 --callers F:NAME   dump function NAME's direct + transitive call-graph\n\
-             \x20                    summary, call edges, shortest evidence chains and\n\
-             \x20                    tainted-return status, then exit\n\
+             \x20                    summary, call edges and shortest evidence chains,\n\
+             \x20                    then exit\n\
              \n\
              exit codes: 0 clean, 1 findings, 2 scan/IO/usage error"
         }
@@ -572,12 +552,17 @@ mod tests {
         assert_eq!(lint_main(&strs(&["--explain", "commit-in-branch"])), 0);
         assert_eq!(lint_main(&strs(&["--explain", "hook-coverage"])), 0);
         assert_eq!(lint_main(&strs(&["--explain", "persist-in-loop-only"])), 0);
-        assert_eq!(lint_main(&strs(&["--explain", "det-taint"])), 0);
+        assert_eq!(
+            lint_main(&strs(&["--explain", "order-sensitive-iteration"])),
+            0
+        );
     }
 
     #[test]
     fn explain_unknown_rule_is_usage_error() {
         assert_eq!(lint_main(&strs(&["--explain", "no-such-rule"])), 2);
+        // A retired rule is unknown like any other name.
+        assert_eq!(lint_main(&strs(&["--explain", "det-taint"])), 2);
         assert_eq!(lint_main(&strs(&["--explain"])), 2);
     }
 
@@ -618,10 +603,9 @@ mod tests {
         ]));
         assert_eq!(code, 0);
         let doc = std::fs::read_to_string(&json).unwrap();
-        assert!(doc.contains("\"schema\": \"hoop-lint/4\""));
-        // The taint companion lands next to the lint report.
-        let taint = std::fs::read_to_string(json.with_file_name("taint.json")).unwrap();
-        assert!(taint.contains("\"schema\": \"hoop-taint/1\""));
+        assert!(doc.contains("\"schema\": \"hoop-lint/5\""));
+        // The lint report is the only document written.
+        assert!(!json.with_file_name("taint.json").exists());
     }
 
     #[test]
