@@ -12,7 +12,7 @@
 //! and a miss only asks whether its line is in the log. Where in the log a
 //! line's newest record sits is never read by any simulated path.
 
-use simcore::det::DetHashMap;
+use simcore::det::{DetHashMap, LineImages};
 
 use nvm::{NvmDevice, Op, PersistentStore, TrafficClass};
 use simcore::addr::{Line, CACHE_LINE_BYTES, WORD_BYTES};
@@ -70,6 +70,12 @@ pub struct LsmEngine {
     newest: DetHashMap<u64, u64>,
     /// Volatile: open transactions' word updates.
     active: DetHashMap<TxId, DetHashMap<u64, u64>>,
+    /// `tx_end` scratch, reused across commits: one `(count, words)`
+    /// group per line of the committing transaction.
+    groups: Vec<(usize, [(u8, u64); 8])>,
+    /// `tx_end` scratch, reused across commits: the lines logged, sorted
+    /// for the index.
+    batch: Vec<u64>,
     /// Line-touch bytes committed since the last GC (for the reduction
     /// ratio).
     bytes_since_gc: u64,
@@ -93,6 +99,8 @@ impl LsmEngine {
             index: SkipList::new(),
             newest: DetHashMap::default(),
             active: DetHashMap::default(),
+            groups: Vec::new(),
+            batch: Vec::new(),
             bytes_since_gc: 0,
             next_gc: gc_period,
             gc_period,
@@ -123,15 +131,13 @@ impl LsmEngine {
             Op::Read,
             TrafficClass::Gc,
         );
-        let mut lines: DetHashMap<u64, [u8; 64]> = DetHashMap::default();
+        let mut lines: LineImages = LineImages::default();
         // lint:order-frozen: DetHashMap's iteration order is fixed-seed
         // deterministic (DESIGN §8), and last-writer-wins per word means the
         // merged images are order-independent anyway.
         for (word, value) in self.newest.drain() {
             let line = Line(word / CACHE_LINE_BYTES);
-            let img = lines
-                .entry(line.0)
-                .or_insert_with(|| self.base.store.read_line(line.base()));
+            let img = lines.get_or_insert_with(line.0, || self.base.store.read_line(line.base()));
             let off = (word % CACHE_LINE_BYTES) as usize;
             img[off..off + 8].copy_from_slice(&value.to_le_bytes());
         }
@@ -139,7 +145,7 @@ impl LsmEngine {
         t = self.base.burst_spread(
             // lint:order-frozen: representative burst start address only;
             // deterministic under the frozen DetHashMap order.
-            Line(*lines.keys().next().expect("nonempty")).base(),
+            Line(lines.first_line().expect("nonempty")).base(),
             out_bytes,
             t,
             self.gc_period / 4,
@@ -293,45 +299,50 @@ impl PersistenceEngine for LsmEngine {
 
     fn tx_end(&mut self, _core: CoreId, tx: TxId, now: Cycle) -> CommitOutcome {
         let words = self.active.remove(&tx).expect("commit of unknown tx");
-        // Group words by line into log records.
-        let mut per_line: DetHashMap<u64, Vec<(u8, u64)>> = DetHashMap::default();
+        // Group words by line into log records: `per_line` maps each line
+        // to its slot in the reused `groups` scratch, so each record is
+        // allocated once, at its final length.
+        let mut per_line: DetHashMap<u64, usize> = DetHashMap::default();
+        let groups = &mut self.groups;
+        groups.clear();
         // lint:order-frozen: sets `per_line`'s insertion order, hence its
         // layout, and the word order inside each log record.
         for (w, v) in &words {
-            per_line
-                .entry(*w / CACHE_LINE_BYTES)
-                .or_default()
-                .push((((*w % CACHE_LINE_BYTES) / 8) as u8, *v));
+            let slot = *per_line.entry(*w / CACHE_LINE_BYTES).or_insert_with(|| {
+                groups.push((0, [(0, 0); 8]));
+                groups.len() - 1
+            });
+            let (n, ws) = &mut groups[slot];
+            ws[*n] = (((*w % CACHE_LINE_BYTES) / 8) as u8, *v);
+            *n += 1;
         }
-        let bytes: u64 = per_line
-            // lint:order-frozen: commutative sum — order-independent.
-            .values()
-            .map(|ws| ENTRY_HEADER_BYTES + ws.len() as u64 * WORD_BYTES)
-            .sum::<u64>()
+        let bytes = per_line.len() as u64 * ENTRY_HEADER_BYTES
+            + words.len() as u64 * WORD_BYTES
             + TX_MARKER_BYTES;
         let slot = self.log_region.offset(self.log_head);
         self.log_head = (self.log_head + bytes) % (1 << 34);
         let done = self.base.write_burst(slot, bytes, now, TrafficClass::Log);
         let mut clean_lines = Vec::with_capacity(per_line.len());
-        let mut batch: Vec<u64> = Vec::with_capacity(per_line.len());
+        self.batch.clear();
         // lint:order-frozen: sets the log's record order and the order of
         // the payload (crash-point) events (DESIGN.md §8).
-        for (l, ws) in per_line {
+        for (l, slot) in per_line {
             clean_lines.push(Line(l));
             // The log append carries every word update durably; the burst
             // completing is when each line's payload is persistent.
             if self.base.probe.emit(Event::PayloadWrite(tx, Line(l)), done) {
-                batch.push(l);
+                self.batch.push(l);
+                let (n, ws) = &self.groups[slot];
                 self.log.push(LogRecord {
                     line: Line(l),
-                    words: ws.into_boxed_slice(),
+                    words: ws[..*n].into(),
                 });
             }
         }
         // One sorted sweep instead of per-line index walks; lines already
         // in the index cost one membership test.
-        batch.sort_unstable();
-        self.index.insert_sorted_batch(&batch);
+        self.batch.sort_unstable();
+        self.index.insert_sorted_batch(&self.batch);
         // The same burst ends with the transaction marker — the durable
         // commit point (strictly after every payload record of the burst).
         if self.base.probe.emit(Event::CommitRecord(tx), done) {
@@ -475,6 +486,39 @@ mod tests {
         assert_eq!(e.durable().read_u64(PAddr(8)), 77);
         // Untouched words keep their initial content.
         assert_eq!(e.durable().read_u8(PAddr(16)), 9);
+    }
+
+    #[test]
+    fn a_commit_logs_one_record_per_line_in_word_map_order() {
+        let mut e = engine();
+        let tx = e.tx_begin(CoreId(0), 0);
+        // Three lines: 3, 1 and 2 words, stored out of address order.
+        for (addr, v) in [
+            (136u64, 1u64),
+            (8, 2),
+            (64 * 9 + 56, 3),
+            (0, 4),
+            (128, 5),
+            (56, 6),
+        ] {
+            e.on_store(CoreId(0), tx, PAddr(addr), &v.to_le_bytes(), 0);
+        }
+        // The grouping the records must follow: lines in the order a map
+        // keyed by line reaches them, and each line's words in the
+        // transaction's word-map order.
+        let mut want: DetHashMap<u64, Vec<(u8, u64)>> = DetHashMap::default();
+        for (w, v) in &e.active[&tx] {
+            let word = ((w % CACHE_LINE_BYTES) / 8) as u8;
+            want.entry(w / CACHE_LINE_BYTES)
+                .or_default()
+                .push((word, *v));
+        }
+        e.tx_end(CoreId(0), tx, 10);
+        let got: Vec<(u64, Vec<(u8, u64)>)> =
+            e.log.iter().map(|r| (r.line.0, r.words.to_vec())).collect();
+        assert_eq!(got.len(), 3);
+        assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+        assert_eq!(e.committed_len, 3);
     }
 
     #[test]

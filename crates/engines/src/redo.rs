@@ -8,7 +8,7 @@
 //! truncated. Reads of lines whose newest value is still only in the log
 //! must consult the log (Table I: high read latency).
 
-use simcore::det::DetHashMap;
+use simcore::det::{DetHashMap, LineImages};
 
 use nvm::{NvmDevice, Op, PersistentStore, TrafficClass};
 use simcore::addr::{lines_covering, Line, CACHE_LINE_BYTES};
@@ -58,7 +58,7 @@ pub struct OptRedoEngine {
     /// Volatile: write sets of open transactions.
     active: DetHashMap<TxId, DetHashMap<u64, LineImage>>,
     /// Volatile: newest committed image per line awaiting checkpoint.
-    pending: DetHashMap<u64, LineImage>,
+    pending: LineImages,
     next_checkpoint: Cycle,
     checkpoint_period: Cycle,
 }
@@ -76,7 +76,7 @@ impl OptRedoEngine {
             log: Vec::new(),
             committed_len: 0,
             active: DetHashMap::default(),
-            pending: DetHashMap::default(),
+            pending: LineImages::default(),
             next_checkpoint: period,
             checkpoint_period: period,
         }
@@ -94,7 +94,7 @@ impl OptRedoEngine {
         let bytes = lines.len() as u64 * CACHE_LINE_BYTES;
         // lint:order-frozen: the first key is the checkpoint burst's start
         // address; deterministic under the frozen DetHashMap order.
-        let first = Line(*lines.keys().next().expect("nonempty")).base();
+        let first = Line(lines.first_line().expect("nonempty")).base();
         // Checkpointing is asynchronous background work: stagger it.
         self.base.burst_spread(
             first,
@@ -167,7 +167,7 @@ impl PersistenceEngine for OptRedoEngine {
         for line in lines_covering(addr, data.len() as u64) {
             let img = entry
                 .entry(line.0)
-                .or_insert_with(|| match pending.get(&line.0) {
+                .or_insert_with(|| match pending.get(line.0) {
                     Some(img) => *img,
                     None => base.store.read_line(line.base()),
                 });
@@ -182,7 +182,7 @@ impl PersistenceEngine for OptRedoEngine {
     }
 
     fn on_llc_miss(&mut self, _core: CoreId, line: Line, now: Cycle) -> MissFill {
-        if self.pending.contains_key(&line.0) {
+        if self.pending.contains(line.0) {
             // Newest value only in the log: redirected read.
             let out = self.base.device.access(
                 now,

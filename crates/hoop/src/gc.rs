@@ -10,7 +10,7 @@
 //! are tombstoned, and fully-committed blocks are reclaimed with their
 //! headers set back to `BLK_UNUSED` (lines 28–29).
 
-use simcore::det::{DetHashMap, DetHashSet};
+use simcore::det::{DetHashMap, DetHashSet, LineImages};
 
 use nvm::media::MediaModel;
 use nvm::{EnduranceMap, PersistentStore, TrafficClass};
@@ -111,13 +111,11 @@ pub(crate) struct CommitScan {
 pub(crate) fn home_line_images(
     store: &PersistentStore,
     words: impl IntoIterator<Item = (u64, u64)>,
-) -> DetHashMap<u64, [u8; 64]> {
-    let mut lines: DetHashMap<u64, [u8; 64]> = DetHashMap::default();
+) -> LineImages {
+    let mut lines = LineImages::default();
     for (word, value) in words {
         let line = Line(word / CACHE_LINE_BYTES);
-        let img = lines
-            .entry(line.0)
-            .or_insert_with(|| store.read_line(line.base()));
+        let img = lines.get_or_insert_with(line.0, || store.read_line(line.base()));
         let off = (word % CACHE_LINE_BYTES) as usize;
         img[off..off + 8].copy_from_slice(&value.to_le_bytes());
     }
@@ -239,9 +237,9 @@ impl HoopEngine {
         };
         // lint:order-frozen: representative burst start address only;
         // deterministic under the frozen DetHashMap order.
-        if let Some(first) = lines.keys().next() {
+        if let Some(first) = lines.first_line() {
             t = self.base.burst_spread(
-                Line(*first).base(),
+                Line(first).base(),
                 out_bytes,
                 t,
                 window / 2,
@@ -251,8 +249,8 @@ impl HoopEngine {
         }
         // lint:order-frozen: the home-write order sets the crash-point order
         // of the `GcHome` events.
-        for (l, img) in &lines {
-            let line = Line(*l);
+        for (l, img) in lines.iter() {
+            let line = Line(l);
             // Algorithm 1, lines 22-23: the home write drops the mapping
             // entry.
             self.base.probe.emit(Event::GcHome(line), t);

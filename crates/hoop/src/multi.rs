@@ -334,11 +334,11 @@ impl MultiHoopEngine {
         );
         // lint:order-frozen: the home-write order sets the crash-point order
         // of the `Gc` events.
-        for (l, img) in &lines {
+        for (l, img) in lines.iter() {
             self.base.probe.emit(Event::Gc, 0);
-            self.base.store.write_line(Line(*l).base(), *img);
-            let ci = self.controller_of(Line(*l));
-            self.ctrls[ci].mapping.remove(Line(*l));
+            self.base.store.write_line(Line(l).base(), *img);
+            let ci = self.controller_of(Line(l));
+            self.ctrls[ci].mapping.remove(Line(l));
         }
         self.base.device.account_untimed(
             lines.len() as u64 * CACHE_LINE_BYTES,

@@ -146,9 +146,9 @@ impl HoopEngine {
         );
         // lint:order-frozen: the home-write order sets the crash-point order
         // of the `Recovery` events.
-        for (l, img) in &lines {
+        for (l, img) in lines.iter() {
             self.base.probe.emit(Event::Recovery, 0);
-            self.base.store.write_line(Line(*l).base(), *img);
+            self.base.store.write_line(Line(l).base(), *img);
         }
 
         let scan_bytes = (scanned_slices + scan.addr_slots.len() as u64) * SLICE_BYTES;

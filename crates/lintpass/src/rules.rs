@@ -28,7 +28,7 @@
 //!
 //! | rule | rejects |
 //! |------|---------|
-//! | `order-sensitive-iteration` | `.iter()`/`.keys()`/`.values()`/`.drain()` on a receiver declared `DetHashMap`/`DetHashSet` (also behind `&`/`&mut`) in the same file or bound by `let` to a call of a workspace function returning one, or a `for … in` loop over such a receiver itself (`in map`, `in &map`, `in &mut self.map`), unless annotated `lint:order-frozen` |
+//! | `order-sensitive-iteration` | `.iter()`/`.keys()`/`.values()`/`.drain()`/`.first_line()` on a receiver declared `DetHashMap`/`DetHashSet`/`LineImages` (also behind `&`/`&mut`) in the same file or bound by `let` to a call of a workspace function returning one, or a `for … in` loop over such a receiver itself (`in map`, `in &map`, `in &mut self.map`), unless annotated `lint:order-frozen` |
 //! | `shard-shared-mut` | `static mut`, `thread_local!`, or interior-mutability containers (`Rc<`, `RefCell<`, `Cell<`, `UnsafeCell<`, `Mutex<`, `RwLock<`) in simulation crates — `--jobs` runs cells concurrently on host threads, and shared mutable state would couple one cell's result to another's schedule — unless annotated `lint:shard-serial` |
 //! | `sim-state-float` | casting a float-tainted expression to an integer/`Cycle` type |
 //! | `lossy-cycle-cast` | `as` truncation of a cycle/clock-named counter to a sub-64-bit integer |
@@ -124,8 +124,16 @@ const HOOK_EVENTS: &[&str] = &["write_burst", "burst_spread", "write_home_line"]
 const SHARED_MUT_TYPES: &[&str] = &["Rc", "RefCell", "Cell", "UnsafeCell", "Mutex", "RwLock"];
 
 /// Iteration methods whose order escapes into simulated state.
-const ORDERED_ITER_METHODS: &[&str] =
-    &["iter", "iter_mut", "keys", "values", "values_mut", "drain"];
+/// `first_line` is `LineImages`' first key in iteration order.
+const ORDERED_ITER_METHODS: &[&str] = &[
+    "iter",
+    "iter_mut",
+    "keys",
+    "values",
+    "values_mut",
+    "drain",
+    "first_line",
+];
 
 /// Integer-ish cast targets for `sim-state-float`.
 const INT_TARGETS: &[&str] = &[
@@ -571,9 +579,10 @@ fn is_call(toks: &[SigTok<'_>], i: usize) -> bool {
     toks[i].kind == TokenKind::Ident && toks.get(i + 1).is_some_and(|t| t.text == "(")
 }
 
-/// Whether `name` is a det container type.
+/// Whether `name` is a det container type (`LineImages` is a
+/// `DetHashMap` of line slots).
 fn is_det_container(name: &str) -> bool {
-    name == "DetHashMap" || name == "DetHashSet"
+    name == "DetHashMap" || name == "DetHashSet" || name == "LineImages"
 }
 
 /// The names a file binds to a `DetHashMap`/`DetHashSet`.
@@ -958,8 +967,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              may-but-not-must is exactly \"covered on some paths only\"."
         }
         "order-sensitive-iteration" => {
-            "order-sensitive-iteration: .iter()/.keys()/.values()/.drain()\n\
-             on a receiver declared DetHashMap/DetHashSet (or a borrow of\n\
+            "order-sensitive-iteration: .iter()/.keys()/.values()/.drain()/\n\
+             .first_line() on a receiver declared DetHashMap/DetHashSet/\n\
+             LineImages (or a borrow of\n\
              one) in the same file or bound by `let` to a call of a\n\
              workspace function returning one, or a `for ... in` loop over\n\
              such a receiver itself (`in map`, `in &map`, `in &mut self.map`).\n\

@@ -787,6 +787,35 @@ const REMOVED_DET_VALUE: &str = "struct E {\n    active: DetHashMap<u64, DetHash
 /// `let lines = std::mem::take(&mut self.pending)`.
 const TAKEN_DET_FIELD: &str = "struct E {\n    pending: DetHashMap<u64, u64>,\n}\nimpl E {\n    fn checkpoint(&mut self) {\n        let lines = std::mem::take(&mut self.pending);\n        let first = lines.keys().next();\n    }\n}\n";
 
+/// `LineImages` is a det container: the GC shape (a `LineImages` returned
+/// by a helper, its first line and a loop over it) and the checkpoint
+/// shape (a taken `LineImages` field). Lookups stay silent.
+const LINE_IMAGES: &str = "fn images() -> simcore::det::LineImages {\n    LineImages::default()\n}\nstruct E {\n    pending: LineImages,\n}\nimpl E {\n    fn gc(&mut self) {\n        let lines = images();\n        let first = lines.first_line();\n        for (l, img) in lines.iter() {}\n        let hit = self.pending.get(3).is_some() && self.pending.contains(4);\n        let taken = std::mem::take(&mut self.pending);\n        for (l, img) in taken {}\n    }\n}\n";
+
+#[test]
+fn order_sensitive_iteration_fires_on_line_images() {
+    let r = lint_source("crates/hoop/src/gc.rs", LINE_IMAGES);
+    let hits: Vec<(usize, usize)> = r
+        .findings
+        .iter()
+        .map(|f| {
+            assert_eq!(f.rule, "order-sensitive-iteration");
+            (f.line, f.col)
+        })
+        .collect();
+    assert_eq!(hits, vec![(10, 27), (11, 31), (14, 25)]);
+    let frozen = LINE_IMAGES
+        .replace(
+            "        let first",
+            "        // lint:order-frozen: burst start\n        let first",
+        )
+        .replace(
+            "        for (l",
+            "        // lint:order-frozen: write order\n        for (l",
+        );
+    assert_eq!(clean("crates/hoop/src/gc.rs", &frozen).allows.len(), 3);
+}
+
 #[test]
 fn order_sensitive_iteration_fires_on_removed_det_value() {
     fires_once(

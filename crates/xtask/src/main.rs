@@ -56,9 +56,14 @@
 //! A/Bs it against a base revision as CI's regression gate.
 //!
 //! Every subcommand answers `--help` with its flags and exit codes.
+//!
+//! Standard output may go to a reader that leaves early
+//! (`xtask lint --help | head -3`): once the pipe is closed, further output
+//! is dropped and the command still ends with its own exit code.
 
 #![forbid(unsafe_code)]
 
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -70,6 +75,52 @@ fn workspace_root() -> PathBuf {
         .join("../..")
         .canonicalize()
         .expect("workspace root")
+}
+
+/// Standard output for a reader that may close the pipe early: after a
+/// `BrokenPipe`, writes are dropped instead of failing (`println!` would
+/// panic), so the command runs on to its own exit code.
+struct PipeOut<W> {
+    inner: W,
+    closed: bool,
+}
+
+impl<W> PipeOut<W> {
+    fn new(inner: W) -> Self {
+        PipeOut {
+            inner,
+            closed: false,
+        }
+    }
+
+    /// Swallows a `BrokenPipe` and marks the pipe closed.
+    fn absorb<T>(&mut self, r: io::Result<T>, closed: T) -> io::Result<T> {
+        match r {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(closed)
+            }
+            r => r,
+        }
+    }
+}
+
+impl<W: Write> Write for PipeOut<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.closed {
+            return Ok(buf.len());
+        }
+        let r = self.inner.write(buf);
+        self.absorb(r, buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if self.closed {
+            return Ok(());
+        }
+        let r = self.inner.flush();
+        self.absorb(r, ())
+    }
 }
 
 /// Takes the operand of a `--flag VALUE` option from an argv iterator —
@@ -137,18 +188,18 @@ fn parse_lint_args(args: &[String]) -> Result<LintOpts, String> {
 
 /// `--explain RULE`: prints the per-rule rationale from the analyzer's own
 /// vocabulary, so the fix guidance cannot drift from the implementation.
-fn run_explain(rule: &str) -> u8 {
+fn run_explain(rule: &str, out: &mut impl Write) -> io::Result<u8> {
     match rules::explain(rule) {
         Some(text) => {
-            println!("{rule}\n{}\n{text}", "-".repeat(rule.len()));
-            0
+            writeln!(out, "{rule}\n{}\n{text}", "-".repeat(rule.len()))?;
+            Ok(0)
         }
         None => {
             eprintln!(
                 "xtask lint: unknown rule `{rule}` — known rules: {}",
                 rules::RULE_IDS.join(", ")
             );
-            2
+            Ok(2)
         }
     }
 }
@@ -156,10 +207,10 @@ fn run_explain(rule: &str) -> u8 {
 /// `--cfg-dot FILE:LINE` or `FILE:FUNCTION`: renders one function's CFG as
 /// Graphviz dot on stdout. A numeric suffix selects the innermost function
 /// whose body spans that line; anything else is a function name.
-fn run_cfg_dot(spec: &str) -> u8 {
+fn run_cfg_dot(spec: &str, out: &mut impl Write) -> io::Result<u8> {
     let Some((file, sel)) = spec.rsplit_once(':') else {
         eprintln!("xtask lint: --cfg-dot expects FILE:LINE or FILE:FUNCTION, got `{spec}`");
-        return 2;
+        return Ok(2);
     };
     let path = PathBuf::from(file);
     let path = if path.exists() {
@@ -171,7 +222,7 @@ fn run_cfg_dot(spec: &str) -> u8 {
         Ok(s) => s,
         Err(e) => {
             eprintln!("xtask lint: cannot read {}: {e}", path.display());
-            return 2;
+            return Ok(2);
         }
     };
     let dot = match sel.parse::<u32>() {
@@ -183,15 +234,15 @@ fn run_cfg_dot(spec: &str) -> u8 {
     };
     match dot {
         Some(dot) => {
-            println!("{dot}");
-            0
+            writeln!(out, "{dot}")?;
+            Ok(0)
         }
         None => {
             eprintln!(
                 "xtask lint: no function body matches `{sel}` in {}",
                 path.display()
             );
-            2
+            Ok(2)
         }
     }
 }
@@ -201,11 +252,11 @@ fn run_cfg_dot(spec: &str) -> u8 {
 /// evidence chain behind each transitive bit — from the same solved
 /// workspace call graph the scan itself uses, so the dump
 /// can never disagree with a verdict.
-fn run_callers(spec: &str) -> u8 {
+fn run_callers(spec: &str, out: &mut impl Write) -> io::Result<u8> {
     use lintpass::callgraph::Fact;
     let Some((file, name)) = spec.rsplit_once(':') else {
         eprintln!("xtask lint: --callers expects FILE:FUNCTION, got `{spec}`");
-        return 2;
+        return Ok(2);
     };
     let root = workspace_root();
     let path = PathBuf::from(file);
@@ -214,7 +265,7 @@ fn run_callers(spec: &str) -> u8 {
         Ok(s) => s,
         Err(e) => {
             eprintln!("xtask lint: cannot read {}: {e}", path.display());
-            return 2;
+            return Ok(2);
         }
     };
     let toks = lintpass::parse::sig_tokens(&source);
@@ -223,7 +274,7 @@ fn run_callers(spec: &str) -> u8 {
         .any(|f| f.name == name)
     {
         eprintln!("xtask lint: no function `{name}` in {}", path.display());
-        return 2;
+        return Ok(2);
     }
     let roots: Vec<PathBuf> = ["crates", "src", "tests", "examples"]
         .iter()
@@ -233,20 +284,22 @@ fn run_callers(spec: &str) -> u8 {
         Ok(t) => t,
         Err(e) => {
             eprintln!("xtask lint: scan failed: {e}");
-            return 2;
+            return Ok(2);
         }
     };
-    println!("fn `{name}` ({file})");
+    writeln!(out, "fn `{name}` ({file})")?;
     match (graph.direct_summary(name), graph.summary(name)) {
         (Some(d), Some(t)) => {
-            println!(
+            writeln!(
+                out,
                 "  direct:     persists={} notifies={} commits={}",
                 d.persists, d.notifies, d.commits
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "  transitive: persists={} notifies={} commits={} observed={}",
                 t.persists, t.notifies, t.commits, t.observed
-            );
+            )?;
             let join = |v: Vec<&str>| {
                 if v.is_empty() {
                     "(none)".to_string()
@@ -254,27 +307,28 @@ fn run_callers(spec: &str) -> u8 {
                     v.join(", ")
                 }
             };
-            println!("  callees:    {}", join(graph.callees_of(name)));
-            println!("  callers:    {}", join(graph.callers_of(name)));
+            writeln!(out, "  callees:    {}", join(graph.callees_of(name)))?;
+            writeln!(out, "  callers:    {}", join(graph.callers_of(name)))?;
             for (label, fact) in [
                 ("persists", Fact::Persists),
                 ("notifies", Fact::Notifies),
                 ("commits ", Fact::Commits),
             ] {
                 if let Some(chain) = graph.evidence_chain(name, fact) {
-                    println!("  {label} via: {}", chain.join(" -> "));
+                    writeln!(out, "  {label} via: {}", chain.join(" -> "))?;
                 }
             }
             if let Some(chain) = graph.observer_chain(name) {
-                println!("  observed via caller chain: {}", chain.join(" -> "));
+                writeln!(out, "  observed via caller chain: {}", chain.join(" -> "))?;
             }
         }
-        _ => println!(
+        _ => writeln!(
+            out,
             "  not in the persistency-scoped call graph \
              (scope: crates/engines/src/, crates/hoop/src/)"
-        ),
+        )?,
     }
-    0
+    Ok(0)
 }
 
 /// Rules whose findings come out of the CFG/dataflow layer — these get their
@@ -285,18 +339,22 @@ const FLOW_RULES: [&str; 3] = ["persist-order", "commit-in-branch", "hook-covera
 /// `results/cfg/<path with '/'→'_'>__<line>.dot` per finding, so CI can
 /// upload the CFGs a human needs to audit the dataflow verdict. IO errors
 /// are warnings — the artifact must never mask the finding itself.
-fn export_failing_cfgs(root: &std::path::Path, failing: &[lintpass::Finding]) {
+fn export_failing_cfgs(
+    root: &std::path::Path,
+    failing: &[lintpass::Finding],
+    out: &mut impl Write,
+) -> io::Result<()> {
     let flow: Vec<&lintpass::Finding> = failing
         .iter()
         .filter(|f| FLOW_RULES.contains(&f.rule))
         .collect();
     if flow.is_empty() {
-        return;
+        return Ok(());
     }
     let dir = root.join("results/cfg");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("xtask lint: cannot create {}: {e}", dir.display());
-        return;
+        return Ok(());
     }
     for f in flow {
         let Ok(source) = std::fs::read_to_string(root.join(&f.path)) else {
@@ -307,70 +365,82 @@ fn export_failing_cfgs(root: &std::path::Path, failing: &[lintpass::Finding]) {
         };
         let file = dir.join(format!("{}__{}.dot", f.path.replace('/', "_"), f.line));
         match std::fs::write(&file, dot) {
-            Ok(()) => println!(
+            Ok(()) => writeln!(
+                out,
                 "wrote {} (cfg of `{name}` for [{}] at {}:{})",
                 file.display(),
                 f.rule,
                 f.path,
                 f.line
-            ),
+            )?,
             Err(e) => eprintln!("xtask lint: cannot write {}: {e}", file.display()),
         }
     }
+    Ok(())
 }
 
 /// Prints the per-rule finding count table (zeros included, so the full
 /// rule inventory is visible in every CI log).
-fn print_rule_counts(report: &LintReport) {
+fn print_rule_counts(report: &LintReport, out: &mut impl Write) -> io::Result<()> {
     let counts = rules::rule_counts(report);
-    println!("rule counts:");
+    writeln!(out, "rule counts:")?;
     for rule in rules::RULE_IDS {
-        println!("  {:26} {}", rule, counts.get(rule).copied().unwrap_or(0));
+        let n = counts.get(rule).copied().unwrap_or(0);
+        writeln!(out, "  {rule:26} {n}")?;
     }
+    Ok(())
 }
 
 /// The whole `lint` subcommand as a plain function returning the exit code
 /// as `u8` — [`std::process::ExitCode`] has no `PartialEq`, so tests could
-/// not assert on it.
-fn lint_main(args: &[String]) -> u8 {
+/// not assert on it. A failed write to `out` is a usage/IO error (2).
+fn lint_main(args: &[String], out: &mut impl Write) -> u8 {
+    run_lint(args, out).unwrap_or_else(|e| {
+        eprintln!("xtask lint: cannot write to stdout: {e}");
+        2
+    })
+}
+
+fn run_lint(args: &[String], out: &mut impl Write) -> io::Result<u8> {
     let opts = match parse_lint_args(args) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("xtask lint: {e}");
-            return 2;
+            return Ok(2);
         }
     };
     if let Some(rule) = &opts.explain {
-        return run_explain(rule);
+        return run_explain(rule, out);
     }
     if let Some(spec) = &opts.cfg_dot {
-        return run_cfg_dot(spec);
+        return run_cfg_dot(spec, out);
     }
     if let Some(spec) = &opts.callers {
-        return run_callers(spec);
+        return run_callers(spec, out);
     }
     let root = workspace_root();
     let report = match lintpass::lint_paths_rel(&opts.roots, Some(&root)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("xtask lint: scan failed: {e}");
-            return 2;
+            return Ok(2);
         }
     };
     for a in &report.allows {
-        println!("allowed  {}:{} [{}]", a.path, a.line, a.rule);
+        writeln!(out, "allowed  {}:{} [{}]", a.path, a.line, a.rule)?;
     }
     // Advisories are warning severity: printed and exported, never gated.
     for f in &report.advisories {
-        println!("advisory {f}");
+        writeln!(out, "advisory {f}")?;
     }
     // Stale allows are a warning, never a failure: cleaning up a suppression
     // whose finding is gone should be a deliberate follow-up, not a CI block.
     for a in &report.stale_allows {
-        println!(
+        writeln!(
+            out,
             "warning: stale lint:allow — {}:{} [{}] suppresses nothing; remove it",
             a.path, a.line, a.rule
-        );
+        )?;
     }
 
     if let Some(json_path) = &opts.json {
@@ -389,20 +459,21 @@ fn lint_main(args: &[String]) -> u8 {
         }
     }
 
-    print_rule_counts(&report);
+    print_rule_counts(&report, out)?;
 
     for f in &report.findings {
         eprintln!("error: {f}");
     }
-    export_failing_cfgs(&root, &report.findings);
+    export_failing_cfgs(&root, &report.findings, out)?;
 
     if report.is_clean() {
-        println!(
+        writeln!(
+            out,
             "xtask lint: clean — {} files scanned, {} annotated exception(s)",
             report.files_scanned,
             report.allows.len(),
-        );
-        0
+        )?;
+        Ok(0)
     } else {
         eprintln!(
             "xtask lint: {} finding(s) in {} files — annotate an intentional exception \
@@ -411,7 +482,7 @@ fn lint_main(args: &[String]) -> u8 {
             report.findings.len(),
             report.files_scanned
         );
-        1
+        Ok(1)
     }
 }
 
@@ -512,14 +583,20 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
+    let mut out = PipeOut::new(io::stdout().lock());
     if args[1..].iter().any(|a| a == "--help" || a == "-h") {
         if let Some(help) = help_for(sub) {
-            println!("{help}");
-            return ExitCode::SUCCESS;
+            return match writeln!(out, "{help}") {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("xtask {sub}: cannot write to stdout: {e}");
+                    ExitCode::from(2)
+                }
+            };
         }
     }
     match sub {
-        "lint" => ExitCode::from(lint_main(&args[1..])),
+        "lint" => ExitCode::from(lint_main(&args[1..], &mut out)),
         "crashtest" => delegate("crashtest", "hoop-crashtest", "crashtest", &args[1..]),
         "trace" => delegate("trace", "hoop-bench", "trace_pack", &args[1..]),
         _ => {
@@ -546,31 +623,63 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// `xtask lint ARGS` with its standard output discarded.
+    fn lint(args: &[&str]) -> u8 {
+        lint_main(&strs(args), &mut io::sink())
+    }
+
+    /// A stdout whose every write fails with `kind`.
+    struct Failing(io::ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_keeps_the_exit_code() {
+        // The reader has gone before the first byte: output is dropped and
+        // each command still ends with its own code.
+        let mut closed = PipeOut::new(Failing(io::ErrorKind::BrokenPipe));
+        let explain = strs(&["--explain", "persist-order"]);
+        assert_eq!(lint_main(&explain, &mut closed), 0);
+        assert!(closed.closed);
+        assert_eq!(
+            lint_main(&strs(&["--explain", "no-such-rule"]), &mut closed),
+            2
+        );
+        // Any other write error is an IO error.
+        let mut full = PipeOut::new(Failing(io::ErrorKind::StorageFull));
+        assert_eq!(lint_main(&explain, &mut full), 2);
+    }
+
     #[test]
     fn explain_known_rule_exits_zero() {
-        assert_eq!(lint_main(&strs(&["--explain", "persist-order"])), 0);
-        assert_eq!(lint_main(&strs(&["--explain", "commit-in-branch"])), 0);
-        assert_eq!(lint_main(&strs(&["--explain", "hook-coverage"])), 0);
-        assert_eq!(lint_main(&strs(&["--explain", "persist-in-loop-only"])), 0);
-        assert_eq!(
-            lint_main(&strs(&["--explain", "order-sensitive-iteration"])),
-            0
-        );
+        assert_eq!(lint(&["--explain", "persist-order"]), 0);
+        assert_eq!(lint(&["--explain", "commit-in-branch"]), 0);
+        assert_eq!(lint(&["--explain", "hook-coverage"]), 0);
+        assert_eq!(lint(&["--explain", "persist-in-loop-only"]), 0);
+        assert_eq!(lint(&["--explain", "order-sensitive-iteration"]), 0);
     }
 
     #[test]
     fn explain_unknown_rule_is_usage_error() {
-        assert_eq!(lint_main(&strs(&["--explain", "no-such-rule"])), 2);
+        assert_eq!(lint(&["--explain", "no-such-rule"]), 2);
         // A retired rule is unknown like any other name.
-        assert_eq!(lint_main(&strs(&["--explain", "det-taint"])), 2);
-        assert_eq!(lint_main(&strs(&["--explain"])), 2);
+        assert_eq!(lint(&["--explain", "det-taint"]), 2);
+        assert_eq!(lint(&["--explain"]), 2);
     }
 
     #[test]
     fn unknown_flag_is_usage_error() {
-        assert_eq!(lint_main(&strs(&["--frobnicate"])), 2);
+        assert_eq!(lint(&["--frobnicate"]), 2);
         // The retired baseline gate's flags are gone with it.
-        assert_eq!(lint_main(&strs(&["--write-baseline"])), 2);
+        assert_eq!(lint(&["--write-baseline"]), 2);
     }
 
     #[test]
@@ -582,11 +691,7 @@ mod tests {
         let blocker = dir.join("blocker");
         std::fs::write(&blocker, "not a directory").unwrap();
         let json = blocker.join("lint.json");
-        let code = lint_main(&strs(&[
-            dir.to_str().unwrap(),
-            "--json",
-            json.to_str().unwrap(),
-        ]));
+        let code = lint(&[dir.to_str().unwrap(), "--json", json.to_str().unwrap()]);
         assert_eq!(code, 0, "unwritable report must degrade, not fail");
         assert!(!json.exists());
     }
@@ -596,11 +701,7 @@ mod tests {
         let dir = scratch("writable-json");
         std::fs::write(dir.join("clean.rs"), "fn main() {}\n").unwrap();
         let json = dir.join("out/lint.json");
-        let code = lint_main(&strs(&[
-            dir.to_str().unwrap(),
-            "--json",
-            json.to_str().unwrap(),
-        ]));
+        let code = lint(&[dir.to_str().unwrap(), "--json", json.to_str().unwrap()]);
         assert_eq!(code, 0);
         let doc = std::fs::read_to_string(&json).unwrap();
         assert!(doc.contains("\"schema\": \"hoop-lint/5\""));
@@ -618,27 +719,21 @@ mod tests {
         )
         .unwrap();
         let path = file.to_str().unwrap();
-        assert_eq!(lint_main(&strs(&["--cfg-dot", &format!("{path}:2")])), 0);
-        assert_eq!(lint_main(&strs(&["--cfg-dot", &format!("{path}:step")])), 0);
-        assert_eq!(
-            lint_main(&strs(&["--cfg-dot", &format!("{path}:no_such_fn")])),
-            2
-        );
-        assert_eq!(lint_main(&strs(&["--cfg-dot", "no-colon-spec"])), 2);
+        assert_eq!(lint(&["--cfg-dot", &format!("{path}:2")]), 0);
+        assert_eq!(lint(&["--cfg-dot", &format!("{path}:step")]), 0);
+        assert_eq!(lint(&["--cfg-dot", &format!("{path}:no_such_fn")]), 2);
+        assert_eq!(lint(&["--cfg-dot", "no-colon-spec"]), 2);
     }
 
     #[test]
     fn callers_usage_errors() {
-        assert_eq!(lint_main(&strs(&["--callers"])), 2);
-        assert_eq!(lint_main(&strs(&["--callers", "no-colon-spec"])), 2);
+        assert_eq!(lint(&["--callers"]), 2);
+        assert_eq!(lint(&["--callers", "no-colon-spec"]), 2);
         assert_eq!(
-            lint_main(&strs(&[
-                "--callers",
-                "crates/hoop/src/engine.rs:no_such_fn"
-            ])),
+            lint(&["--callers", "crates/hoop/src/engine.rs:no_such_fn"]),
             2
         );
-        assert_eq!(lint_main(&strs(&["--callers", "no/such/file.rs:f"])), 2);
+        assert_eq!(lint(&["--callers", "no/such/file.rs:f"]), 2);
     }
 
     #[test]
@@ -646,10 +741,10 @@ mod tests {
         // Full workspace scan behind the dump — this is also an end-to-end
         // check that the solved graph knows a real commit-record writer.
         assert_eq!(
-            lint_main(&strs(&[
+            lint(&[
                 "--callers",
                 "crates/hoop/src/engine.rs:append_commit_record"
-            ])),
+            ]),
             0
         );
     }
